@@ -148,10 +148,7 @@ def pi_E_d(x: int, d: int, E: CatalogCurve, order_fn) -> int:
 class SeriesKind(enum.Enum):
     PSI = "psi"
     PSI_E = "psi_e"
-    PSI_E_Z = "psi_e_z"
-    PI_E_D = "pi_e_d"
     RACE = "race"
-    GAMMA_TILDE = "gamma_tilde"
     RHO = "rho"
 
 
@@ -276,21 +273,6 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
         return total
 
     return dfs(0, x)
-
-
-class GammaTildeMode(enum.Enum):
-    FIELD_IDEALS = "field_ideals"
-    CURVE = "curve"
-
-
-def gamma_tilde(mode: GammaTildeMode, target, x: int, y: int, order_fn=None) -> float:
-    """Dispatch between ideal-count mode (target is a field) and curve mode
-    (target is a catalog curve)."""
-    if mode == GammaTildeMode.FIELD_IDEALS:
-        return gamma_tilde_field(target, x, y)
-    if mode == GammaTildeMode.CURVE:
-        return gamma_tilde_curve(target, x, y, order_fn)
-    raise UsageError(f"unknown gamma_tilde mode {mode!r}")
 
 
 def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:

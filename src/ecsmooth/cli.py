@@ -48,28 +48,29 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, cfg: dict[str, str]) -> None:
-    """Config supplies values only where the command line left the default."""
-    for k, v in cfg.items():
-        if not hasattr(args, k):
-            continue
-        current = getattr(args, k)
-        if current == _parser_default(args, k):
-            typ = type(current) if current is not None else str
-            setattr(args, k, typ(v) if typ is not bool else v.lower() in ("1", "true", "yes"))
+_ACTIONS: dict[tuple[str, str], argparse.Action] = {}
 
 
-_DEFAULTS: dict[str, object] = {}
-
-
-def _parser_default(args: argparse.Namespace, key: str):
-    return _DEFAULTS.get((args.command, key))
-
-
-def _record_defaults(sub: argparse.ArgumentParser, command: str) -> None:
+def _record_actions(sub: argparse.ArgumentParser, command: str) -> None:
     for action in sub._actions:
         if action.dest != "help":
-            _DEFAULTS[(command, action.dest)] = action.default
+            _ACTIONS[(command, action.dest)] = action
+
+
+def _merge_config(args: argparse.Namespace, cfg: dict[str, str]) -> None:
+    """Config supplies values only where the command line left the default,
+    parsed with the option's own argparse type."""
+    for k, v in cfg.items():
+        action = _ACTIONS.get((args.command, k))
+        if action is None or getattr(args, k) != action.default:
+            continue
+        if isinstance(action.default, bool):
+            setattr(args, k, v.lower() in ("1", "true", "yes"))
+            continue
+        try:
+            setattr(args, k, action.type(v) if action.type else v)
+        except ValueError as exc:
+            raise UsageError(f"config value {k} = {v!r}: {exc}") from exc
 
 
 def _cache_dir(args) -> str:
@@ -186,15 +187,12 @@ def cmd_census(args) -> int:
             e1, e2 = ecm.catalog_curve(n1), ecm.catalog_curve(n2)
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
-        checkpoints = [x for x in (2**k for k in range(4, 64)) if x <= budget]
-        if budget not in checkpoints:
-            checkpoints.append(budget)
         try:
             f1 = cache.order_fn(e1, budget)
             f2 = cache.order_fn(e2, budget)
         except CapacityError:
             return EXIT_BUDGET
-        series = census.race(e1, e2, args.y, checkpoints, f1, f2)
+        series = census.race(e1, e2, args.y, _checkpoints(budget), f1, f2)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:
@@ -251,10 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default="e8000")
     p.add_argument("-u", type=float, default=3.0)
     p.add_argument("-v", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact-m", action="store_true", dest="exact_m")
     p.set_defaults(fn=cmd_ecm)
-    _record_defaults(p, "ecm")
+    _record_actions(p, "ecm")
 
     p = sub.add_parser("split", help="NFS splitting step")
     p.add_argument("q", type=int)
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
     p.set_defaults(fn=cmd_split)
-    _record_defaults(p, "split")
+    _record_actions(p, "split")
 
     p = sub.add_parser("alpha", help="constants table")
     g = p.add_mutually_exclusive_group(required=True)
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-bound", type=int, default=10**3, dest="p_bound")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_alpha)
-    _record_defaults(p, "alpha")
+    _record_actions(p, "alpha")
 
     p = sub.add_parser("census", help="counting experiments")
     p.add_argument("kind", nargs="?", choices=["psi", "psi_e", "gamma_tilde"])
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_census)
-    _record_defaults(p, "census")
+    _record_actions(p, "census")
 
     return ap
 

@@ -45,7 +45,8 @@ def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
             n = (w - mu).norm
             cands.add(n)
     lo, hi = curve.hasse_interval(p)
-    assert all(lo <= n <= hi for n in cands)
+    if not all(lo <= n <= hi for n in cands):
+        raise ArithmeticError(f"candidate order outside the Hasse interval at p={p}")
     return cands
 
 
@@ -72,14 +73,14 @@ def cm_order(cat: CatalogCurve, p: int, rng: random.Random | None = None) -> int
     A, B = curve.short_model(E, p)
     for _ in range(_ROUNDS * _POINTS_PER_ROUND):
         P = curve.sw_random_point(p, A, B, rng)
-        base = curve.sw_mul(p, A, p + 1, P)
+        base = curve.ec_scalar_mul(p, A, p + 1, P)
         trace_mults: dict[int, object] = {}
         still = []
         for n in survivors:
             t = p + 1 - n
             at = abs(t)
             if at not in trace_mults:
-                trace_mults[at] = curve.sw_mul(p, A, at, P)
+                trace_mults[at] = curve.ec_scalar_mul(p, A, at, P)
             T = trace_mults[at]
             if t < 0:
                 T = curve.sw_neg(p, T)
@@ -88,7 +89,8 @@ def cm_order(cat: CatalogCurve, p: int, rng: random.Random | None = None) -> int
         survivors = still
         if len(survivors) == 1:
             return survivors[0]
-        assert survivors, "true group order eliminated: candidate set was wrong"
+        if not survivors:
+            raise ArithmeticError(f"true group order eliminated at p={p}: candidate set was wrong")
     # rare: every sampled point had small order; fall back to an oracle
     if p <= 10**5:
         return curve.naive_count(E, p)

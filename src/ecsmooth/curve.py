@@ -2,11 +2,13 @@
 independent group-order oracles over prime fields (naive enumeration and
 baby-step/giant-step).
 
-The group law is implemented with the affine chord-and-tangent formulas and
-explicit inversion attempts: a failed inversion is exactly the event that
+There is one group law: affine chord-and-tangent on a short model
+y^2 = x^3 + Ax + B mod n (sw_add, ec_scalar_mul), serving ECM, BSGS and CM
+candidate elimination alike.  Every inversion goes through
+arith.inverse_or_divisor: a failed inversion is exactly the event that
 surfaces a factor of a composite modulus, so complete projective formulas
-would defeat the purpose.  The projective triple is kept for I/O and for the
-neutral element (0:1:0).
+would defeat the purpose.  Curves are stored in long Weierstrass form;
+short_model and short_point carry a curve and its points over.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import arith
-from .errors import AmbiguityError, BadReductionError, CapacityError, UsageError
+from .errors import AmbiguityError, BadReductionError, CapacityError, DivisorFound, UsageError
 
 NAIVE_COUNT_LIMIT = 10**7
 
@@ -49,132 +51,6 @@ class WeierstrassCurve:
 
     def has_good_reduction(self, p: int) -> bool:
         return self.disc % p != 0
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """Projective triple (X:Y:Z) with a common modulus N; (0:1:0) is neutral."""
-
-    x: int
-    y: int
-    z: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise UsageError("point modulus must be >= 2")
-
-    @classmethod
-    def neutral(cls, n: int) -> "ProjPoint":
-        return cls(0, 1 % n, 0, n)
-
-    @classmethod
-    def affine(cls, x: int, y: int, n: int) -> "ProjPoint":
-        return cls(x % n, y % n, 1 % n, n)
-
-    @property
-    def is_neutral_form(self) -> bool:
-        return self.z % self.modulus == 0
-
-
-@dataclass(frozen=True)
-class AddOutcome:
-    """Either a point or a nontrivial divisor of the modulus, never both."""
-
-    point: ProjPoint | None = None
-    divisor: int | None = None
-
-    @property
-    def is_point(self) -> bool:
-        return self.point is not None
-
-
-class _Divisor(Exception):
-    def __init__(self, g: int):
-        self.g = g
-
-
-def _inv(a: int, n: int) -> int:
-    inv, g = arith.inverse_or_divisor(a, n)
-    if inv is None:
-        raise _Divisor(g)
-    return inv
-
-
-def _to_affine(P: ProjPoint, n: int) -> tuple[int, int] | None:
-    """Normalized affine pair, None for the neutral element.  A failed Z
-    normalization is itself a divisor event."""
-    z = P.z % n
-    if z == 0:
-        return None
-    zi = _inv(z, n)
-    return (P.x * zi % n, P.y * zi % n)
-
-
-def _neg_y(E: WeierstrassCurve, x: int, y: int, n: int) -> int:
-    return (-y - E.a1 * x - E.a3) % n
-
-
-def _affine_add(E: WeierstrassCurve, n: int, P, Q):
-    """Chord-and-tangent on affine pairs (None = neutral); raises _Divisor."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if y2 == _neg_y(E, x1, y1, n):
-            return None
-        if y1 == y2:
-            num = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) % n
-            den = (2 * y1 + E.a1 * x1 + E.a3) % n
-        else:
-            # distinct mod n yet equal x: the chord denominator vanishes
-            num, den = (y2 - y1) % n, 0
-    else:
-        num, den = (y2 - y1) % n, (x2 - x1) % n
-    lam = num * _inv(den, n) % n
-    x3 = (lam * lam + E.a1 * lam - E.a2 - x1 - x2) % n
-    y3 = (lam * (x1 - x3) - y1 - E.a1 * x3 - E.a3) % n
-    return (x3, y3)
-
-
-def _affine_mul(E: WeierstrassCurve, n: int, k: int, P):
-    R = None
-    for bit in bin(k)[2:]:
-        R = _affine_add(E, n, R, R)
-        if bit == "1":
-            R = _affine_add(E, n, R, P)
-    return R
-
-
-def _wrap(P, n: int) -> AddOutcome:
-    if P is None:
-        return AddOutcome(point=ProjPoint.neutral(n))
-    return AddOutcome(point=ProjPoint.affine(P[0], P[1], n))
-
-
-def ec_add(E: WeierstrassCurve, n: int, P: ProjPoint, Q: ProjPoint) -> AddOutcome:
-    """P + Q mod n, or the divisor surfaced by the first failed inversion."""
-    if P.modulus != n or Q.modulus != n:
-        raise UsageError("point moduli do not match the ambient modulus")
-    try:
-        return _wrap(_affine_add(E, n, _to_affine(P, n), _to_affine(Q, n)), n)
-    except _Divisor as d:
-        return AddOutcome(divisor=d.g)
-
-
-def ec_scalar_mul(E: WeierstrassCurve, n: int, k: int, P: ProjPoint) -> AddOutcome:
-    """[k]P mod n by double-and-add, or the first divisor encountered."""
-    if k < 0:
-        raise UsageError("scalar must be nonnegative")
-    if P.modulus != n:
-        raise UsageError("point modulus does not match the ambient modulus")
-    try:
-        return _wrap(_affine_mul(E, n, k, _to_affine(P, n)), n)
-    except _Divisor as d:
-        return AddOutcome(divisor=d.g)
 
 
 def hasse_interval(p: int) -> tuple[int, int]:
@@ -212,21 +88,33 @@ def naive_count(E: WeierstrassCurve, p: int) -> int:
     return count
 
 
-# --- fast F_p helpers on a short Weierstrass model (p > 3) ---
+# --- the group law, on a short Weierstrass model y^2 = x^3 + Ax + B mod n ---
 
 
-def short_model(E: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """Coefficients (A, B) of an F_p-isomorphic model y^2 = x^3 + Ax + B."""
+def short_model(E: WeierstrassCurve, n: int) -> tuple[int, int]:
+    """Coefficients (A, B) of the model y^2 = x^3 + Ax + B, isomorphic to E
+    over Z/nZ whenever gcd(n, 6) = 1 (see short_point)."""
     b2 = E.a1 * E.a1 + 4 * E.a2
     b4 = 2 * E.a4 + E.a1 * E.a3
     b6 = E.a3 * E.a3 + 4 * E.a6
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    return (-27 * c4) % p, (-54 * c6) % p
+    return (-27 * c4) % n, (-54 * c6) % n
 
 
-def sw_add(p: int, A: int, P, Q):
-    """Affine addition on y^2 = x^3 + Ax + B over F_p (None = neutral)."""
+def short_point(E: WeierstrassCurve, n: int, P: tuple[int, int]) -> tuple[int, int]:
+    """Image of a point of E on short_model(E, n): x' = 36x + 3b2,
+    y' = 108(2y + a1 x + a3).  The map is defined over Z[1/6], so it keeps
+    every chord and tangent denominator up to a unit mod n when gcd(n, 6) = 1."""
+    x, y = P
+    b2 = E.a1 * E.a1 + 4 * E.a2
+    return (36 * x + 3 * b2) % n, 108 * (2 * y + E.a1 * x + E.a3) % n
+
+
+def sw_add(n: int, A: int, P, Q):
+    """P + Q on y^2 = x^3 + Ax + B mod n (None = neutral, coordinates
+    reduced mod n).  A denominator that is not a unit mod n raises
+    DivisorFound with gcd(denominator, n): the factoring event of ECM."""
     if P is None:
         return Q
     if Q is None:
@@ -234,32 +122,39 @@ def sw_add(p: int, A: int, P, Q):
     x1, y1 = P
     x2, y2 = Q
     if x1 == x2:
-        if (y1 + y2) % p == 0:
+        if (y1 + y2) % n == 0:
             return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, p - 2, p) % p
+        if y1 != y2:
+            # distinct mod n yet equal x: the chord denominator vanishes
+            raise DivisorFound(n)
+        num, den = 3 * x1 * x1 + A, 2 * y1
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
+        num, den = y2 - y1, x2 - x1
+    inv, g = arith.inverse_or_divisor(den, n)
+    if inv is None:
+        raise DivisorFound(g)
+    lam = num * inv % n
+    x3 = (lam * lam - x1 - x2) % n
+    return (x3, (lam * (x1 - x3) - y1) % n)
 
 
-def sw_mul(p: int, A: int, k: int, P):
-    R = None
+def ec_scalar_mul(n: int, A: int, k: int, P):
+    """[k]P mod n by left-to-right double-and-add; raises DivisorFound at the
+    first failed inversion."""
     if k < 0:
-        k, P = -k, sw_neg(p, P)
-    while k:
-        if k & 1:
-            R = sw_add(p, A, R, P)
-        k >>= 1
-        if k:
-            P = sw_add(p, A, P, P)
+        raise UsageError("scalar must be nonnegative")
+    R = None
+    for bit in bin(k)[2:]:
+        R = sw_add(n, A, R, R)
+        if bit == "1":
+            R = sw_add(n, A, R, P)
     return R
 
 
-def sw_neg(p: int, P):
+def sw_neg(n: int, P):
     if P is None:
         return None
-    return (P[0], (-P[1]) % p)
+    return (P[0], (-P[1]) % n)
 
 
 def sw_random_point(p: int, A: int, B: int, rng: random.Random):
@@ -278,7 +173,7 @@ def _point_order(p: int, A: int, P, k: int) -> int:
     """Exact order of P given a multiple k of the order ([k]P = O)."""
     order = k
     for q in _distinct_prime_factors(k):
-        while order % q == 0 and sw_mul(p, A, order // q, P) is None:
+        while order % q == 0 and ec_scalar_mul(p, A, order // q, P) is None:
             order //= q
     return order
 
@@ -308,8 +203,8 @@ def _bsgs_annihilator(p: int, A: int, P) -> int:
         baby.setdefault(R, j)
         R = sw_add(p, A, R, P)
     # find j, i with [lo + i*m]P = [j]P  =>  k = lo + i*m - j
-    G = sw_mul(p, A, lo, P)
-    step = sw_mul(p, A, m, P)
+    G = ec_scalar_mul(p, A, lo, P)
+    step = ec_scalar_mul(p, A, m, P)
     i = 0
     while lo + i * m - (m - 1) <= hi:
         if G in baby:

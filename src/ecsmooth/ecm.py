@@ -5,6 +5,10 @@ divisibility plan M' = prod_{l <= C} l^{e_l} with e_l chosen so that every
 C-friable integer below the Hasse bound N + 2 sqrt(N) + 1 divides M'.  The
 factorial exponent is still available behind a flag for tiny N so the
 equivalence is testable.
+
+Stage 1 runs on the short model of the catalog curve mod N: the catalog
+point is carried over by curve.short_point, and the single group law of
+curve.py surfaces the factor at the first failed inversion.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from . import arith, curve
-from .curve import ProjPoint, WeierstrassCurve
-from .errors import UsageError
+from .curve import WeierstrassCurve
+from .errors import DivisorFound, UsageError
 
 EXACT_M_LIMIT = 1 << 20
 
@@ -128,39 +132,39 @@ def ecm_one_curve(
     cat: CatalogCurve,
     u: float,
     v: float,
-    rng: random.Random | None = None,
     exact_m: bool = False,
 ) -> EcmOutcome:
-    """Stage-1 ECM on one curve: [M']P mod n, returning the factor surfaced by
-    the first failed inversion, or Fail.  A divisor equal to n itself is a
-    Fail (retry with another curve rather than report n)."""
-    del rng  # stage 1 is deterministic; kept for interface symmetry
+    """Stage-1 ECM on one curve: [M']P mod n on the short model, returning the
+    factor surfaced by the first failed inversion, or Fail.  A divisor equal
+    to n itself is a Fail (retry with another curve rather than report n).
+    The short model needs gcd(n, 6) = 1, so a factor 2 or 3 of n is reported
+    by the gcd shortcut, like a factor of the discriminant."""
     if n < 2:
         raise UsageError("N must be >= 2")
     _, C = EcmParams(u, v).bounds(n)
-    g = math.gcd(n, cat.curve.disc)
-    if 1 < g < n:
-        return EcmOutcome(g)
-    if g == n:
-        return EcmOutcome.fail()
+    for m in (cat.curve.disc, 6):
+        g = math.gcd(n, m)
+        if 1 < g < n:
+            return EcmOutcome(g)
+        if g == n:
+            return EcmOutcome.fail()
     if cat.point is None:
         raise UsageError(f"catalog curve {cat.name} has no rational point for ECM")
-    x0, y0 = cat.point
-    # z = 1 for catalog points, so gcd(x, y, z, N) = 1 automatically
-    P = ProjPoint.affine(x0, y0, n)
-    for s in _stage1_scalars(C, n, exact_m):
-        out = curve.ec_scalar_mul(cat.curve, n, s, P)
-        if not out.is_point:
-            g = out.divisor
-            if 1 < g < n:
-                assert n % g == 0
-                return EcmOutcome(g)
+    A, _ = curve.short_model(cat.curve, n)
+    P = curve.short_point(cat.curve, n, cat.point)
+    try:
+        for s in _stage1_scalars(C, n, exact_m):
+            P = curve.ec_scalar_mul(n, A, s, P)
+            if P is None:
+                # [M']P = O mod every prime of n at once: nothing to separate
+                return EcmOutcome.fail()
+    except DivisorFound as d:
+        if d.g == n:
             return EcmOutcome.fail()
-        P = out.point
-        if P.is_neutral_form:
-            # z = 0 mod n: final gcd(z, N) = N, a Fail
-            return EcmOutcome.fail()
-    # stage 1 finished with an affine point: gcd(z, N) = 1
+        if n % d.g:
+            raise ArithmeticError(f"surfaced divisor {d.g} does not divide N={n}") from d
+        return EcmOutcome(d.g)
+    # stage 1 finished on an affine point without a failed inversion
     return EcmOutcome.fail()
 
 
@@ -191,7 +195,8 @@ def split_step(
             continue
         out = ecm_one_curve(n, cat, u, v)
         if out.ok and out.factor < B:
-            assert n % out.factor == 0 and 1 < out.factor < n
+            if not (1 < out.factor < n and n % out.factor == 0):
+                raise ArithmeticError(f"ECM reported {out.factor}, not a proper factor of n={n}")
             return e, out.factor
     return None
 

@@ -27,3 +27,12 @@ class BadReductionError(EcsmoothError):
 
 class AmbiguityError(EcsmoothError):
     """A randomized order computation could not isolate a unique answer."""
+
+
+class DivisorFound(EcsmoothError):
+    """A group-law denominator is not a unit mod n; g = gcd(denominator, n),
+    1 < g <= n.  ECM turns it into a factor."""
+
+    def __init__(self, g: int):
+        super().__init__(f"divisor {g} surfaced by a failed inversion")
+        self.g = g

@@ -235,12 +235,6 @@ class TestGammaTilde:
         b = census.gamma_tilde_field(K, 10**6, round(10**6 ** (1 / 1.5)))
         assert b == pytest.approx(a, rel=0.2)
 
-    def test_dispatcher(self):
-        K = arith.field_for(7)
-        direct = census.gamma_tilde_field(K, 10**4, 100)
-        via = census.gamma_tilde(census.GammaTildeMode.FIELD_IDEALS, K, 10**4, 100)
-        assert direct == via
-
     def test_curve_mode(self):
         fn = naive_order_fn(E7)
         val = census.gamma_tilde_curve(E7, 2000, 100, fn)

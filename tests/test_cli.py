@@ -194,3 +194,28 @@ class TestConfigFile:
         cfg.write_text("no equals sign here\n")
         code, _, _ = run(["--config", str(cfg), "census", "psi"], capsys)
         assert code == cli.EXIT_USAGE
+
+    def test_config_none_default_float(self, tmp_path, capsys):
+        # -u defaults to None; the config value must still be parsed as a float
+        cfg = tmp_path / "cfg"
+        cfg.write_text("u = 1.5\n")
+        code, out, _ = run(["--config", str(cfg), "split", "101", "2", "1", "-v", "1.5"], capsys)
+        assert code == cli.EXIT_OK
+        assert "u=1.5000" in out
+
+    def test_config_none_default_int(self, tmp_path, capsys):
+        # -d defaults to None; the config value must still be parsed as an int
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d = 7\n")
+        code, out, _ = run(
+            ["--config", str(cfg), "census", "gamma_tilde", "--y", "100", "--budget", "10000"], capsys
+        )
+        assert code == cli.EXIT_OK
+        assert "gamma_tilde(d=7" in out
+
+    def test_config_bad_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("budget = lots\n")
+        code, _, err = run(["--config", str(cfg), "census", "psi"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "budget" in err

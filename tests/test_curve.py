@@ -5,25 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import arith, curve, ecm
-from ecsmooth.curve import ProjPoint, WeierstrassCurve
-from ecsmooth.errors import BadReductionError, CapacityError, UsageError
+from ecsmooth.curve import WeierstrassCurve
+from ecsmooth.errors import BadReductionError, CapacityError, DivisorFound, UsageError
 
 E8000 = ecm.catalog_curve("e8000").curve  # y^2 = x^3 + x^2 - 3x + 1
 E7 = ecm.catalog_curve("e7").curve
 
 
-def xy(pt):
-    zi = pow(pt.z, -1, pt.modulus)
-    return (pt.x * zi % pt.modulus, pt.y * zi % pt.modulus)
-
-
 def affine_points(E, p):
-    pts = []
-    for x in range(p):
-        for y in range(p):
-            if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p == 0:
-                pts.append(ProjPoint.affine(x, y, p))
-    return pts
+    """Affine points of the long model E mod p, by brute force."""
+    return [
+        (x, y)
+        for x in range(p)
+        for y in range(p)
+        if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p == 0
+    ]
+
+
+def short_points(E, p):
+    """The same points carried over to short_model(E, p)."""
+    return [curve.short_point(E, p, P) for P in affine_points(E, p)]
 
 
 class TestWeierstrassCurve:
@@ -38,89 +39,89 @@ class TestWeierstrassCurve:
 
 class TestGroupLaw:
     def test_identity(self):
-        O = ProjPoint.neutral(101)
-        P = ProjPoint.affine(-1, 2, 101)
-        out = curve.ec_add(E8000, 101, P, O)
-        assert out.is_point and xy(out.point) == xy(P)
+        A, _ = curve.short_model(E8000, 101)
+        P = curve.short_point(E8000, 101, (-1, 2))
+        assert curve.sw_add(101, A, P, None) == P
+        assert curve.sw_add(101, A, None, P) == P
 
     def test_inverse(self):
         p = 101
-        P = ProjPoint.affine(-1, 2, p)
-        negP = ProjPoint.affine(-1, -2, p)
-        out = curve.ec_add(E8000, p, P, negP)
-        assert out.is_point and out.point.is_neutral_form
+        A, _ = curve.short_model(E8000, p)
+        P = curve.short_point(E8000, p, (-1, 2))
+        negP = curve.short_point(E8000, p, (-1, -2))
+        assert negP == curve.sw_neg(p, P)
+        assert curve.sw_add(p, A, P, negP) is None
 
-    def test_modulus_mismatch(self):
-        with pytest.raises(UsageError):
-            curve.ec_add(E8000, 101, ProjPoint.affine(-1, 2, 101), ProjPoint.affine(-1, 2, 103))
+    def test_short_point_on_model(self):
+        for cat in ecm.curve_catalog():
+            if cat.point is None:
+                continue
+            for n in (101, 35, 10**9 + 7):
+                A, B = curve.short_model(cat.curve, n)
+                x, y = curve.short_point(cat.curve, n, cat.point)
+                assert (y * y - x**3 - A * x - B) % n == 0, (cat.name, n)
 
     def test_divisor_from_crt_points(self):
         # points congruent mod 5 but not mod 7: chord denominator vanishes mod 5
-        p, q = 5, 7
-        n = p * q
+        n = 35
         pts5 = affine_points(E8000, 5)
         pts7 = affine_points(E8000, 7)
         P5 = pts5[0]
-        Q7a, Q7b = [pt for pt in pts7 if pt.x != pts5[0].x % 7][:2]
+        Q7a, Q7b = [pt for pt in pts7 if pt[0] != P5[0] % 7][:2]
 
         def crt(a, m, b, mm):
             return (a + m * ((b - a) * pow(m, -1, mm) % mm)) % (m * mm)
 
-        P = ProjPoint.affine(crt(P5.x, 5, Q7a.x, 7), crt(P5.y, 5, Q7a.y, 7), n)
-        Q = ProjPoint.affine(crt(P5.x, 5, Q7b.x, 7), crt(P5.y, 5, Q7b.y, 7), n)
-        out = curve.ec_add(E8000, n, P, Q)
-        if not out.is_point:
-            assert out.divisor in (5, 35)
+        P = curve.short_point(E8000, n, (crt(P5[0], 5, Q7a[0], 7), crt(P5[1], 5, Q7a[1], 7)))
+        Q = curve.short_point(E8000, n, (crt(P5[0], 5, Q7b[0], 7), crt(P5[1], 5, Q7b[1], 7)))
+        A, _ = curve.short_model(E8000, n)
+        with pytest.raises(DivisorFound) as exc:
+            curve.sw_add(n, A, P, Q)
+        assert exc.value.g in (5, 35)
 
     def test_scalar_zero(self):
-        P = ProjPoint.affine(-1, 2, 101)
-        out = curve.ec_scalar_mul(E8000, 101, 0, P)
-        assert out.is_point and out.point.is_neutral_form
+        A, _ = curve.short_model(E8000, 101)
+        P = curve.short_point(E8000, 101, (-1, 2))
+        assert curve.ec_scalar_mul(101, A, 0, P) is None
 
     def test_order_annihilates(self):
         for p in (11, 13, 101):
             if not E8000.has_good_reduction(p):
                 continue
             n = curve.naive_count(E8000, p)
-            for pt in affine_points(E8000, p)[:5]:
-                out = curve.ec_scalar_mul(E8000, p, n, pt)
-                assert out.is_point and out.point.is_neutral_form
+            A, _ = curve.short_model(E8000, p)
+            for pt in short_points(E8000, p)[:5]:
+                assert curve.ec_scalar_mul(p, A, n, pt) is None
 
     def test_double_matches_add(self):
         p = 1009
-        pts = affine_points(E8000, p)
+        A, _ = curve.short_model(E8000, p)
         rng = random.Random(1)
-        for pt in rng.sample(pts, 50):
-            via_add = curve.ec_add(E8000, p, pt, pt)
-            via_mul = curve.ec_scalar_mul(E8000, p, 2, pt)
-            assert via_add.is_point and via_mul.is_point
-            assert (via_add.point.is_neutral_form and via_mul.point.is_neutral_form) or (
-                xy(via_add.point) == xy(via_mul.point)
-            )
+        for pt in rng.sample(short_points(E8000, p), 50):
+            assert curve.sw_add(p, A, pt, pt) == curve.ec_scalar_mul(p, A, 2, pt)
 
     def test_associativity_random_triples(self):
         p = 211
-        pts = affine_points(E8000, p)
+        A, _ = curve.short_model(E8000, p)
+        pts = short_points(E8000, p)
         rng = random.Random(7)
         for _ in range(50):
             P, Q, R = rng.sample(pts, 3)
-            ab = curve.ec_add(E8000, p, P, Q).point
-            left = curve.ec_add(E8000, p, ab, R).point
-            bc = curve.ec_add(E8000, p, Q, R).point
-            right = curve.ec_add(E8000, p, P, bc).point
-            assert (left.is_neutral_form and right.is_neutral_form) or (
-                xy(left) == xy(right)
-            )
+            left = curve.sw_add(p, A, curve.sw_add(p, A, P, Q), R)
+            right = curve.sw_add(p, A, P, curve.sw_add(p, A, Q, R))
+            assert left == right
 
     def test_divisor_is_factor_for_small_semiprimes(self):
         for p in (5, 7, 11):
             for q in (13, 17, 19):
                 n = p * q
-                P = ProjPoint.affine(-1, 2, n)
+                A, _ = curve.short_model(E8000, n)
+                P = curve.short_point(E8000, n, (-1, 2))
                 for k in (6, 30, 210):
-                    out = curve.ec_scalar_mul(E8000, n, k, P)
-                    if not out.is_point:
-                        assert out.divisor in (p, q, n)
+                    try:
+                        curve.ec_scalar_mul(n, A, k, P)
+                    except DivisorFound as d:
+                        assert d.g in (p, q, n)
 
 
 class TestNaiveCount:
@@ -189,7 +190,7 @@ class TestBsgsOrder:
         A, B = curve.short_model(E7, p)
         for seed in range(3):
             P = curve.sw_random_point(p, A, B, random.Random(seed))
-            assert curve.sw_mul(p, A, n, P) is None
+            assert curve.ec_scalar_mul(p, A, n, P) is None
 
 
 class TestShortModel:

@@ -1,10 +1,14 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from ecsmooth import arith, curve, ecm
 from ecsmooth.errors import UsageError
+
+CORPUS = Path(__file__).with_name("data") / "ecm_corpus.json"
 
 
 def naive_friable(n, C):
@@ -48,15 +52,11 @@ class TestCatalog:
         # [k]P != O mod several primes for k <= 100 implies nontorsion over Q
         for name in ("e8000", "e37"):
             cat = ecm.catalog_curve(name)
-            x0, y0 = cat.point
             for p in (1009, 2003, 3001):
                 n = curve.naive_count(cat.curve, p)
-                P = curve.ProjPoint.affine(x0, y0, p)
-                annihilated = set()
-                for k in range(1, 101):
-                    out = curve.ec_scalar_mul(cat.curve, p, k, P)
-                    if out.is_point and out.point.is_neutral_form:
-                        annihilated.add(k)
+                A, _ = curve.short_model(cat.curve, p)
+                P = curve.short_point(cat.curve, p, cat.point)
+                annihilated = {k for k in range(1, 101) if curve.ec_scalar_mul(p, A, k, P) is None}
                 # only multiples of the point order mod p may annihilate;
                 # across several p no common small k annihilates everywhere
                 assert all(n % k == 0 for k in annihilated)
@@ -126,6 +126,29 @@ class TestEcmOneCurve:
         p = next(p for p in arith.cached_primes(100) if d % p == 0)
         out = ecm.ecm_one_curve(p * 101, cat, 1.5, 1.2)
         assert out.ok and out.factor % p == 0
+
+
+    def test_frozen_corpus(self):
+        # (curve, N, u, v) -> factor, recorded with the long-model group law
+        # that ECM ran on before it moved to the short model; every N is
+        # coprime to 6, where the two models must agree step for step
+        cats = {c.name: c for c in ecm.curve_catalog()}
+        rows = json.loads(CORPUS.read_text())
+        assert {r[0] for r in rows} == {c.name for c in cats.values() if c.point is not None}
+        for name, n, u, v, factor in rows:
+            assert math.gcd(n, 6) == 1
+            assert ecm.ecm_one_curve(n, cats[name], u, v).factor == factor, (name, n, u, v)
+
+    def test_three_divides_n(self):
+        # the short model needs gcd(N, 6) = 1: an odd N with 3 | N that
+        # shares nothing with the discriminant gets 3 from the gcd shortcut
+        checked = 0
+        for cat in ecm.curve_catalog():
+            for n in range(9, 2000, 6):
+                if math.gcd(n, cat.curve.disc) == 1:
+                    assert ecm.ecm_one_curve(n, cat, 1.5, 1.2).factor == 3, (cat.name, n)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestSplitStep:
