@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,8 +103,9 @@ def is_prime(n: int) -> bool:
     return all(_mr_round(n, a, d, s) for a in witnesses)
 
 
-def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending (segmented odd-only Eratosthenes)."""
+def prime_sieve(limit: int, start: int = 2) -> list[int]:
+    """All primes p with start <= p <= limit, ascending (segmented odd-only
+    Eratosthenes over [start, limit] only)."""
     if limit < 2:
         raise DomainError(f"prime_sieve needs limit >= 2, got {limit}")
     if limit > SIEVE_LIMIT:
@@ -116,24 +117,22 @@ def prime_sieve(limit: int) -> list[int]:
         if base[i]:
             base[i * i :: i] = False
     small = np.nonzero(base)[0]
-    if limit <= root:
-        return [int(p) for p in small if p <= limit]
-    primes = [int(p) for p in small]
+    primes = [int(p) for p in small if p >= start]
     odd_small = [int(p) for p in small if p > 2]
-    lo = root + 1
+    lo = max(start, root + 1)
     while lo <= limit:
         hi = min(lo + _SEGMENT - 1, limit)
         seg = np.ones(hi - lo + 1, dtype=bool)
         for p in odd_small:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            seg[start - lo :: p] = False
+            first = max(p * p, ((lo + p - 1) // p) * p)
+            seg[first - lo :: p] = False
         if lo % 2 == 0:
             seg[0::2] = False
         else:
             seg[1::2] = False
         if lo <= 2 <= hi:
             seg[2 - lo] = True
-        primes.extend(int(v) for v in np.nonzero(seg)[0] + lo)
+        primes.extend((np.nonzero(seg)[0] + lo).tolist())
         lo = hi + 1
     return primes
 
@@ -146,9 +145,7 @@ def cached_primes(limit: int) -> tuple[int, ...]:
 
 def primes_below(y: int) -> list[int]:
     """Primes strictly below y (the strict-friability convention)."""
-    if y <= 2:
-        return []
-    return [p for p in prime_sieve(y) if p < y]
+    return prime_sieve(y - 1) if y > 2 else []
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -203,9 +200,16 @@ class ImagQuadField:
     def unit_count(self) -> int:
         return 4 if self.d == 1 else 6 if self.d == 3 else 2
 
+    @cached_property
+    def _chi_table(self) -> tuple[int, ...]:
+        return tuple(kronecker(self.disc, r) for r in range(-self.disc))
+
     def chi(self, n: int) -> int:
-        """Kronecker character of the field evaluated at n."""
-        return kronecker(self.disc, n)
+        """Kronecker character of the field evaluated at n, read from one
+        table over a period: chi is periodic mod |disc| for these
+        fundamental discriminants."""
+        table = self._chi_table
+        return table[n % len(table)]
 
     def norm(self, a: int, b: int) -> int:
         if self.disc % 4 == 0:
@@ -277,7 +281,7 @@ def cornacchia(p: int, K: ImagQuadField) -> QuadInt | None:
     D = K.disc
     if (-D) % p == 0:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{K.d}))")
-    sym = kronecker(D, p)
+    sym = K.chi(p)
     if sym == -1:
         return None
     if p <= 3:

@@ -11,9 +11,11 @@ every serialized output carries the convention marker.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,10 +90,17 @@ def good_primes(E: CatalogCurve, x: int) -> list[int]:
     return [p for p in arith.cached_primes(x) if E.curve.has_good_reduction(p)]
 
 
+def sweep(primes, checkpoints: list[int], order_fn, hit) -> list[int]:
+    """#{p in primes : p <= c and hit(order_fn(p))} at each ascending
+    checkpoint c, from one pass over the ascending primes."""
+    hits = [p for p in primes if hit(order_fn(p))]
+    return [bisect_right(hits, c) for c in checkpoints]
+
+
 def psi_E(x: int, y: int, E: CatalogCurve, order_fn) -> int:
     """#{p <= x good : P+(|E(F_p)|) < y}."""
     tester = FriabilityTester(y)
-    return sum(1 for p in good_primes(E, x) if tester(order_fn(p)))
+    return sweep(good_primes(E, x), [x], order_fn, tester)[0]
 
 
 def psi_E_z(x: int, y: int, z: int, E: CatalogCurve, order_fn) -> int:
@@ -142,7 +151,7 @@ def pi_E_d(x: int, d: int, E: CatalogCurve, order_fn) -> int:
     """#{p <= x good : d divides |E(F_p)|}."""
     if d < 1:
         raise UsageError(f"d={d} must be >= 1")
-    return sum(1 for p in good_primes(E, x) if order_fn(p) % d == 0)
+    return sweep(good_primes(E, x), [x], order_fn, lambda n: n % d == 0)[0]
 
 
 class SeriesKind(enum.Enum):
@@ -207,7 +216,7 @@ def race(
     order_fn2=None,
 ) -> CensusSeries:
     """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from one
-    shared sweep over the primes up to max(checkpoints)."""
+    sweep per curve over its good primes up to max(checkpoints)."""
     checkpoints = sorted(set(checkpoints))
     if not checkpoints:
         return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, [])
@@ -215,30 +224,24 @@ def race(
     order_fn2 = order_fn2 if order_fn2 is not None else cmcount.order_fn_for(E2)
     tester = FriabilityTester(y)
     top = checkpoints[-1]
-    rows = []
-    i = 0
-    c1 = c2 = 0
-    for p in arith.cached_primes(top):
-        while i < len(checkpoints) and p > checkpoints[i]:
-            rows.append((checkpoints[i], c1 - c2))
-            i += 1
-        if E1.curve.has_good_reduction(p) and tester(order_fn1(p)):
-            c1 += 1
-        if E2.curve.has_good_reduction(p) and tester(order_fn2(p)):
-            c2 += 1
-    while i < len(checkpoints):
-        rows.append((checkpoints[i], c1 - c2))
-        i += 1
+    c1 = sweep(good_primes(E1, top), checkpoints, order_fn1, tester)
+    c2 = sweep(good_primes(E2, top), checkpoints, order_fn2, tester)
+    rows = [(x, a - b) for x, a, b in zip(checkpoints, c1, c2)]
     return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, rows)
 
 
 def psi_K(x: int, K: arith.ImagQuadField) -> int:
-    """Number of integral ideals of O_K with norm <= x:
-    sum_{d <= x} chi(d) floor(x/d) since #ideals of norm n = sum_{d|n} chi(d)."""
-    m = -K.disc  # chi is periodic mod |disc|
-    table = np.array([K.chi(r) for r in range(m)], dtype=np.int64)
-    d = np.arange(1, x + 1, dtype=np.int64)
-    return int(np.sum(table[d % m] * (x // d)))
+    """Number of integral ideals of O_K with norm <= x, that is
+    sum_{ab <= x} chi(a) since #ideals of norm n = sum_{d|n} chi(d).  The
+    Dirichlet hyperbola method with r = isqrt(x) gives
+    sum_{a <= r} (chi(a) floor(x/a) + S(floor(x/a))) - r S(r), where
+    S(t) = sum_{a <= t} chi(a) depends only on t mod |disc| (a period of chi
+    sums to 0): O(sqrt x) time, O(|disc|) memory."""
+    m = -K.disc
+    S = list(itertools.accumulate((K.chi(a) for a in range(1, m)), initial=0))
+    r = math.isqrt(x)
+    total = sum(K.chi(a) * (x // a) + S[x // a % m] for a in range(1, r + 1))
+    return total - r * S[r % m]
 
 
 def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
@@ -286,8 +289,7 @@ def gamma_tilde_curve(E: CatalogCurve, x: int, y: int, order_fn=None) -> float:
     order_fn = order_fn if order_fn is not None else cmcount.order_fn_for(E)
     gp = good_primes(E, x)
     tester = FriabilityTester(y)
-    friable = sum(1 for p in gp if tester(order_fn(p)))
-    return _gamma_tilde(friable, len(gp), x, y)
+    return _gamma_tilde(sweep(gp, [x], order_fn, tester)[0], len(gp), x, y)
 
 
 def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
@@ -312,13 +314,8 @@ def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
 def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, seed: int) -> list[tuple[int, int]]:
     cat = catalog_curve(curve_name)
     fn = cmcount.order_fn_for(cat, seed)
-    out = []
-    for p in arith.cached_primes(seg_hi):
-        if p < seg_lo:
-            continue
-        if cat.curve.has_good_reduction(p):
-            out.append((p, fn(p)))
-    return out
+    primes = arith.prime_sieve(seg_hi - 1, seg_lo) if seg_hi > 2 else []
+    return [(p, fn(p)) for p in primes if cat.curve.has_good_reduction(p)]
 
 
 def _load_segment(path: Path) -> dict[int, int]:
@@ -381,8 +378,10 @@ class OrderCache:
             return [f.result() for f in futs]
 
     def _write(self, path: Path, pairs: list[tuple[int, int]]) -> None:
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w") as fh:
+        # a private temporary name per writer, so that concurrent writers of
+        # one segment never interleave; the last rename wins with a whole file
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        with tmp.open("x") as fh:
             for p, n in pairs:
                 fh.write(f"{p} {n}\n")
         tmp.replace(path)

@@ -115,15 +115,14 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _alpha_columns(ds, ell_bound, p_bound):
-    cols = []
-    for d in ds:
-        cat = ecm.catalog_curve(CM_CURVE_BY_D[d])
-        rep = lfunc.alpha_report(
-            cat, ell_bound=ell_bound, empirical_ell_bound=10**4, p_bound=p_bound
+def _alpha_columns(ds, ell_bound, p_bound, per_ell):
+    return [
+        lfunc.alpha_report(
+            ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=ell_bound,
+            empirical_ell_bound=10**4, p_bound=p_bound, per_ell_limit=per_ell,
         )
-        cols.append(rep)
-    return cols
+        for d in ds
+    ]
 
 
 def cmd_alpha(args) -> int:
@@ -135,7 +134,7 @@ def cmd_alpha(args) -> int:
     flagged = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cols = _alpha_columns(ds, args.ell_bound, args.p_bound)
+        cols = _alpha_columns(ds, args.ell_bound, args.p_bound, args.per_ell)
         flagged = any(issubclass(w.category, lfunc.TruncationWarning) for w in caught)
     rows = [
         ("alpha_tilde", [c.alpha_tilde for c in cols]),
@@ -156,6 +155,11 @@ def cmd_alpha(args) -> int:
     print(f"# curves: {','.join(CM_CURVE_BY_D[d] for d in ds)}"
           f"  ell_bound={args.ell_bound} p_bound={args.p_bound}"
           + ("  WARNING=truncation_guard" if flagged else ""))
+    if args.per_ell:
+        for c in cols:
+            print(f"\nd={c.field_d} ({c.curve_name}): ell, E[val] theory, avg val observed")
+            for ell, theo, emp in c.per_ell:
+                print(f"  {ell:>5}  {theo:.5f}  {emp:.5f}")
     return EXIT_OK
 
 
@@ -210,7 +214,9 @@ def cmd_census(args) -> int:
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
         fn = cache.order_fn(cat, budget)
-        rows = [(x, census.psi_E(x, args.y, cat, fn)) for x in _checkpoints(budget)]
+        cps = _checkpoints(budget)
+        tester = census.FriabilityTester(args.y)
+        rows = list(zip(cps, census.sweep(census.good_primes(cat, budget), cps, fn, tester)))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
         )
@@ -272,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell-bound", type=int, default=10**6, dest="ell_bound")
     p.add_argument("--p-bound", type=int, default=10**3, dest="p_bound")
     p.add_argument("--csv", action="store_true")
+    p.add_argument("--per-ell", type=int, default=0, dest="per_ell",
+                   help="also print theoretical vs observed mean valuations for ell <= this")
     p.set_defaults(fn=cmd_alpha)
     _record_actions(p, "alpha")
 

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from . import arith
+from . import arith, cmcount
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
 from .errors import DomainError, UsageError
@@ -122,6 +122,10 @@ def _val(n: int, ell: int) -> int:
     return v
 
 
+def _mean_val(orders, ell: int) -> float:
+    return math.fsum(_val(n, ell) for n in orders) / len(orders)
+
+
 def alpha_empirical(
     E: CatalogCurve,
     ell_bound: int = EMPIRICAL_ELL_BOUND,
@@ -136,8 +140,6 @@ def alpha_empirical(
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
     if order_fn is None:
-        from . import cmcount
-
         order_fn = cmcount.order_fn_for(E)
     orders = [
         order_fn(p)
@@ -149,7 +151,7 @@ def alpha_empirical(
     cm = E.cm_field is not None
     terms = []
     for ell in arith.cached_primes(ell_bound):
-        avg = math.fsum(_val(n, ell) for n in orders) / len(orders)
+        avg = _mean_val(orders, ell)
         if cm:
             t = 4.0 * avg - 3.0 / (ell - 1)
         else:
@@ -189,16 +191,14 @@ class AlphaReport:
     gamma_k: float
     sigma_k: float
     alpha: float
-    alpha_tilde: float | None
-    curve_name: str | None
+    alpha_tilde: float
+    curve_name: str
     ell_bound: int
     p_bound: int
     per_ell: list[tuple[int, float, float]] = field(default_factory=list)
 
     @property
-    def difference(self) -> float | None:
-        if self.alpha_tilde is None:
-            return None
+    def difference(self) -> float:
         return self.alpha_tilde - self.alpha
 
 
@@ -207,28 +207,25 @@ def alpha_report(
     ell_bound: int = DEFAULT_ELL_BOUND,
     empirical_ell_bound: int = EMPIRICAL_ELL_BOUND,
     p_bound: int = EMPIRICAL_P_BOUND,
-    with_empirical: bool = True,
     per_ell_limit: int = 0,
 ) -> AlphaReport:
+    """The table column of a CM curve; per_ell lists, for every prime
+    ell <= per_ell_limit, the theoretical and the observed mean valuation.
+    The orders are computed once, for alpha-tilde and per_ell alike."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
-    at = alpha_empirical(E, empirical_ell_bound, p_bound) if with_empirical else None
-    per_ell = []
-    if per_ell_limit:
-        from . import cmcount
-
-        order_fn = cmcount.order_fn_for(E)
-        orders = [
-            order_fn(p)
-            for p in arith.cached_primes(p_bound)
-            if E.curve.has_good_reduction(p)
-        ]
-        for ell in arith.cached_primes(per_ell_limit):
-            emp = math.fsum(_val(n, ell) for n in orders) / len(orders)
-            per_ell.append((ell, expected_valuation_cm(K, ell), emp))
+    order_fn = cmcount.order_fn_for(E)
+    orders = {
+        p: order_fn(p) for p in arith.cached_primes(p_bound) if E.curve.has_good_reduction(p)
+    }
+    at = alpha_empirical(E, empirical_ell_bound, p_bound, orders.__getitem__)
+    per_ell = [
+        (ell, expected_valuation_cm(K, ell), _mean_val(orders.values(), ell))
+        for ell in arith.primes_below(per_ell_limit + 1)
+    ]
     return AlphaReport(
         field_d=K.d,
         gamma_k=g,

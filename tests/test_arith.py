@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import arith
-from ecsmooth.errors import RamifiedPrimeError, UsageError
+from ecsmooth.errors import DomainError, RamifiedPrimeError, UsageError
 
 
 class TestInverseOrDivisor:
@@ -55,6 +55,15 @@ class TestKronecker:
 class TestPrimes:
     def test_sieve_small(self):
         assert arith.prime_sieve(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+        with pytest.raises(DomainError):
+            arith.prime_sieve(1)
+
+    @pytest.mark.parametrize("limit", [2, 3, 100, 2**20 + 7, 2**21 + 3])
+    def test_sieve_start_is_filtered_full_sieve(self, limit):
+        full = arith.prime_sieve(limit)
+        root = math.isqrt(limit)
+        for start in (0, 1, 2, 3, root - 1, root + 1, 2**20 - 1, 2**20 + 1, limit + 1, limit + 5):
+            assert arith.prime_sieve(limit, start) == [p for p in full if p >= start], start
 
     def test_primes_below_strict(self):
         assert arith.primes_below(7) == [2, 3, 5]
@@ -106,6 +115,14 @@ class TestImagQuadField:
             units = K.units()
             assert len(units) == K.unit_count
             assert all(u.norm == 1 for u in units)
+
+    def test_chi_table_matches_kronecker(self):
+        for d in arith.CLASS_NUMBER_ONE_DS:
+            K = arith.field_for(d)
+            m = -K.disc
+            big = list(range(10**12, 10**12 + 2 * m)) + [2**61 - 1, 10**18 + 9]
+            for n in list(range(5 * m)) + big:
+                assert K.chi(n) == arith.kronecker(K.disc, n), (d, n)
 
     def test_quadint_norm_mul(self):
         K = arith.field_for(7)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsmooth import arith, census, cmcount, curve, ecm
+from ecsmooth import arith, census, cmcount, curve, ecm, lfunc
 from ecsmooth.errors import CapacityError, DomainError, UsageError
 
 E7 = ecm.catalog_curve("e7")
@@ -91,6 +92,35 @@ class TestPsiE:
         assert vals_y == sorted(vals_y)
         vals_x = [census.psi_E(x, 64, E7, fn) for x in (500, 1000, 2000)]
         assert vals_x == sorted(vals_x)
+
+
+class TestSweep:
+    CHECKPOINTS = [2, 16, 100, 101, 500, 1024, 3000]
+
+    def brute(self, hit):
+        fn = naive_order_fn(E7)
+        return [
+            sum(1 for p in census.good_primes(E7, x) if hit(fn(p))) for x in self.CHECKPOINTS
+        ]
+
+    @pytest.mark.parametrize(
+        "hit", [census.FriabilityTester(32), lambda n: n % 8 == 0], ids=["friable", "divisible"]
+    )
+    def test_matches_per_checkpoint_brute(self, hit):
+        fn = naive_order_fn(E7)
+        got = census.sweep(census.good_primes(E7, 3000), self.CHECKPOINTS, fn, hit)
+        assert got == self.brute(hit)
+
+    def test_one_order_per_prime(self):
+        calls = []
+
+        def fn(p):
+            calls.append(p)
+            return p + 1
+
+        primes = census.good_primes(E7, 1000)
+        census.sweep(primes, [10, 100, 1000], fn, lambda n: True)
+        assert calls == primes
 
 
 class TestPsiEZ:
@@ -200,10 +230,36 @@ class TestPsiK:
             total += sum(K.chi(d) for d in range(1, n + 1) if n % d == 0)
         return total
 
+    @staticmethod
+    def divisor_sum(x, K):
+        # sum_{d <= x} chi(d) floor(x/d), term by term
+        return sum(K.chi(d) * (x // d) for d in range(1, x + 1))
+
     def test_small_counts(self):
-        for d in (1, 7, 163):
+        for d in arith.CLASS_NUMBER_ONE_DS:
             K = arith.field_for(d)
-            assert census.psi_K(60, K) == self.ideal_count_brute(60, K), d
+            for x in (0, 1, 2, 3, 10, 60, 99):
+                assert census.psi_K(x, K) == self.ideal_count_brute(x, K), (d, x)
+            for x in (1000, 12345, 10**5 + 3):
+                assert census.psi_K(x, K) == self.divisor_sum(x, K), (d, x)
+
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_density_at_1e10(self, d):
+        # psi_K(x) = L(1, chi) x + O(sqrt x); the gap is at most ~400 here
+        K = arith.field_for(d)
+        x = 10**10
+        assert abs(census.psi_K(x, K) - lfunc.l_one(K) * x) <= 10**5
+
+    def test_memory_independent_of_x(self):
+        K = arith.field_for(163)
+        K.chi(1)  # the chi table belongs to the field, not to this call
+        tracemalloc.start()
+        try:
+            census.psi_K(10**7, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_friable_brute(self):
         for d in (1, 2, 3, 7, 11):
@@ -267,6 +323,36 @@ class TestOrderCache:
         # second call must reuse the files and agree exactly
         again = census.OrderCache(a_dir, seed=0).orders(E7, x)
         assert again == cb.orders(E7, x)
+
+    @pytest.mark.parametrize(
+        "name, lo, hi",
+        [("e7", 0, 5000), ("e7", census.CACHE_SEGMENT - 3000, census.CACHE_SEGMENT + 3000),
+         ("e37", 2000, 2600), ("e37", 10**5 - 300, 10**5 + 300)],
+    )
+    def test_segment_sieves_only_its_range(self, name, lo, hi):
+        # what the segment held when it was cut from the full prime table
+        cat = ecm.catalog_curve(name)
+        fn = cmcount.order_fn_for(cat, 0)
+        want = [
+            (p, fn(p))
+            for p in arith.prime_sieve(hi)
+            if lo <= p < hi and cat.curve.has_good_reduction(p)
+        ]
+        assert census._compute_segment(name, lo, hi, 0) == want
+
+    def test_segment_is_half_open(self):
+        assert [p for p, _ in census._compute_segment("e7", 90, 101, 0)] == [97]
+        assert census._compute_segment("e7", 0, 2, 0) == []
+
+    def test_write_leaves_foreign_tmp(self, tmp_path):
+        cache = census.OrderCache(tmp_path)
+        path = tmp_path / "e7.0000000000.orders"
+        foreign = path.with_suffix(".tmp")  # another writer's file in flight
+        foreign.write_text("13 10\n")
+        cache._write(path, [(11, 12), (13, 12)])
+        assert foreign.read_text() == "13 10\n"
+        assert path.read_text() == "11 12\n13 12\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [path.name, foreign.name]
 
     def test_order_fn_closure(self, tmp_path):
         cache = census.OrderCache(tmp_path, seed=0)

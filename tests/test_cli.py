@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecsmooth import census, cli
+from ecsmooth import arith, census, cli, cmcount, ecm, lfunc
 
 
 def run(argv, capsys):
@@ -94,6 +94,23 @@ class TestAlphaCommand:
             "alpha_tilde", "alpha", "sigma_k", "gamma_k", "difference"
         }
 
+    def test_per_ell_rows(self, capsys):
+        code, out, _ = run(["alpha", "-d", "7", "--ell-bound", "100000", "--per-ell", "20"], capsys)
+        assert code == cli.EXIT_OK
+        head, block = out.split("\n\n")
+        assert "alpha_tilde" in head
+        title, *rows = block.strip().splitlines()
+        assert title == "d=7 (e7): ell, E[val] theory, avg val observed"
+        e7 = ecm.catalog_curve("e7")
+        fn = cmcount.order_fn_for(e7)
+        orders = [fn(p) for p in arith.prime_sieve(1000) if e7.curve.has_good_reduction(p)]
+        want = []
+        for ell in arith.prime_sieve(20):
+            mean = sum(lfunc._val(n, ell) for n in orders) / len(orders)
+            theo = lfunc.expected_valuation_cm(e7.cm_field, ell)
+            want.append(f"  {ell:>5}  {theo:.5f}  {mean:.5f}")
+        assert rows == want
+
 
 class TestCensusCommand:
     def test_rho_dump(self, tmp_path, capsys, monkeypatch):
@@ -139,6 +156,19 @@ class TestCensusCommand:
         code, _, _ = run(args, capsys)
         assert code == cli.EXIT_OK
         assert (tmp_path / "race.csv").read_bytes() == first
+
+    def test_psi_e_series_matches_pointwise(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / "cache"
+        args = ["census", "psi_e", "--curve", "e11", "--y", "64", "--budget", "3000",
+                "--cache-dir", str(cache), "--out", "s"]
+        code, _, _ = run(args, capsys)
+        assert code == cli.EXIT_OK
+        s = census.CensusSeries.from_json((tmp_path / "s.json").read_text())
+        e11 = ecm.catalog_curve("e11")
+        fn = census.OrderCache(cache).order_fn(e11, 3000)
+        assert [x for x, _ in s.rows] == cli._checkpoints(3000)
+        assert s.rows == [(x, census.psi_E(x, 64, e11, fn)) for x, _ in s.rows]
 
     def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
