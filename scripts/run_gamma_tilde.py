@@ -24,6 +24,10 @@ def main() -> int:
     args = ap.parse_args()
 
     K = arith.field_for(args.d)
+    cat = cache = None
+    if args.curve:
+        cat = ecm.catalog_curve(args.curve)
+        cache = census.OrderCache(args.cache_dir, workers=args.workers)
     reference = -lfunc.EULER_GAMMA + 1.0 - lfunc.gamma_k(K)
     print(f"reference value -euler_gamma + 1 - gamma_K = {reference:.4f} (reported, not asserted)")
     x = 1 << 10
@@ -31,11 +35,8 @@ def main() -> int:
         y = max(2, int(round(x ** (1.0 / args.u))))
         g = census.gamma_tilde_field(K, x, y)
         line = f"x=2^{int(math.log2(x)):<2d} y={y:<8d} gamma_tilde_K={g:+.4f}"
-        if args.curve:
-            cat = ecm.catalog_curve(args.curve)
-            cache = census.OrderCache(args.cache_dir, workers=args.workers)
-            fn = cache.order_fn(cat, x)
-            ge = census.gamma_tilde_curve(cat, x, y, fn)
+        if cat:
+            ge = census.gamma_tilde_table(x, y, cache.table(cat, x))
             line += f"  gamma_tilde_E={ge:+.4f}"
         print(line)
         x <<= 2

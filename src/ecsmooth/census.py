@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,18 +23,22 @@ import numpy as np
 
 from . import arith, cmcount, dickman
 from .ecm import CatalogCurve, catalog_curve
-from .errors import CapacityError, DomainError, UsageError
+from .errors import CacheError, CapacityError, DomainError, EcsmoothError, UsageError
 
 PSI_BUDGET = 10**9
 CONVENTION = "Pplus_strict"
 CACHE_SEGMENT = 1 << 17
+# Part of every cache file name: bump it whenever an order algorithm's
+# output may change, so that files from the old code are never read.
+ORDER_VERSION = 1
 
 
 @dataclass(frozen=True)
 class FriabilityTester:
     """Strict y-friability: accepts n iff P+(n) < y.  n = 1 is accepted
     (its largest prime factor is an empty maximum); callers that must
-    exclude 1 (no prime divisor exists) do so themselves."""
+    exclude 1 (no prime divisor exists) do so themselves.  Called on an int
+    it returns a bool, on an int64 array the boolean mask."""
 
     y: int
     primes: tuple[int, ...] = field(default=())
@@ -46,7 +49,9 @@ class FriabilityTester:
         if not self.primes:
             object.__setattr__(self, "primes", tuple(arith.primes_below(self.y)))
 
-    def __call__(self, n: int) -> bool:
+    def __call__(self, n: int | np.ndarray) -> bool | np.ndarray:
+        if isinstance(n, np.ndarray):
+            return self._mask(n)
         if n < 1:
             raise UsageError(f"friability test needs n >= 1, got {n}")
         for p in self.primes:
@@ -56,6 +61,23 @@ class FriabilityTester:
                 n //= p
         # remaining n is 1, a prime, or has all factors >= y; n < y forces prime
         return n < self.y
+
+    def _mask(self, ns: np.ndarray) -> np.ndarray:
+        # Divide out every p < y with p^2 <= max(ns).  A remainder below y
+        # is then 1 or one prime p < y: two undivided factors would both
+        # exceed sqrt(max(ns)).
+        if ns.size and ns.min() < 1:
+            raise UsageError(f"friability test needs n >= 1, got {ns.min()}")
+        rem = ns.astype(np.int64)
+        top = int(rem.max()) if rem.size else 0
+        for p in self.primes:
+            if p * p > top:
+                break
+            idx = np.flatnonzero(rem % p == 0)
+            while idx.size:
+                rem[idx] //= p
+                idx = idx[rem[idx] % p == 0]
+        return rem < self.y
 
 
 def psi_exact(x: int, y: int) -> int:
@@ -87,20 +109,30 @@ def psi_exact(x: int, y: int) -> int:
 
 
 def good_primes(E: CatalogCurve, x: int) -> list[int]:
+    if x < 2:
+        return []
     return [p for p in arith.cached_primes(x) if E.curve.has_good_reduction(p)]
 
 
-def sweep(primes, checkpoints: list[int], order_fn, hit) -> list[int]:
-    """#{p in primes : p <= c and hit(order_fn(p))} at each ascending
-    checkpoint c, from one pass over the ascending primes."""
-    hits = [p for p in primes if hit(order_fn(p))]
-    return [bisect_right(hits, c) for c in checkpoints]
+def order_table(E: CatalogCurve, x: int, order_fn=None) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned int64 arrays of the good primes p <= x and their orders
+    order_fn(p), with one call per prime."""
+    order_fn = order_fn if order_fn is not None else cmcount.order_fn_for(E)
+    ps = good_primes(E, x)
+    return np.array(ps, dtype=np.int64), np.array([order_fn(p) for p in ps], dtype=np.int64)
+
+
+def sweep(primes: np.ndarray, orders: np.ndarray, checkpoints: list[int], hit) -> list[int]:
+    """#{i : primes[i] <= c and hit(orders)[i]} at each ascending checkpoint
+    c, from the ascending primes, their aligned orders and one boolean mask
+    hit(orders)."""
+    hits = primes[hit(orders)]
+    return np.searchsorted(hits, checkpoints, side="right").tolist()
 
 
 def psi_E(x: int, y: int, E: CatalogCurve, order_fn) -> int:
     """#{p <= x good : P+(|E(F_p)|) < y}."""
-    tester = FriabilityTester(y)
-    return sweep(good_primes(E, x), [x], order_fn, tester)[0]
+    return sweep(*order_table(E, x, order_fn), [x], FriabilityTester(y))[0]
 
 
 def psi_E_z(x: int, y: int, z: int, E: CatalogCurve, order_fn) -> int:
@@ -151,7 +183,7 @@ def pi_E_d(x: int, d: int, E: CatalogCurve, order_fn) -> int:
     """#{p <= x good : d divides |E(F_p)|}."""
     if d < 1:
         raise UsageError(f"d={d} must be >= 1")
-    return sweep(good_primes(E, x), [x], order_fn, lambda n: n % d == 0)[0]
+    return sweep(*order_table(E, x, order_fn), [x], lambda n: n % d == 0)[0]
 
 
 class SeriesKind(enum.Enum):
@@ -215,17 +247,23 @@ def race(
     order_fn1=None,
     order_fn2=None,
 ) -> CensusSeries:
-    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from one
-    sweep per curve over its good primes up to max(checkpoints)."""
+    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from the
+    orders of each curve's good primes up to max(checkpoints)."""
+    top = max(checkpoints, default=0)
+    return race_tables(
+        E1, E2, y, checkpoints, order_table(E1, top, order_fn1), order_table(E2, top, order_fn2)
+    )
+
+
+def race_tables(
+    E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], table1, table2
+) -> CensusSeries:
+    """The race from each curve's (primes, orders) table up to
+    max(checkpoints): one sweep per curve."""
     checkpoints = sorted(set(checkpoints))
-    if not checkpoints:
-        return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, [])
-    order_fn1 = order_fn1 if order_fn1 is not None else cmcount.order_fn_for(E1)
-    order_fn2 = order_fn2 if order_fn2 is not None else cmcount.order_fn_for(E2)
     tester = FriabilityTester(y)
-    top = checkpoints[-1]
-    c1 = sweep(good_primes(E1, top), checkpoints, order_fn1, tester)
-    c2 = sweep(good_primes(E2, top), checkpoints, order_fn2, tester)
+    c1 = sweep(*table1, checkpoints, tester)
+    c2 = sweep(*table2, checkpoints, tester)
     rows = [(x, a - b) for x, a, b in zip(checkpoints, c1, c2)]
     return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, rows)
 
@@ -286,10 +324,14 @@ def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:
 
 def gamma_tilde_curve(E: CatalogCurve, x: int, y: int, order_fn=None) -> float:
     """gamma-tilde in curve mode, with psi_E(x,y)/#good primes as the ratio."""
-    order_fn = order_fn if order_fn is not None else cmcount.order_fn_for(E)
-    gp = good_primes(E, x)
-    tester = FriabilityTester(y)
-    return _gamma_tilde(sweep(gp, [x], order_fn, tester)[0], len(gp), x, y)
+    return gamma_tilde_table(x, y, order_table(E, x, order_fn))
+
+
+def gamma_tilde_table(x: int, y: int, table) -> float:
+    """Curve-mode gamma-tilde from the (primes, orders) table of the good
+    primes p <= x."""
+    primes, orders = table
+    return _gamma_tilde(sweep(primes, orders, [x], FriabilityTester(y))[0], len(primes), x, y)
 
 
 def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
@@ -308,31 +350,59 @@ def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
 
 
 def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
-    return cache_dir / f"{curve_name}.{seg_lo:010d}.orders"
+    return cache_dir / f"{curve_name}.v{ORDER_VERSION}.{seg_lo:010d}.npy"
 
 
-def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, seed: int) -> list[tuple[int, int]]:
+def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, seed: int) -> np.ndarray:
+    """(p, |E(F_p)|) rows, int64, for the good primes in [seg_lo, seg_hi).
+    An order that fails names the curve, the segment and the prime."""
     cat = catalog_curve(curve_name)
     fn = cmcount.order_fn_for(cat, seed)
     primes = arith.prime_sieve(seg_hi - 1, seg_lo) if seg_hi > 2 else []
-    return [(p, fn(p)) for p in primes if cat.curve.has_good_reduction(p)]
+    rows = []
+    for p in primes:
+        if cat.curve.has_good_reduction(p):
+            try:
+                rows.append((p, fn(p)))
+            except EcsmoothError as exc:
+                exc.args = (f"{curve_name} segment [{seg_lo}, {seg_hi}), p = {p}: {exc}",)
+                raise
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
-def _load_segment(path: Path) -> dict[int, int]:
-    orders = {}
-    with path.open() as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"corrupt cache line in {path}: {line!r}")
-            orders[int(parts[0])] = int(parts[1])
-    return orders
+def _load_segment(path: Path) -> np.ndarray:
+    """A cache file's int64 rows: the covered range (lo, hi), then the
+    (p, |E(F_p)|) rows.  Rejects a file whose shape or dtype is wrong, whose
+    p do not ascend inside [lo, hi), or with an order outside the Hasse
+    interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)]."""
+    try:
+        seg = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+    if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 2:
+        raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
+    (lo, hi), p, n = seg[0], seg[1:, 0], seg[1:, 1]
+    if lo != int(path.name.split(".")[-2]) or not lo < hi <= lo + CACHE_SEGMENT:
+        raise CacheError(f"cache file {path} covers [{lo}, {hi})")
+    if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
+        raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
+    r = np.sqrt(4.0 * p).astype(np.int64)
+    r -= r * r > 4 * p  # floor(2 sqrt p) where the float root rounded up
+    outside = np.flatnonzero((n < p + 1 - r) | (n > p + 1 + r))
+    if outside.size:
+        i = outside[0]
+        raise CacheError(f"cache file {path}: order {n[i]} of p = {p[i]} is outside the Hasse "
+                         f"interval [{p[i] + 1 - r[i]}, {p[i] + 1 + r[i]}]")
+    return seg
 
 
 class OrderCache:
-    """Per-(curve, segment) files of "p order" lines, ascending p, decimal,
-    append-only: a complete segment file is bit-exact reproducible, and an
-    interrupted run just recomputes the one incomplete segment."""
+    """One int64 .npy file per (curve, segment of CACHE_SEGMENT integers),
+    named with ORDER_VERSION: a header row (lo, hi) with the covered range,
+    then (p, |E(F_p)|) rows in ascending p.  The partial last segment is
+    persisted too; a run whose x + 1 <= hi only loads the file, and a run
+    that needs more recomputes the segment and replaces the file.  Files are
+    bit-exact reproducible."""
 
     def __init__(self, cache_dir: str | os.PathLike, seed: int = 0, workers: int = 1):
         self.cache_dir = Path(cache_dir)
@@ -340,30 +410,32 @@ class OrderCache:
         self.seed = seed
         self.workers = max(1, workers)
 
-    def orders(self, cat: CatalogCurve, x: int) -> dict[int, int]:
-        """All good-prime orders for p <= x, computing and persisting any
-        missing segments."""
-        out: dict[int, int] = {}
+    def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """Aligned int64 arrays of the good primes p <= x and their orders,
+        computing and persisting any segment no file covers."""
+        los = range(0, x + 1, CACHE_SEGMENT)
+        parts: dict[int, np.ndarray] = {}
         todo = []
-        for lo in range(0, x + 1, CACHE_SEGMENT):
+        for lo in los:
             hi = min(lo + CACHE_SEGMENT, x + 1)
             path = _cache_path(self.cache_dir, cat.name, lo)
             if path.exists():
-                for p, n in _load_segment(path).items():
-                    if p <= x:
-                        out[p] = n
-            else:
-                todo.append((lo, hi, path))
-        results = self._compute(cat.name, todo)
-        for (lo, hi, path), pairs in zip(todo, results):
-            # only full segments are persisted, so every cache file is
-            # complete and bit-exact regardless of the x it was built for
-            if hi - lo == CACHE_SEGMENT:
-                self._write(path, pairs)
-            for p, n in pairs:
-                if p <= x:
-                    out[p] = n
-        return out
+                seg = _load_segment(path)
+                if seg[0, 1] >= hi:
+                    parts[lo] = seg[1:]
+                    continue
+            todo.append((lo, hi, path))
+        for (lo, hi, path), rows in zip(todo, self._compute(cat.name, todo)):
+            self._write(path, np.vstack(([lo, hi], rows)))
+            parts[lo] = rows
+        rows = np.concatenate([np.empty((0, 2), np.int64)] + [parts[lo] for lo in los])
+        rows = rows[: np.searchsorted(rows[:, 0], x, side="right")]
+        return rows[:, 0], rows[:, 1]
+
+    def orders(self, cat: CatalogCurve, x: int) -> dict[int, int]:
+        """All good-prime orders for p <= x as a p -> n mapping."""
+        primes, orders = self.table(cat, x)
+        return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo):
         if not todo:
@@ -377,17 +449,13 @@ class OrderCache:
             ]
             return [f.result() for f in futs]
 
-    def _write(self, path: Path, pairs: list[tuple[int, int]]) -> None:
+    def _write(self, path: Path, seg: np.ndarray) -> None:
         # a private temporary name per writer, so that concurrent writers of
         # one segment never interleave; the last rename wins with a whole file
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        with tmp.open("x") as fh:
-            for p, n in pairs:
-                fh.write(f"{p} {n}\n")
+        with tmp.open("xb") as fh:
+            np.save(fh, seg)
         tmp.replace(path)
 
     def order_fn(self, cat: CatalogCurve, x: int):
-        table = self.orders(cat, x)
-        def fn(p: int) -> int:
-            return table[p]
-        return fn
+        return self.orders(cat, x).__getitem__

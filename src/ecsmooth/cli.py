@@ -192,11 +192,11 @@ def cmd_census(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
         try:
-            f1 = cache.order_fn(e1, budget)
-            f2 = cache.order_fn(e2, budget)
+            t1 = _cache_table(cache, e1, budget)
+            t2 = _cache_table(cache, e2, budget)
         except CapacityError:
             return EXIT_BUDGET
-        series = census.race(e1, e2, args.y, _checkpoints(budget), f1, f2)
+        series = census.race_tables(e1, e2, args.y, _checkpoints(budget), t1, t2)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:
@@ -213,10 +213,10 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
-        fn = cache.order_fn(cat, budget)
+        primes, orders = _cache_table(cache, cat, budget)
         cps = _checkpoints(budget)
         tester = census.FriabilityTester(args.y)
-        rows = list(zip(cps, census.sweep(census.good_primes(cat, budget), cps, fn, tester)))
+        rows = list(zip(cps, census.sweep(primes, orders, cps, tester)))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
         )
@@ -229,13 +229,19 @@ def cmd_census(args) -> int:
             label = f"d={args.d}"
         else:
             cat = ecm.catalog_curve(args.curve)
-            fn = cache.order_fn(cat, budget)
-            val = census.gamma_tilde_curve(cat, budget, args.y, fn)
+            val = census.gamma_tilde_table(budget, args.y, _cache_table(cache, cat, budget))
             label = f"curve={args.curve}"
         u = math.log(budget) / math.log(args.y)
         print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {val:.6f}")
         return EXIT_OK
     raise UsageError("nothing to do: pick a census kind, --race, or --rho")
+
+
+def _cache_table(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int):
+    """The cache's (primes, orders) arrays for the good primes p <= budget."""
+    if budget < 2:
+        raise UsageError(f"--budget must be >= 2 for a curve-order census, got {budget}")
+    return cache.table(cat, budget)
 
 
 def _checkpoints(budget: int) -> list[int]:

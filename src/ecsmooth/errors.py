@@ -36,3 +36,7 @@ class DivisorFound(EcsmoothError):
     def __init__(self, g: int):
         super().__init__(f"divisor {g} surfaced by a failed inversion")
         self.g = g
+
+
+class CacheError(UsageError):
+    """An order-cache file failed its load check."""

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import arith, census, cmcount, curve, ecm, lfunc
-from ecsmooth.errors import CapacityError, DomainError, UsageError
+from ecsmooth.errors import AmbiguityError, CacheError, CapacityError, DomainError, UsageError
 
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
@@ -36,12 +37,38 @@ class TestFriabilityTester:
             census.FriabilityTester(1)
         with pytest.raises(UsageError):
             census.FriabilityTester(7)(0)
+        with pytest.raises(UsageError):
+            census.FriabilityTester(7)(np.array([5, 0, 3]))
 
     @given(st.integers(1, 10**4), st.integers(2, 100))
     @settings(max_examples=200)
     def test_matches_lpf(self, n, y):
         expected = n == 1 or largest_prime_factor(n) < y
         assert census.FriabilityTester(y)(n) == expected
+
+    SMALL_PRIMES = arith.prime_sieve(3000)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 10**7),
+                st.just(1),
+                st.sampled_from(arith.prime_sieve(20000)),
+                st.builds(pow, st.sampled_from(SMALL_PRIMES), st.integers(1, 5)),
+            ),
+            max_size=40,
+        ),
+        st.integers(2, 4000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_matches_scalar(self, ns, y):
+        # y runs from far below sqrt(n) to above it; prime powers reach 3000^5
+        tester = census.FriabilityTester(y)
+        mask = tester(np.array(ns, dtype=np.int64))
+        assert mask.dtype == bool and mask.tolist() == [tester(n) for n in ns]
+
+    def test_scalar_returns_bool(self):
+        assert census.FriabilityTester(7)(12) is True
 
 
 class TestPsiExact:
@@ -108,7 +135,7 @@ class TestSweep:
     )
     def test_matches_per_checkpoint_brute(self, hit):
         fn = naive_order_fn(E7)
-        got = census.sweep(census.good_primes(E7, 3000), self.CHECKPOINTS, fn, hit)
+        got = census.sweep(*census.order_table(E7, 3000, fn), self.CHECKPOINTS, hit)
         assert got == self.brute(hit)
 
     def test_one_order_per_prime(self):
@@ -119,8 +146,12 @@ class TestSweep:
             return p + 1
 
         primes = census.good_primes(E7, 1000)
-        census.sweep(primes, [10, 100, 1000], fn, lambda n: True)
+        ps, ns = census.order_table(E7, 1000, fn)
         assert calls == primes
+        assert ps.tolist() == primes and ns.tolist() == [p + 1 for p in primes]
+        assert census.sweep(ps, ns, [10, 100, 1000], lambda n: n > 0) == [
+            sum(1 for p in primes if p <= c) for c in (10, 100, 1000)
+        ]
 
 
 class TestPsiEZ:
@@ -301,6 +332,34 @@ class TestGammaTilde:
             census._gamma_tilde(1, 100, 2**60, 2)
 
 
+def fake_orders(monkeypatch, fail_at=None):
+    """Make every segment cheap: |E(F_p)| := p + 1, except that the prime
+    fail_at raises AmbiguityError."""
+
+    def order_fn_for(cat, seed=0):
+        def fn(p):
+            if p == fail_at:
+                raise AmbiguityError("no unique candidate")
+            return p + 1
+
+        return fn
+
+    monkeypatch.setattr(cmcount, "order_fn_for", order_fn_for)
+
+
+def spy_segments(monkeypatch):
+    """Record the (lo, hi) of every segment the cache computes."""
+    calls = []
+    compute = census._compute_segment
+
+    def spy(name, lo, hi, seed):
+        calls.append((lo, hi))
+        return compute(name, lo, hi, seed)
+
+    monkeypatch.setattr(census, "_compute_segment", spy)
+    return calls
+
+
 class TestOrderCache:
     def test_matches_direct(self, tmp_path):
         cache = census.OrderCache(tmp_path, seed=0)
@@ -312,12 +371,14 @@ class TestOrderCache:
     def test_resume_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         ca, cb = census.OrderCache(a_dir, seed=0), census.OrderCache(b_dir, seed=0)
-        x = census.CACHE_SEGMENT + 100  # one full persisted segment + a partial
+        x = census.CACHE_SEGMENT + 100  # one full segment + a persisted tail
         ca.orders(E7, x)
         cb.orders(E7, x)
         files_a = sorted(f.name for f in a_dir.iterdir())
         files_b = sorted(f.name for f in b_dir.iterdir())
-        assert files_a == files_b and files_a  # only the full segment persisted
+        assert files_a == files_b == [
+            census._cache_path(a_dir, "e7", lo).name for lo in (0, census.CACHE_SEGMENT)
+        ]
         for name in files_a:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
         # second call must reuse the files and agree exactly
@@ -334,27 +395,142 @@ class TestOrderCache:
         cat = ecm.catalog_curve(name)
         fn = cmcount.order_fn_for(cat, 0)
         want = [
-            (p, fn(p))
+            [p, fn(p)]
             for p in arith.prime_sieve(hi)
             if lo <= p < hi and cat.curve.has_good_reduction(p)
         ]
-        assert census._compute_segment(name, lo, hi, 0) == want
+        seg = census._compute_segment(name, lo, hi, 0)
+        assert seg.dtype == np.int64 and seg.tolist() == want
 
     def test_segment_is_half_open(self):
-        assert [p for p, _ in census._compute_segment("e7", 90, 101, 0)] == [97]
-        assert census._compute_segment("e7", 0, 2, 0) == []
+        assert [p for p, _ in census._compute_segment("e7", 90, 101, 0).tolist()] == [97]
+        assert census._compute_segment("e7", 0, 2, 0).shape == (0, 2)
 
     def test_write_leaves_foreign_tmp(self, tmp_path):
         cache = census.OrderCache(tmp_path)
-        path = tmp_path / "e7.0000000000.orders"
+        path = census._cache_path(tmp_path, "e7", 0)
         foreign = path.with_suffix(".tmp")  # another writer's file in flight
-        foreign.write_text("13 10\n")
-        cache._write(path, [(11, 12), (13, 12)])
-        assert foreign.read_text() == "13 10\n"
-        assert path.read_text() == "11 12\n13 12\n"
+        foreign.write_bytes(b"13 10\n")
+        seg = np.array([[0, 14], [11, 12], [13, 12]], dtype=np.int64)
+        cache._write(path, seg)
+        assert foreign.read_bytes() == b"13 10\n"
+        assert census._load_segment(path).tolist() == seg.tolist()
         assert sorted(f.name for f in tmp_path.iterdir()) == [path.name, foreign.name]
 
     def test_order_fn_closure(self, tmp_path):
         cache = census.OrderCache(tmp_path, seed=0)
         fn = cache.order_fn(E7, 1000)
         assert fn(11) == curve.naive_count(E7.curve, 11)
+
+    def test_table_matches_orders(self, tmp_path):
+        cache = census.OrderCache(tmp_path, seed=0)
+        ps, ns = cache.table(E7, 3000)
+        assert ps.tolist() == census.good_primes(E7, 3000)
+        assert dict(zip(ps.tolist(), ns.tolist())) == cache.orders(E7, 3000)
+
+    def test_tail_cover(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        calls = spy_segments(monkeypatch)
+        seg = census.CACHE_SEGMENT
+        cache = census.OrderCache(tmp_path)
+        head = census._cache_path(tmp_path, "e7", 0)
+
+        def covered():
+            return census._load_segment(head)[0].tolist()
+
+        cache.table(E7, 3000)
+        assert calls == [(0, 3001)] and covered() == [0, 3001]
+        ps, ns = cache.table(E7, 2000)  # a smaller x only loads the tail
+        assert calls == [(0, 3001)]
+        assert ps.tolist() == census.good_primes(E7, 2000)
+        assert ns.tolist() == [p + 1 for p in ps.tolist()]
+        cache.table(E7, 5000)  # a larger x recomputes the segment and replaces the file
+        assert calls[1:] == [(0, 5001)] and covered() == [0, 5001]
+        ps, _ = cache.table(E7, seg + 50)  # a full segment supersedes the tail
+        assert calls[2:] == [(0, seg), (seg, seg + 51)] and covered() == [0, seg]
+        assert ps.tolist() == census.good_primes(E7, seg + 50)
+        ps, _ = cache.table(E7, 4000)
+        assert len(calls) == 4 and ps.tolist() == census.good_primes(E7, 4000)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            head.name, census._cache_path(tmp_path, "e7", seg).name
+        ]
+
+    def test_other_version_not_read(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        version = census.ORDER_VERSION
+        monkeypatch.setattr(census, "ORDER_VERSION", version + 1)
+        census.OrderCache(tmp_path).table(E7, 3000)
+        foreign = census._cache_path(tmp_path, "e7", 0)
+        monkeypatch.setattr(census, "ORDER_VERSION", version)
+        old_text = tmp_path / "e7.0000000000.orders"  # the format before .npy segments
+        old_text.write_text("corrupt\n")
+        calls = spy_segments(monkeypatch)
+        census.OrderCache(tmp_path).table(E7, 3000)
+        assert calls == [(0, 3001)]
+        assert foreign.exists() and census._cache_path(tmp_path, "e7", 0) != foreign
+        assert old_text.read_text() == "corrupt\n"
+
+    @pytest.mark.parametrize(
+        "corrupt, what",
+        [
+            (lambda s: s.__setitem__((9, 1), s[9, 0] + 2 + math.isqrt(4 * s[9, 0])), "Hasse"),
+            (lambda s: s.__setitem__((-1, 1), s[-1, 0] - math.isqrt(4 * s[-1, 0])), "Hasse"),
+            (lambda s: s.__setitem__(slice(3, 5), s[[4, 3]]), "ascending"),
+            (lambda s: s.__setitem__((-1, 0), s[0, 1]), "ascending"),
+            (lambda s: s.__setitem__((0, 0), 5), "covers"),
+            (lambda s: s.__setitem__((0, 1), census.CACHE_SEGMENT + 1), "covers"),
+        ],
+    )
+    def test_implausible_file_rejected(self, tmp_path, corrupt, what):
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, 3000)
+        path = census._cache_path(tmp_path, "e7", 0)
+        seg = np.load(path)
+        corrupt(seg)
+        np.save(path, seg)
+        with pytest.raises(CacheError, match=what) as err:
+            cache.table(E7, 3000)
+        assert str(path) in str(err.value)
+
+    def test_hasse_bounds_accepted(self, tmp_path):
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, 3000)
+        path = census._cache_path(tmp_path, "e7", 0)
+        seg = np.load(path)
+        r = [math.isqrt(4 * p) for p in seg[1:, 0].tolist()]
+        seg[1::2, 1] = seg[1::2, 0] + 1 + r[::2]
+        seg[2::2, 1] = seg[2::2, 0] + 1 - r[1::2]
+        np.save(path, seg)
+        assert census._load_segment(path).tolist() == seg.tolist()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda s: np.save(s[0], s[1].astype(np.float64)),
+            lambda s: np.save(s[0], s[1][:, :1]),
+            lambda s: np.save(s[0], s[1].ravel()),
+            lambda s: np.save(s[0], s[1][:0]),
+            lambda s: s[0].write_bytes(s[0].read_bytes()[:-5]),
+            lambda s: s[0].write_bytes(b"2 3\n3 4\n"),
+        ],
+        ids=["float", "one-column", "flat", "empty", "truncated", "text"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, payload):
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, 3000)
+        path = census._cache_path(tmp_path, "e7", 0)
+        payload((path, np.load(path)))
+        with pytest.raises(CacheError) as err:
+            cache.table(E7, 3000)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_prime_is_named(self, tmp_path, monkeypatch, workers):
+        seg = census.CACHE_SEGMENT
+        p = arith.prime_sieve(seg + 200, seg)[0]
+        fake_orders(monkeypatch, fail_at=p)
+        cache = census.OrderCache(tmp_path, workers=workers)
+        with pytest.raises(AmbiguityError) as err:
+            cache.table(E7, seg + 200)
+        assert str(err.value) == f"e7 segment [{seg}, {seg + 201}), p = {p}: no unique candidate"
+        assert not list(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ecsmooth import arith, census, cli, cmcount, ecm, lfunc
@@ -169,6 +170,44 @@ class TestCensusCommand:
         fn = census.OrderCache(cache).order_fn(e11, 3000)
         assert [x for x, _ in s.rows] == cli._checkpoints(3000)
         assert s.rows == [(x, census.psi_E(x, 64, e11, fn)) for x, _ in s.rows]
+
+    def test_warm_race_only_loads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        race = ["census", "--race", "e7-e11", "--y", "128", "--budget", "5000", *cache]
+        assert run([*race, "--out", "cold"], capsys)[0] == cli.EXIT_OK
+
+        def refuse(*args):
+            raise AssertionError(f"segment {args} recomputed on a warm cache")
+
+        monkeypatch.setattr(census, "_compute_segment", refuse)
+        assert run([*race, "--out", "warm"], capsys)[0] == cli.EXIT_OK
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        for kind in (["psi_e", "--curve", "e7"], ["gamma_tilde", "--curve", "e11"]):
+            assert run(["census", *kind, "--y", "64", "--budget", "5000", *cache], capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["--race", "e7-e11"], ["psi_e", "--curve", "e7"], ["gamma_tilde", "--curve", "e11"]],
+        ids=["race", "psi_e", "gamma_tilde"],
+    )
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_budget_below_two(self, tmp_path, capsys, command, budget):
+        code, _, err = run(
+            ["census", *command, "--budget", budget, "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_USAGE and "--budget" in err
+
+    def test_implausible_cache_is_usage_error(self, tmp_path, capsys):
+        args = ["census", "psi_e", "--curve", "e7", "--budget", "3000",
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "s")]
+        assert run(args, capsys)[0] == cli.EXIT_OK
+        path = census._cache_path(tmp_path, "e7", 0)
+        seg = np.load(path)
+        seg[5, 1] = 10**6  # far outside the Hasse interval of a small p
+        np.save(path, seg)
+        code, _, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE and str(path) in err and "Hasse" in err
 
     def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
