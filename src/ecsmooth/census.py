@@ -401,8 +401,8 @@ class OrderCache:
     named with ORDER_VERSION: a header row (lo, hi) with the covered range,
     then (p, |E(F_p)|) rows in ascending p.  The partial last segment is
     persisted too; a run whose x + 1 <= hi only loads the file, and a run
-    that needs more recomputes the segment and replaces the file.  Files are
-    bit-exact reproducible."""
+    that needs more computes only [hi, x + 1) and replaces the file with the
+    stored rows and the new ones.  Files are bit-exact reproducible."""
 
     def __init__(self, cache_dir: str | os.PathLike, seed: int = 0, workers: int = 1):
         self.cache_dir = Path(cache_dir)
@@ -419,15 +419,14 @@ class OrderCache:
         for lo in los:
             hi = min(lo + CACHE_SEGMENT, x + 1)
             path = _cache_path(self.cache_dir, cat.name, lo)
-            if path.exists():
-                seg = _load_segment(path)
-                if seg[0, 1] >= hi:
-                    parts[lo] = seg[1:]
-                    continue
-            todo.append((lo, hi, path))
-        for (lo, hi, path), rows in zip(todo, self._compute(cat.name, todo)):
-            self._write(path, np.vstack(([lo, hi], rows)))
-            parts[lo] = rows
+            # no file is a file covering [lo, lo); a stored tail is extended
+            seg = _load_segment(path) if path.exists() else np.array([[lo, lo]], np.int64)
+            parts[lo] = seg[1:]
+            if seg[0, 1] < hi:
+                todo.append((lo, int(seg[0, 1]), hi, path))
+        for (lo, _, hi, path), new in zip(todo, self._compute(cat.name, todo)):
+            parts[lo] = np.vstack((parts[lo], new))
+            self._write(path, np.vstack(([lo, hi], parts[lo])))
         rows = np.concatenate([np.empty((0, 2), np.int64)] + [parts[lo] for lo in los])
         rows = rows[: np.searchsorted(rows[:, 0], x, side="right")]
         return rows[:, 0], rows[:, 1]
@@ -441,11 +440,11 @@ class OrderCache:
         if not todo:
             return []
         if self.workers == 1 or len(todo) == 1:
-            return [_compute_segment(curve_name, lo, hi, self.seed) for lo, hi, _ in todo]
+            return [_compute_segment(curve_name, start, hi, self.seed) for _, start, hi, _ in todo]
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futs = [
-                pool.submit(_compute_segment, curve_name, lo, hi, self.seed)
-                for lo, hi, _ in todo
+                pool.submit(_compute_segment, curve_name, start, hi, self.seed)
+                for _, start, hi, _ in todo
             ]
             return [f.result() for f in futs]
 

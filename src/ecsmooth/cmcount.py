@@ -1,24 +1,23 @@
-"""Fast |E(F_p)| for CM catalog curves: inert primes give p + 1 directly;
-split primes give a short list of candidate orders (norms of pi - unit for pi
-of norm p) which random points then eliminate.
+"""|E(F_p)| for the CM catalog curves in closed form.
 
-The explicit character formulas behind the Deuring correspondence are
-deliberately avoided; candidate elimination with a handful of random points is
-cheaper and much harder to get wrong.
+An inert prime gives p + 1.  At a split prime the Frobenius pi has norm p,
+so |E(F_p)| = p + 1 - t with t = Tr(pi) a root of 4p - t^2 = |disc K| b^2.
+The candidates are the norms ||pi' - mu|| for pi' in {pi, conj(pi)} and mu a
+unit of O_K; which of them is the curve's own is fixed by a congruence on t
+that depends only on the curve (Rubin & Silverberg, "Choosing the correct
+elliptic curve in the CM method", Math. Comp. 79 (2010)).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 
 from . import arith, curve
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
 from .errors import BadReductionError, UsageError
-
-_POINTS_PER_ROUND = 12
-_ROUNDS = 2
 
 
 class SplittingType(enum.Enum):
@@ -50,13 +49,36 @@ def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
     return cands
 
 
-def cm_order(cat: CatalogCurve, p: int, rng: random.Random | None = None) -> int:
-    """|E(F_p)| for a CM catalog curve via the Deuring correspondence."""
+# The trace rule of each CM catalog curve at a split prime p, on the trace t
+# of pi and b >= 0 with 4p - t^2 = |disc K| b^2 (Rubin & Silverberg, op. cit.).
+# Exactly one candidate passes:
+# - d = 7 ... 163: the traces are +-t, d does not divide t (else d | 4p) and
+#   (-1/d) = -1, so one sign has the Legendre symbol (t/d) the rule asks for.
+# - e3: for 4p = L^2 + 3M^2 the traces are +-L, +-(L -+ 3M)/2 with b = M,
+#   (L +- M)/2; 3 does not divide L, so exactly one b is divisible by 3
+#   (27 | 4p - t^2), and then t = 2 or 1 mod 3 tells the signs apart.
+# - e1: for p = a^2 + b^2 the traces are +-2a, +-2b and one of a, b is odd;
+#   t = 2a with a odd and a = 1 mod 4 iff 4 | b, i.e. t = 2 or 6 mod 8.
+# - e8000: t = 2 mod 4, and -t falls outside the classes mod 16 allowed for
+#   p mod 16 (t = 2 mod 8 at 1, 6 mod 8 at 9, 14 mod 16 at 3, 10 mod 16 at 11).
+_E8000_TRACE = {1: (2, 10), 9: (6, 14), 3: (14,), 11: (10,)}  # p mod 16 -> t mod 16
+_TRACE_RULES = {
+    "e1": lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6),
+    "e3": lambda p, t, b: t % 3 == 2 and b % 3 == 0,
+    "e8000": lambda p, t, b: t % 16 in _E8000_TRACE[p % 16],
+    "e7": lambda p, t, b: arith.kronecker(t, 7) == 1,
+    **{f"e{d}": lambda p, t, b, d=d: arith.kronecker(t, d) == -1 for d in (11, 19, 43, 67, 163)},
+}
+
+
+def cm_order(cat: CatalogCurve, p: int) -> int:
+    """|E(F_p)| for a CM catalog curve: p + 1 at an inert prime, otherwise
+    the one candidate order whose trace solves the norm equation and passes
+    the curve's trace rule."""
     K = cat.cm_field
     if K is None:
         raise UsageError(f"{cat.name} is not a CM curve")
-    E = cat.curve
-    if not E.has_good_reduction(p):
+    if not cat.curve.has_good_reduction(p):
         raise BadReductionError(f"{cat.name} has bad reduction at {p}")
     st = splitting_type(p, K)
     if st == SplittingType.RAMIFIED:
@@ -64,45 +86,25 @@ def cm_order(cat: CatalogCurve, p: int, rng: random.Random | None = None) -> int
         raise BadReductionError(f"p={p} ramifies in the CM field of {cat.name}")
     if st == SplittingType.INERT:
         return p + 1
-    if p <= 5:
-        return curve.naive_count(E, p)
-    rng = rng if rng is not None else random.Random(0xCA ^ p)
-    survivors = sorted(candidate_orders(p, K))
-    if len(survivors) == 1:
-        return survivors[0]
-    A, B = curve.short_model(E, p)
-    for _ in range(_ROUNDS * _POINTS_PER_ROUND):
-        P = curve.sw_random_point(p, A, B, rng)
-        base = curve.ec_scalar_mul(p, A, p + 1, P)
-        trace_mults: dict[int, object] = {}
-        still = []
-        for n in survivors:
-            t = p + 1 - n
-            at = abs(t)
-            if at not in trace_mults:
-                trace_mults[at] = curve.ec_scalar_mul(p, A, at, P)
-            T = trace_mults[at]
-            if t < 0:
-                T = curve.sw_neg(p, T)
-            if base == T:  # [n]P = [p+1-t]P = O
-                still.append(n)
-        survivors = still
-        if len(survivors) == 1:
-            return survivors[0]
-        if not survivors:
-            raise ArithmeticError(f"true group order eliminated at p={p}: candidate set was wrong")
-    # rare: every sampled point had small order; fall back to an oracle
-    if p <= 10**5:
-        return curve.naive_count(E, p)
-    return curve.bsgs_order(E, p, samples=4, rng=rng)
+    picked = []
+    for n in candidate_orders(p, K):
+        t = p + 1 - n
+        b2, r = divmod(4 * p - t * t, -K.disc)
+        b = math.isqrt(max(b2, 0))
+        if r == 0 and b * b == b2 and _TRACE_RULES[cat.name](p, t, b):
+            picked.append(n)
+    if len(picked) != 1:
+        raise ArithmeticError(f"{len(picked)} candidate orders of {cat.name} pass its trace rule at p={p}")
+    return picked[0]
 
 
 def order_fn_for(cat: CatalogCurve, seed: int = 0):
-    """Per-prime order oracle: the CM fast path when available, BSGS otherwise.
-    Seeds are derived per prime (seed xor p) so results are scheduling-free."""
+    """Per-prime order oracle: the closed form for CM curves; for the others
+    naive counts up to 2000 and BSGS above, seeded per prime (seed xor p) so
+    results are scheduling-free."""
     if cat.cm_field is not None:
         def fn(p: int) -> int:
-            return cm_order(cat, p, random.Random(seed ^ p))
+            return cm_order(cat, p)
     else:
         def fn(p: int) -> int:
             if p <= 2000:

@@ -3,12 +3,12 @@ independent group-order oracles over prime fields (naive enumeration and
 baby-step/giant-step).
 
 There is one group law: affine chord-and-tangent on a short model
-y^2 = x^3 + Ax + B mod n (sw_add, ec_scalar_mul), serving ECM, BSGS and CM
-candidate elimination alike.  Every inversion goes through
-arith.inverse_or_divisor: a failed inversion is exactly the event that
-surfaces a factor of a composite modulus, so complete projective formulas
-would defeat the purpose.  Curves are stored in long Weierstrass form;
-short_model and short_point carry a curve and its points over.
+y^2 = x^3 + Ax + B mod n (sw_add, ec_scalar_mul), serving ECM and BSGS
+alike.  Every inversion goes through arith.inverse_or_divisor: a failed
+inversion is exactly the event that surfaces a factor of a composite
+modulus, so complete projective formulas would defeat the purpose.  Curves
+are stored in long Weierstrass form; short_model and short_point carry a
+curve and its points over.
 """
 
 from __future__ import annotations
@@ -149,12 +149,6 @@ def ec_scalar_mul(n: int, A: int, k: int, P):
         if bit == "1":
             R = sw_add(n, A, R, P)
     return R
-
-
-def sw_neg(n: int, P):
-    if P is None:
-        return None
-    return (P[0], (-P[1]) % n)
 
 
 def sw_random_point(p: int, A: int, B: int, rng: random.Random):

@@ -428,7 +428,7 @@ class TestOrderCache:
         assert ps.tolist() == census.good_primes(E7, 3000)
         assert dict(zip(ps.tolist(), ns.tolist())) == cache.orders(E7, 3000)
 
-    def test_tail_cover(self, tmp_path, monkeypatch):
+    def test_tail_cover(self, tmp_path, tmp_path_factory, monkeypatch):
         fake_orders(monkeypatch)
         calls = spy_segments(monkeypatch)
         seg = census.CACHE_SEGMENT
@@ -444,13 +444,16 @@ class TestOrderCache:
         assert calls == [(0, 3001)]
         assert ps.tolist() == census.good_primes(E7, 2000)
         assert ns.tolist() == [p + 1 for p in ps.tolist()]
-        cache.table(E7, 5000)  # a larger x recomputes the segment and replaces the file
-        assert calls[1:] == [(0, 5001)] and covered() == [0, 5001]
+        cache.table(E7, 5000)  # a larger x computes only past the stored tail
+        assert calls[1:] == [(3001, 5001)] and covered() == [0, 5001]
+        fresh = tmp_path_factory.mktemp("fresh")
+        census.OrderCache(fresh).table(E7, 5000)  # the extended file equals a fresh one
+        assert head.read_bytes() == census._cache_path(fresh, "e7", 0).read_bytes()
         ps, _ = cache.table(E7, seg + 50)  # a full segment supersedes the tail
-        assert calls[2:] == [(0, seg), (seg, seg + 51)] and covered() == [0, seg]
+        assert calls[3:] == [(5001, seg), (seg, seg + 51)] and covered() == [0, seg]
         assert ps.tolist() == census.good_primes(E7, seg + 50)
         ps, _ = cache.table(E7, 4000)
-        assert len(calls) == 4 and ps.tolist() == census.good_primes(E7, 4000)
+        assert len(calls) == 5 and ps.tolist() == census.good_primes(E7, 4000)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             head.name, census._cache_path(tmp_path, "e7", seg).name
         ]

@@ -9,6 +9,7 @@ from ecsmooth.errors import BadReductionError, UsageError
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
 E8000 = ecm.catalog_curve("e8000")
+CM_CURVES = [cat for cat in ecm.curve_catalog() if cat.cm_field is not None]
 
 
 class TestSplittingType:
@@ -93,11 +94,33 @@ class TestCmOrder:
             assert lo <= n <= hi
 
 
+class TestClosedForm:
+    @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
+    def test_matches_bsgs_at_large_p(self, cat):
+        rng = random.Random(cat.name)
+        checked = 0
+        while checked < 4:
+            p = rng.randrange(10**8, 10**9)
+            if arith.is_prime(p) and cat.cm_field.chi(p) == 1 and cat.curve.has_good_reduction(p):
+                want = curve.bsgs_order(cat.curve, p, samples=4, rng=random.Random(p))
+                assert cmcount.cm_order(cat, p) == want, p
+                checked += 1
+
+    @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
+    def test_one_candidate_passes_every_good_prime(self, cat):
+        # cm_order raises ArithmeticError unless exactly one candidate passes
+        for p in arith.cached_primes(2 * 10**4):
+            if cat.curve.has_good_reduction(p):
+                cmcount.cm_order(cat, p)
+
+
 class TestOrderFn:
     def test_deterministic(self):
-        f = cmcount.order_fn_for(E7, seed=3)
-        g = cmcount.order_fn_for(E7, seed=3)
-        for p in (101, 103, 107, 109):
+        # only the non-CM path draws random points; its seed must reproduce
+        e37 = ecm.catalog_curve("e37")
+        f = cmcount.order_fn_for(e37, seed=3)
+        g = cmcount.order_fn_for(e37, seed=3)
+        for p in (2003, 2011, 10007, 10**6 + 3):
             assert f(p) == g(p)
 
     def test_non_cm_path(self):
