@@ -28,6 +28,7 @@ from .errors import CacheError, CapacityError, DomainError, EcsmoothError, Usage
 PSI_BUDGET = 10**9
 CONVENTION = "Pplus_strict"
 CACHE_SEGMENT = 1 << 17
+MASK_CHUNK = 1 << 15  # orders per step of the array friability test
 # Part of every cache file name: bump it whenever an order algorithm's
 # output may change, so that files from the old code are never read.
 ORDER_VERSION = 1
@@ -41,13 +42,12 @@ class FriabilityTester:
     it returns a bool, on an int64 array the boolean mask."""
 
     y: int
-    primes: tuple[int, ...] = field(default=())
+    primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.y < 2:
             raise UsageError(f"friability bound y={self.y} must be >= 2")
-        if not self.primes:
-            object.__setattr__(self, "primes", tuple(arith.primes_below(self.y)))
+        object.__setattr__(self, "primes", tuple(arith.primes_below(self.y)))
 
     def __call__(self, n: int | np.ndarray) -> bool | np.ndarray:
         if isinstance(n, np.ndarray):
@@ -63,27 +63,48 @@ class FriabilityTester:
         return n < self.y
 
     def _mask(self, ns: np.ndarray) -> np.ndarray:
-        # Divide out every p < y with p^2 <= max(ns).  A remainder below y
-        # is then 1 or one prime p < y: two undivided factors would both
-        # exceed sqrt(max(ns)).
+        # Divide out the primes p < y in ascending order, one chunk of ns at
+        # a time so that the temporaries stay small.  Once the primes below p
+        # are divided out, a remainder below p^2 is 1 or a prime, so its
+        # verdict is final and it leaves the working set; compacting only
+        # every 8th prime keeps the compaction cheaper than the passes it saves.
         if ns.size and ns.min() < 1:
             raise UsageError(f"friability test needs n >= 1, got {ns.min()}")
-        rem = ns.astype(np.int64)
-        top = int(rem.max()) if rem.size else 0
-        for p in self.primes:
-            if p * p > top:
-                break
-            idx = np.flatnonzero(rem % p == 0)
-            while idx.size:
-                rem[idx] //= p
-                idx = idx[rem[idx] % p == 0]
-        return rem < self.y
+        out = np.empty(ns.size, dtype=bool)
+        for lo in range(0, ns.size, MASK_CHUNK):
+            verdict = out[lo : lo + MASK_CHUNK]
+            live = ns[lo : lo + MASK_CHUNK].astype(np.int64)
+            pos = np.arange(live.size)
+            for i, p in enumerate(self.primes):
+                if i % 8 == 0:
+                    verdict[pos] = live < self.y
+                    keep = np.flatnonzero(live >= p * p)
+                    pos, live = pos[keep], live[keep]
+                if not live.size:
+                    break
+                idx = np.flatnonzero(live % p == 0)
+                while idx.size:
+                    live[idx] //= p
+                    idx = idx[live[idx] % p == 0]
+            verdict[pos] = live < self.y
+        return out
+
+
+def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
+    """The integers n in [lo, hi), int64, each divided by the full power of
+    every prime in primes."""
+    rem = np.arange(lo, hi, dtype=np.int64)
+    for p in primes:
+        idx = np.arange(-lo % p, hi - lo, p)
+        while idx.size:
+            rem[idx] //= p
+            idx = idx[rem[idx] % p == 0]
+    return rem
 
 
 def psi_exact(x: int, y: int) -> int:
-    """Exact Psi(x, y) = #{n <= x : P+(n) < y} by segmented divide-out:
-    each segment divides every entry by the full power of each prime < y
-    and counts the positions reduced to 1."""
+    """Exact Psi(x, y) = #{n <= x : P+(n) < y}: per segment, the positions
+    that dividing out the primes < y reduces to 1."""
     if x < 1:
         raise UsageError(f"x={x} must be >= 1")
     if y < 2:
@@ -94,32 +115,26 @@ def psi_exact(x: int, y: int) -> int:
         return x
     primes = arith.primes_below(y)
     seg = 1 << 20
-    count = 0
-    for lo in range(1, x + 1, seg):
-        hi = min(lo + seg, x + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in primes:
-            first = ((lo + p - 1) // p) * p - lo
-            idx = np.arange(first, hi - lo, p)
-            while idx.size:
-                rem[idx] //= p
-                idx = idx[rem[idx] % p == 0]
-        count += int(np.count_nonzero(rem == 1))
-    return count
+    return sum(
+        int(np.count_nonzero(_divide_out(lo, min(lo + seg, x + 1), primes) == 1))
+        for lo in range(1, x + 1, seg)
+    )
 
 
-def good_primes(E: CatalogCurve, x: int) -> list[int]:
-    if x < 2:
-        return []
-    return [p for p in arith.cached_primes(x) if E.curve.has_good_reduction(p)]
-
-
-def order_table(E: CatalogCurve, x: int, order_fn=None) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned int64 arrays of the good primes p <= x and their orders
-    order_fn(p), with one call per prime."""
-    order_fn = order_fn if order_fn is not None else cmcount.order_fn_for(E)
-    ps = good_primes(E, x)
-    return np.array(ps, dtype=np.int64), np.array([order_fn(p) for p in ps], dtype=np.int64)
+def order_table(E: CatalogCurve, lo: int, hi: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
+    |E(F_p)|, one cmcount.order call per prime.  An order that fails names
+    the curve, the range and the prime."""
+    primes = arith.prime_sieve(hi - 1, lo) if hi > 2 else []
+    primes = [p for p in primes if E.curve.has_good_reduction(p)]
+    orders = []
+    for p in primes:
+        try:
+            orders.append(cmcount.order(E, p, seed))
+        except EcsmoothError as exc:
+            exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
+            raise
+    return np.array(primes, dtype=np.int64), np.array(orders, dtype=np.int64)
 
 
 def sweep(primes: np.ndarray, orders: np.ndarray, checkpoints: list[int], hit) -> list[int]:
@@ -130,60 +145,38 @@ def sweep(primes: np.ndarray, orders: np.ndarray, checkpoints: list[int], hit) -
     return np.searchsorted(hits, checkpoints, side="right").tolist()
 
 
-def psi_E(x: int, y: int, E: CatalogCurve, order_fn) -> int:
+# The counts below take a (primes, orders) table, as from order_table or
+# OrderCache.table, that holds every good prime up to at least x.
+
+
+def psi_E(table, x: int, y: int) -> int:
     """#{p <= x good : P+(|E(F_p)|) < y}."""
-    return sweep(*order_table(E, x, order_fn), [x], FriabilityTester(y))[0]
+    return sweep(*table, [x], FriabilityTester(y))[0]
 
 
-def psi_E_z(x: int, y: int, z: int, E: CatalogCurve, order_fn) -> int:
+def psi_E_z(table, x: int, y: int, z: int) -> int:
     """#{n <= x : P+(n) < y and some good prime p | n has P+(|E(F_p)|) < z}.
     n = 1 never counts: it has no prime divisor (P-(1) = infinity)."""
     if not (2 <= z and 2 <= y):
         raise UsageError("bounds must be >= 2")
     if x > 10**8:
-        raise CapacityError(f"psi_E_z smallest-prime-factor sieve guard: x={x}")
-    order_tester = FriabilityTester(z)
-    marked: dict[int, bool] = {}
-
-    def prime_hits(p: int) -> bool:
-        if p not in marked:
-            marked[p] = E.curve.has_good_reduction(p) and order_tester(order_fn(p))
-        return marked[p]
-
-    spf = _spf_sieve(x)
-    count = 0
-    for n in range(2, x + 1):
-        m = n
-        friable = True
-        hit = False
-        while m > 1:
-            p = int(spf[m])
-            if p >= y:
-                friable = False
-                break
-            if not hit and prime_hits(p):
-                hit = True
-            while m % p == 0:
-                m //= p
-        if friable and hit:
-            count += 1
-    return count
+        raise CapacityError(f"psi_E_z sieve guard: x={x}")
+    if x < 2:
+        return 0
+    primes, orders = table
+    below = primes < min(y, x + 1)
+    hit = np.zeros(x + 1, dtype=bool)
+    for p in primes[below][FriabilityTester(z)(orders[below])].tolist():
+        hit[p::p] = True
+    friable = _divide_out(1, x + 1, arith.primes_below(min(y, x + 1))) == 1
+    return int(np.count_nonzero(hit[1:] & friable))
 
 
-def _spf_sieve(x: int) -> np.ndarray:
-    spf = np.zeros(x + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, x + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-    return spf
-
-
-def pi_E_d(x: int, d: int, E: CatalogCurve, order_fn) -> int:
+def pi_E_d(table, x: int, d: int) -> int:
     """#{p <= x good : d divides |E(F_p)|}."""
     if d < 1:
         raise UsageError(f"d={d} must be >= 1")
-    return sweep(*order_table(E, x, order_fn), [x], lambda n: n % d == 0)[0]
+    return sweep(*table, [x], lambda n: n % d == 0)[0]
 
 
 class SeriesKind(enum.Enum):
@@ -240,26 +233,11 @@ class CensusSeries:
 
 
 def race(
-    E1: CatalogCurve,
-    E2: CatalogCurve,
-    y: int,
-    checkpoints: list[int],
-    order_fn1=None,
-    order_fn2=None,
-) -> CensusSeries:
-    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from the
-    orders of each curve's good primes up to max(checkpoints)."""
-    top = max(checkpoints, default=0)
-    return race_tables(
-        E1, E2, y, checkpoints, order_table(E1, top, order_fn1), order_table(E2, top, order_fn2)
-    )
-
-
-def race_tables(
     E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], table1, table2
 ) -> CensusSeries:
-    """The race from each curve's (primes, orders) table up to
-    max(checkpoints): one sweep per curve."""
+    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from each
+    curve's (primes, orders) table up to max(checkpoints): one sweep per
+    curve."""
     checkpoints = sorted(set(checkpoints))
     tester = FriabilityTester(y)
     c1 = sweep(*table1, checkpoints, tester)
@@ -322,16 +300,11 @@ def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:
     return _gamma_tilde(psi_K_friable(x, y, K), psi_K(x, K), x, y)
 
 
-def gamma_tilde_curve(E: CatalogCurve, x: int, y: int, order_fn=None) -> float:
-    """gamma-tilde in curve mode, with psi_E(x,y)/#good primes as the ratio."""
-    return gamma_tilde_table(x, y, order_table(E, x, order_fn))
-
-
-def gamma_tilde_table(x: int, y: int, table) -> float:
-    """Curve-mode gamma-tilde from the (primes, orders) table of the good
-    primes p <= x."""
-    primes, orders = table
-    return _gamma_tilde(sweep(primes, orders, [x], FriabilityTester(y))[0], len(primes), x, y)
+def gamma_tilde_curve(table, x: int, y: int) -> float:
+    """gamma-tilde in curve mode, with psi_E(x,y)/#good primes <= x as the
+    ratio."""
+    total = int(np.searchsorted(table[0], x, side="right"))
+    return _gamma_tilde(psi_E(table, x, y), total, x, y)
 
 
 def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
@@ -354,20 +327,8 @@ def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
 
 
 def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, seed: int) -> np.ndarray:
-    """(p, |E(F_p)|) rows, int64, for the good primes in [seg_lo, seg_hi).
-    An order that fails names the curve, the segment and the prime."""
-    cat = catalog_curve(curve_name)
-    fn = cmcount.order_fn_for(cat, seed)
-    primes = arith.prime_sieve(seg_hi - 1, seg_lo) if seg_hi > 2 else []
-    rows = []
-    for p in primes:
-        if cat.curve.has_good_reduction(p):
-            try:
-                rows.append((p, fn(p)))
-            except EcsmoothError as exc:
-                exc.args = (f"{curve_name} segment [{seg_lo}, {seg_hi}), p = {p}: {exc}",)
-                raise
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    """(p, |E(F_p)|) rows, int64, for the good primes in [seg_lo, seg_hi)."""
+    return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi, seed))
 
 
 def _load_segment(path: Path) -> np.ndarray:
@@ -408,7 +369,9 @@ class OrderCache:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.seed = seed
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise UsageError(f"workers={workers} must be >= 1")
+        self.workers = workers
 
     def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned int64 arrays of the good primes p <= x and their orders,
@@ -437,11 +400,10 @@ class OrderCache:
         return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo):
-        if not todo:
-            return []
-        if self.workers == 1 or len(todo) == 1:
+        if self.workers == 1 or len(todo) <= 1:
             return [_compute_segment(curve_name, start, hi, self.seed) for _, start, hi, _ in todo]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        # the fork start method forks all max_workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(todo))) as pool:
             futs = [
                 pool.submit(_compute_segment, curve_name, start, hi, self.seed)
                 for _, start, hi, _ in todo
@@ -455,6 +417,3 @@ class OrderCache:
         with tmp.open("xb") as fh:
             np.save(fh, seg)
         tmp.replace(path)
-
-    def order_fn(self, cat: CatalogCurve, x: int):
-        return self.orders(cat, x).__getitem__

@@ -196,7 +196,7 @@ def cmd_census(args) -> int:
             t2 = _cache_table(cache, e2, budget)
         except CapacityError:
             return EXIT_BUDGET
-        series = census.race_tables(e1, e2, args.y, _checkpoints(budget), t1, t2)
+        series = census.race(e1, e2, args.y, _checkpoints(budget), t1, t2)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:
@@ -229,7 +229,7 @@ def cmd_census(args) -> int:
             label = f"d={args.d}"
         else:
             cat = ecm.catalog_curve(args.curve)
-            val = census.gamma_tilde_table(budget, args.y, _cache_table(cache, cat, budget))
+            val = census.gamma_tilde_curve(_cache_table(cache, cat, budget), budget, args.y)
             label = f"curve={args.curve}"
         u = math.log(budget) / math.log(args.y)
         print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {val:.6f}")

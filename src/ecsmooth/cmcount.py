@@ -98,16 +98,12 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
     return picked[0]
 
 
-def order_fn_for(cat: CatalogCurve, seed: int = 0):
-    """Per-prime order oracle: the closed form for CM curves; for the others
-    naive counts up to 2000 and BSGS above, seeded per prime (seed xor p) so
-    results are scheduling-free."""
+def order(cat: CatalogCurve, p: int, seed: int = 0) -> int:
+    """|E(F_p)| at a good prime p: the closed form for CM curves; for the
+    others a naive count up to 2000 and BSGS above, seeded per prime
+    (seed xor p) so that results do not depend on scheduling."""
     if cat.cm_field is not None:
-        def fn(p: int) -> int:
-            return cm_order(cat, p)
-    else:
-        def fn(p: int) -> int:
-            if p <= 2000:
-                return curve.naive_count(cat.curve, p)
-            return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))
-    return fn
+        return cm_order(cat, p)
+    if p <= 2000:
+        return curve.naive_count(cat.curve, p)
+    return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from . import arith, cmcount
+from . import arith, census
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
 from .errors import DomainError, UsageError
@@ -130,22 +130,19 @@ def alpha_empirical(
     E: CatalogCurve,
     ell_bound: int = EMPIRICAL_ELL_BOUND,
     p_bound: int = EMPIRICAL_P_BOUND,
-    order_fn=None,
+    orders=None,
 ) -> float:
     """alpha-tilde: replace the expectation in the per-prime terms by the
     average valuation of |E(F_p)| over good primes p <= p_bound.  CM curves
     use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1)) log l; the sign
     convention matches the frozen reference column (more negative = larger
-    observed valuations = more ECM-friendly)."""
+    observed valuations = more ECM-friendly).  orders, when given, are the
+    orders of those primes."""
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
-    if order_fn is None:
-        order_fn = cmcount.order_fn_for(E)
-    orders = [
-        order_fn(p)
-        for p in arith.cached_primes(p_bound)
-        if E.curve.has_good_reduction(p)
-    ]
+    if orders is None:
+        # as Python ints, on which the valuation loops run several times faster
+        orders = census.order_table(E, 0, p_bound + 1)[1].tolist()
     if not orders:
         raise DomainError(f"no good primes up to {p_bound}")
     cm = E.cm_field is not None
@@ -217,13 +214,10 @@ def alpha_report(
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
-    order_fn = cmcount.order_fn_for(E)
-    orders = {
-        p: order_fn(p) for p in arith.cached_primes(p_bound) if E.curve.has_good_reduction(p)
-    }
-    at = alpha_empirical(E, empirical_ell_bound, p_bound, orders.__getitem__)
+    orders = census.order_table(E, 0, p_bound + 1)[1].tolist()
+    at = alpha_empirical(E, empirical_ell_bound, p_bound, orders)
     per_ell = [
-        (ell, expected_valuation_cm(K, ell), _mean_val(orders.values(), ell))
+        (ell, expected_valuation_cm(K, ell), _mean_val(orders, ell))
         for ell in arith.primes_below(per_ell_limit + 1)
     ]
     return AlphaReport(

@@ -196,10 +196,10 @@ def test_criterion_4_cm_order_oracle(capsys):
 def test_criterion_5_chebyshev_race(order_cache, capsys):
     e7, e11 = ecm.catalog_curve("e7"), ecm.catalog_curve("e11")
     budget = 10**6
-    f1 = order_cache.order_fn(e7, budget)
-    f2 = order_cache.order_fn(e11, budget)
+    t1 = order_cache.table(e7, budget)
+    t2 = order_cache.table(e11, budget)
     checkpoints = [2**k for k in range(4, 20) if 2**k <= budget] + [budget]
-    series = census.race(e7, e11, 1 << 7, checkpoints, f1, f2)
+    series = census.race(e7, e11, 1 << 7, checkpoints, t1, t2)
     violations = [(x, v) for x, v in series.rows if v < 0]
     ok = not violations
     with capsys.disabled():
@@ -266,7 +266,7 @@ def test_criterion_7_density_sanity(order_cache, capsys):
     # rho(u) at x <= 10^6.  What rho(u) does promise here is checked instead.
     xs = (10**4, 10**5, 10**6)
     e7 = ecm.catalog_curve("e7")
-    fn = order_cache.order_fn(e7, xs[-1])
+    table = order_cache.table(e7, xs[-1])
     # P+(n) up to the top of the last Hasse interval
     lpf = _largest_prime_factors(xs[-1] + 1 + math.isqrt(4 * xs[-1]))
     failures, notes, bias = [], [], []
@@ -276,15 +276,14 @@ def test_criterion_7_density_sanity(order_cache, capsys):
         for x in xs:
             y = round(x ** (1.0 / u))
             psi = census.psi_exact(x, y)
-            gp = census.good_primes(e7, x)
-            pe_ratio = census.psi_E(x, y, e7, fn) / len(gp)
+            p = table[0][: np.searchsorted(table[0], x, side="right")]
+            pe_ratio = census.psi_E(table, x, y) / len(p)
             devs["psi"].append(psi / x / r - 1.0)
             devs["psi_E7"].append(pe_ratio / r - 1.0)
             # (c) friability bias: each good p's order beats the integers of
             # its Hasse interval [p+1-2sqrt(p), p+1+2sqrt(p)], on average
             cum = np.concatenate(([0], np.cumsum(lpf < y)))
-            p = np.array(gp, dtype=np.int64)
-            w = np.array([math.isqrt(4 * q) for q in gp], dtype=np.int64)
+            w = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
             hasse = float(np.mean((cum[p + 2 + w] - cum[p + 1 - w]) / (2 * w + 1)))
             bias.append(pe_ratio / hasse)
             if not pe_ratio > hasse:

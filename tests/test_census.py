@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -22,8 +23,15 @@ def largest_prime_factor(n):
     return max(lpf, n) if n > 1 else lpf
 
 
-def naive_order_fn(cat):
-    return lambda p: curve.naive_count(cat.curve, p)
+def good_primes(cat, x):
+    return [p for p in arith.prime_sieve(x) if cat.curve.has_good_reduction(p)]
+
+
+def naive_table(cat, x):
+    """The (primes, orders) table of the good primes p <= x, with the orders
+    from naive point counts."""
+    ps = good_primes(cat, x)
+    return np.array(ps, np.int64), np.array([curve.naive_count(cat.curve, p) for p in ps], np.int64)
 
 
 class TestFriabilityTester:
@@ -67,6 +75,13 @@ class TestFriabilityTester:
         mask = tester(np.array(ns, dtype=np.int64))
         assert mask.dtype == bool and mask.tolist() == [tester(n) for n in ns]
 
+    def test_mask_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(census, "MASK_CHUNK", 7)
+        ns = np.arange(1, 3000, dtype=np.int64)
+        for y in (2, 5, 60):
+            tester = census.FriabilityTester(y)
+            assert tester(ns).tolist() == [tester(n) for n in ns.tolist()]
+
     def test_scalar_returns_bool(self):
         assert census.FriabilityTester(7)(12) is True
 
@@ -95,58 +110,48 @@ class TestPsiE:
     def test_all_friable_bound(self):
         x = 500
         _, hi = curve.hasse_interval(x)
-        fn = naive_order_fn(E7)
-        assert census.psi_E(x, hi + 1, E7, fn) == len(census.good_primes(E7, x))
+        table = naive_table(E7, x)
+        assert census.psi_E(table, x, hi + 1) == len(table[0])
 
     def test_y2_zero_beyond_tiny(self):
-        fn = naive_order_fn(E7)
-        assert census.psi_E(500, 2, E7, fn) == 0
+        assert census.psi_E(naive_table(E7, 500), 500, 2) == 0
 
     def test_brute_recount(self):
-        fn = naive_order_fn(E7)
         y = 1 << 7
-        got = census.psi_E(10**4, y, E7, fn)
-        brute = sum(
-            1
-            for p in census.good_primes(E7, 10**4)
-            if largest_prime_factor(curve.naive_count(E7.curve, p)) < y
-        )
-        assert got == brute
+        table = naive_table(E7, 10**4)
+        got = census.psi_E(table, 10**4, y)
+        assert got == sum(1 for n in table[1].tolist() if largest_prime_factor(n) < y)
 
     def test_monotone(self):
-        fn = naive_order_fn(E7)
-        vals_y = [census.psi_E(2000, y, E7, fn) for y in (4, 16, 64, 256)]
+        table = naive_table(E7, 2000)
+        vals_y = [census.psi_E(table, 2000, y) for y in (4, 16, 64, 256)]
         assert vals_y == sorted(vals_y)
-        vals_x = [census.psi_E(x, 64, E7, fn) for x in (500, 1000, 2000)]
+        vals_x = [census.psi_E(table, x, 64) for x in (500, 1000, 2000)]
         assert vals_x == sorted(vals_x)
 
 
 class TestSweep:
     CHECKPOINTS = [2, 16, 100, 101, 500, 1024, 3000]
 
-    def brute(self, hit):
-        fn = naive_order_fn(E7)
-        return [
-            sum(1 for p in census.good_primes(E7, x) if hit(fn(p))) for x in self.CHECKPOINTS
-        ]
-
     @pytest.mark.parametrize(
         "hit", [census.FriabilityTester(32), lambda n: n % 8 == 0], ids=["friable", "divisible"]
     )
     def test_matches_per_checkpoint_brute(self, hit):
-        fn = naive_order_fn(E7)
-        got = census.sweep(*census.order_table(E7, 3000, fn), self.CHECKPOINTS, hit)
-        assert got == self.brute(hit)
+        table = naive_table(E7, 3000)
+        pairs = list(zip(*(a.tolist() for a in table)))
+        brute = [sum(1 for p, n in pairs if p <= x and hit(n)) for x in self.CHECKPOINTS]
+        assert census.sweep(*table, self.CHECKPOINTS, hit) == brute
 
-    def test_one_order_per_prime(self):
+    def test_one_order_per_prime(self, monkeypatch):
         calls = []
 
-        def fn(p):
+        def order(cat, p, seed=0):
             calls.append(p)
             return p + 1
 
-        primes = census.good_primes(E7, 1000)
-        ps, ns = census.order_table(E7, 1000, fn)
+        monkeypatch.setattr(cmcount, "order", order)
+        primes = good_primes(E7, 1000)
+        ps, ns = census.order_table(E7, 0, 1001)
         assert calls == primes
         assert ps.tolist() == primes and ns.tolist() == [p + 1 for p in primes]
         assert census.sweep(ps, ns, [10, 100, 1000], lambda n: n > 0) == [
@@ -155,53 +160,50 @@ class TestSweep:
 
 
 class TestPsiEZ:
+    # (curve, x, y, z): y above x, z above every order, a non-CM curve
+    CASES = [
+        ("e7", 300, 20, 10),
+        ("e11", 1000, 50, 30),
+        ("e7", 200, 500, 10),
+        ("e1", 400, 30, 10**6),
+        ("e37", 600, 40, 20),
+        ("e37", 700, 800, 50),
+    ]
+
     def test_brute_recount(self):
-        fn = naive_order_fn(E7)
-        x, y, z = 300, 20, 10
-        hitting = {
-            p
-            for p in census.good_primes(E7, x)
-            if largest_prime_factor(curve.naive_count(E7.curve, p)) < z
-        }
-        brute = 0
-        for n in range(2, x + 1):
-            if largest_prime_factor(n) >= y:
-                continue
-            m, hit = n, False
-            for p in range(2, n + 1):
-                if m % p == 0:
-                    if p in hitting:
-                        hit = True
-                    while m % p == 0:
-                        m //= p
-            if hit:
-                brute += 1
-        assert census.psi_E_z(x, y, z, E7, fn) == brute
+        for name, x, y, z in self.CASES:
+            cat = ecm.catalog_curve(name)
+            table = naive_table(cat, x)
+            hitting = [
+                p for p, n in zip(*(a.tolist() for a in table)) if largest_prime_factor(n) < z
+            ]
+            brute = sum(
+                1
+                for n in range(2, x + 1)
+                if largest_prime_factor(n) < y and any(n % p == 0 for p in hitting)
+            )
+            assert census.psi_E_z(table, x, y, z) == brute, (name, x, y, z)
 
     def test_subset_of_psi(self):
-        fn = naive_order_fn(E7)
-        assert census.psi_E_z(500, 20, 10, E7, fn) <= census.psi_exact(500, 20)
+        assert census.psi_E_z(naive_table(E7, 500), 500, 20, 10) <= census.psi_exact(500, 20)
 
     def test_one_never_counts(self):
-        fn = naive_order_fn(E7)
-        assert census.psi_E_z(1, 10, 10, E7, fn) == 0
+        assert census.psi_E_z(naive_table(E7, 2), 1, 10, 10) == 0
 
 
 class TestPiED:
     def test_d1(self):
-        fn = naive_order_fn(E7)
-        assert census.pi_E_d(500, 1, E7, fn) == len(census.good_primes(E7, 500))
+        table = naive_table(E7, 500)
+        assert census.pi_E_d(table, 500, 1) == len(table[0])
 
     def test_huge_d(self):
-        fn = naive_order_fn(E7)
         _, hi = curve.hasse_interval(500)
-        assert census.pi_E_d(500, hi + 1, E7, fn) == 0
+        assert census.pi_E_d(naive_table(E7, 500), 500, hi + 1) == 0
 
     def test_noncm_density(self):
         cat = ecm.catalog_curve("e37")
-        fn = cmcount.order_fn_for(cat)
         x = 10**4
-        got = census.pi_E_d(x, 2, cat, fn)
+        got = census.pi_E_d(census.order_table(cat, 0, x + 1), x, 2)
         from ecsmooth import lfunc
 
         predicted = lfunc.w_noncm(2) / 2 * x / math.log(x)
@@ -211,24 +213,25 @@ class TestPiED:
 
 class TestRace:
     def test_self_race_zero(self):
-        fn = naive_order_fn(E7)
-        s = census.race(E7, E7, 128, [100, 500, 1000], fn, fn)
+        t = naive_table(E7, 1000)
+        s = census.race(E7, E7, 128, [100, 500, 1000], t, t)
         assert all(v == 0 for _, v in s.rows)
 
     def test_antisymmetry(self):
-        f1, f2 = naive_order_fn(E7), naive_order_fn(E11)
-        a = census.race(E7, E11, 128, [200, 800, 2000], f1, f2)
-        b = census.race(E11, E7, 128, [200, 800, 2000], f2, f1)
+        t1, t2 = naive_table(E7, 2000), naive_table(E11, 2000)
+        a = census.race(E7, E11, 128, [200, 800, 2000], t1, t2)
+        b = census.race(E11, E7, 128, [200, 800, 2000], t2, t1)
         assert [(x, -v) for x, v in a.rows] == b.rows
 
     def test_empty_checkpoints(self):
-        assert census.race(E7, E11, 128, []).rows == []
+        empty = census.order_table(E7, 0, 0)
+        assert census.race(E7, E11, 128, [], empty, empty).rows == []
 
     def test_matches_pointwise_psi(self):
-        f1, f2 = naive_order_fn(E7), naive_order_fn(E11)
-        s = census.race(E7, E11, 64, [300, 1500], f1, f2)
+        t1, t2 = naive_table(E7, 1500), naive_table(E11, 1500)
+        s = census.race(E7, E11, 64, [300, 1500], t1, t2)
         for x, v in s.rows:
-            assert v == census.psi_E(x, 64, E7, f1) - census.psi_E(x, 64, E11, f2)
+            assert v == census.psi_E(t1, x, 64) - census.psi_E(t2, x, 64)
 
 
 class TestCensusSeries:
@@ -323,9 +326,11 @@ class TestGammaTilde:
         assert b == pytest.approx(a, rel=0.2)
 
     def test_curve_mode(self):
-        fn = naive_order_fn(E7)
-        val = census.gamma_tilde_curve(E7, 2000, 100, fn)
+        table = naive_table(E7, 3000)
+        val = census.gamma_tilde_curve(table, 2000, 100)
         assert math.isfinite(val)
+        friable = census.psi_E(table, 2000, 100)
+        assert val == census._gamma_tilde(friable, len(good_primes(E7, 2000)), 2000, 100)
 
     def test_underflow(self):
         with pytest.raises(DomainError):
@@ -336,15 +341,12 @@ def fake_orders(monkeypatch, fail_at=None):
     """Make every segment cheap: |E(F_p)| := p + 1, except that the prime
     fail_at raises AmbiguityError."""
 
-    def order_fn_for(cat, seed=0):
-        def fn(p):
-            if p == fail_at:
-                raise AmbiguityError("no unique candidate")
-            return p + 1
+    def order(cat, p, seed=0):
+        if p == fail_at:
+            raise AmbiguityError("no unique candidate")
+        return p + 1
 
-        return fn
-
-    monkeypatch.setattr(cmcount, "order_fn_for", order_fn_for)
+    monkeypatch.setattr(cmcount, "order", order)
 
 
 def spy_segments(monkeypatch):
@@ -364,9 +366,7 @@ class TestOrderCache:
     def test_matches_direct(self, tmp_path):
         cache = census.OrderCache(tmp_path, seed=0)
         table = cache.orders(E7, 3000)
-        fn = cmcount.order_fn_for(E7, 0)
-        for p in census.good_primes(E7, 3000):
-            assert table[p] == fn(p)
+        assert table == {p: cmcount.order(E7, p, 0) for p in good_primes(E7, 3000)}
 
     def test_resume_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -393,9 +393,8 @@ class TestOrderCache:
     def test_segment_sieves_only_its_range(self, name, lo, hi):
         # what the segment held when it was cut from the full prime table
         cat = ecm.catalog_curve(name)
-        fn = cmcount.order_fn_for(cat, 0)
         want = [
-            [p, fn(p)]
+            [p, cmcount.order(cat, p, 0)]
             for p in arith.prime_sieve(hi)
             if lo <= p < hi and cat.curve.has_good_reduction(p)
         ]
@@ -417,15 +416,39 @@ class TestOrderCache:
         assert census._load_segment(path).tolist() == seg.tolist()
         assert sorted(f.name for f in tmp_path.iterdir()) == [path.name, foreign.name]
 
-    def test_order_fn_closure(self, tmp_path):
-        cache = census.OrderCache(tmp_path, seed=0)
-        fn = cache.order_fn(E7, 1000)
-        assert fn(11) == curve.naive_count(E7.curve, 11)
+    def test_pool_size_is_segments_due(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each task at once, in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        cache = census.OrderCache(tmp_path, workers=64)
+        seg = census.CACHE_SEGMENT
+        ps, _ = cache.table(E7, seg + 200)
+        assert sizes == [2] and ps.tolist() == good_primes(E7, seg + 200)
+        cache.table(E7, seg + 400)  # one segment due runs without a pool
+        assert sizes == [2]
 
     def test_table_matches_orders(self, tmp_path):
         cache = census.OrderCache(tmp_path, seed=0)
         ps, ns = cache.table(E7, 3000)
-        assert ps.tolist() == census.good_primes(E7, 3000)
+        assert ps.tolist() == good_primes(E7, 3000)
         assert dict(zip(ps.tolist(), ns.tolist())) == cache.orders(E7, 3000)
 
     def test_tail_cover(self, tmp_path, tmp_path_factory, monkeypatch):
@@ -442,7 +465,7 @@ class TestOrderCache:
         assert calls == [(0, 3001)] and covered() == [0, 3001]
         ps, ns = cache.table(E7, 2000)  # a smaller x only loads the tail
         assert calls == [(0, 3001)]
-        assert ps.tolist() == census.good_primes(E7, 2000)
+        assert ps.tolist() == good_primes(E7, 2000)
         assert ns.tolist() == [p + 1 for p in ps.tolist()]
         cache.table(E7, 5000)  # a larger x computes only past the stored tail
         assert calls[1:] == [(3001, 5001)] and covered() == [0, 5001]
@@ -451,9 +474,9 @@ class TestOrderCache:
         assert head.read_bytes() == census._cache_path(fresh, "e7", 0).read_bytes()
         ps, _ = cache.table(E7, seg + 50)  # a full segment supersedes the tail
         assert calls[3:] == [(5001, seg), (seg, seg + 51)] and covered() == [0, seg]
-        assert ps.tolist() == census.good_primes(E7, seg + 50)
+        assert ps.tolist() == good_primes(E7, seg + 50)
         ps, _ = cache.table(E7, 4000)
-        assert len(calls) == 5 and ps.tolist() == census.good_primes(E7, 4000)
+        assert len(calls) == 5 and ps.tolist() == good_primes(E7, 4000)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             head.name, census._cache_path(tmp_path, "e7", seg).name
         ]

@@ -103,8 +103,9 @@ class TestAlphaCommand:
         title, *rows = block.strip().splitlines()
         assert title == "d=7 (e7): ell, E[val] theory, avg val observed"
         e7 = ecm.catalog_curve("e7")
-        fn = cmcount.order_fn_for(e7)
-        orders = [fn(p) for p in arith.prime_sieve(1000) if e7.curve.has_good_reduction(p)]
+        orders = [
+            cmcount.order(e7, p) for p in arith.prime_sieve(1000) if e7.curve.has_good_reduction(p)
+        ]
         want = []
         for ell in arith.prime_sieve(20):
             mean = sum(lfunc._val(n, ell) for n in orders) / len(orders)
@@ -167,9 +168,9 @@ class TestCensusCommand:
         assert code == cli.EXIT_OK
         s = census.CensusSeries.from_json((tmp_path / "s.json").read_text())
         e11 = ecm.catalog_curve("e11")
-        fn = census.OrderCache(cache).order_fn(e11, 3000)
+        table = census.OrderCache(cache).table(e11, 3000)
         assert [x for x, _ in s.rows] == cli._checkpoints(3000)
-        assert s.rows == [(x, census.psi_E(x, 64, e11, fn)) for x, _ in s.rows]
+        assert s.rows == [(x, census.psi_E(table, x, 64)) for x, _ in s.rows]
 
     def test_warm_race_only_loads(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -197,6 +198,13 @@ class TestCensusCommand:
             ["census", *command, "--budget", budget, "--cache-dir", str(tmp_path)], capsys
         )
         assert code == cli.EXIT_USAGE and "--budget" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        args = ["census", "--race", "e7-e11", "--budget", "3000", "--workers", workers,
+                "--cache-dir", str(tmp_path)]
+        code, _, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE and "workers" in err
 
     def test_implausible_cache_is_usage_error(self, tmp_path, capsys):
         args = ["census", "psi_e", "--curve", "e7", "--budget", "3000",
