@@ -102,23 +102,40 @@ def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
     return rem
 
 
-def psi_exact(x: int, y: int) -> int:
-    """Exact Psi(x, y) = #{n <= x : P+(n) < y}: per segment, the positions
-    that dividing out the primes < y reduces to 1."""
-    if x < 1:
-        raise UsageError(f"x={x} must be >= 1")
+def psi_counts(checkpoints: list[int], y: int) -> list[int]:
+    """Exact Psi(c, y) = #{n <= c : P+(n) < y} at each checkpoint c, from one
+    segmented pass over [1, max(checkpoints)]: per segment, the positions
+    that dividing out the primes < y reduces to 1, added to a running total
+    and read off at every checkpoint inside the segment."""
+    if not checkpoints:
+        return []
+    x = max(checkpoints)
+    if min(checkpoints) < 1:
+        raise UsageError(f"x={min(checkpoints)} must be >= 1")
     if y < 2:
         raise UsageError(f"y={y} must be >= 2")
     if x > PSI_BUDGET:
         raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
     if y > x:
-        return x
+        return list(checkpoints)
     primes = arith.primes_below(y)
+    todo = sorted(set(checkpoints))
+    counts: dict[int, int] = {}
+    total = 0
     seg = 1 << 20
-    return sum(
-        int(np.count_nonzero(_divide_out(lo, min(lo + seg, x + 1), primes) == 1))
-        for lo in range(1, x + 1, seg)
-    )
+    for lo in range(1, x + 1, seg):
+        friable = _divide_out(lo, min(lo + seg, x + 1), primes) == 1
+        while todo and todo[0] < lo + seg:
+            c = todo.pop(0)
+            counts[c] = total + int(np.count_nonzero(friable[: c + 1 - lo]))
+        total += int(np.count_nonzero(friable))
+        del friable  # one segment's mask at a time
+    return [counts[c] for c in checkpoints]
+
+
+def psi_exact(x: int, y: int) -> int:
+    """Exact Psi(x, y) = #{n <= x : P+(n) < y}."""
+    return psi_counts([x], y)[0]
 
 
 def order_table(E: CatalogCurve, lo: int, hi: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

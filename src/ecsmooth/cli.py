@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import arith, census, dickman, ecm, lfunc
@@ -129,9 +130,6 @@ def cmd_alpha(args) -> int:
     ds = sorted(CM_CURVE_BY_D) if args.all else [args.d]
     if not args.all and args.d not in CM_CURVE_BY_D:
         raise UsageError(f"unknown discriminant d={args.d}")
-    import warnings
-
-    flagged = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cols = _alpha_columns(ds, args.ell_bound, args.p_bound, args.per_ell)
@@ -207,7 +205,8 @@ def cmd_census(args) -> int:
         if budget > census.PSI_BUDGET:
             print(f"budget {budget} exceeds psi guard {census.PSI_BUDGET}")
             return EXIT_BUDGET
-        rows = [(x, census.psi_exact(x, args.y)) for x in _checkpoints(budget)]
+        cps = _checkpoints(budget)
+        rows = list(zip(cps, census.psi_counts(cps, args.y)))
         series = census.CensusSeries(census.SeriesKind.PSI, {"y": args.y}, rows)
         _write_series(series, args.out or f"psi_y{args.y}")
         return EXIT_OK

@@ -17,7 +17,7 @@ import random
 from . import arith, curve
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
-from .errors import BadReductionError, UsageError
+from .errors import AmbiguityError, BadReductionError, UsageError
 
 
 class SplittingType(enum.Enum):
@@ -101,9 +101,14 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
 def order(cat: CatalogCurve, p: int, seed: int = 0) -> int:
     """|E(F_p)| at a good prime p: the closed form for CM curves; for the
     others a naive count up to 2000 and BSGS above, seeded per prime
-    (seed xor p) so that results do not depend on scheduling."""
+    (seed xor p) so that results do not depend on scheduling.  An ambiguous
+    BSGS run is retried once with more samples and a fresh seed, again
+    derived from (seed, p) only; a second AmbiguityError propagates."""
     if cat.cm_field is not None:
         return cm_order(cat, p)
     if p <= 2000:
         return curve.naive_count(cat.curve, p)
-    return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))
+    try:
+        return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))
+    except AmbiguityError:
+        return curve.bsgs_order(cat.curve, p, samples=12, rng=random.Random(f"retry {seed} {p}"))

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from . import arith, census
 from .arith import ImagQuadField
@@ -23,6 +26,7 @@ DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
 EMPIRICAL_P_BOUND = 10**3
 _ELL_GUARD = 10**5
+_TABLE_CELLS = 1 << 22  # entries of the ell-by-n table in _mean_vals
 
 
 class TruncationWarning(UserWarning):
@@ -35,9 +39,26 @@ def l_one(K: ImagQuadField) -> float:
     return 2.0 * math.pi / (K.unit_count * math.sqrt(-K.disc))
 
 
+def _chi(K: ImagQuadField, n: np.ndarray) -> np.ndarray:
+    """chi(n) elementwise, from the field's table over one period."""
+    return np.array(K._chi_table, dtype=np.int64)[n % -K.disc]
+
+
 def l_one_series(K: ImagQuadField, terms: int = 10**6) -> float:
-    """Slow cross-check: truncated character sum sum_{n<=terms} chi(n)/n."""
-    return math.fsum(K.chi(n) / n for n in range(1, terms + 1))
+    """Cross-check: truncated character sum sum_{n<=terms} chi(n)/n."""
+    n = np.arange(1, terms + 1, dtype=np.int64)
+    return math.fsum(_chi(K, n) / n)
+
+
+@lru_cache(maxsize=4)
+def _primes_and_logs(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= limit as int64 and their logarithms; math.log, so that
+    every term is the same float as in a scalar loop."""
+    primes = arith.prime_sieve(limit)
+    arrays = np.array(primes, dtype=np.int64), np.fromiter(map(math.log, primes), float, len(primes))
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller of this cache
+    return arrays
 
 
 def _check_ell_bound(ell_bound: int) -> None:
@@ -54,15 +75,10 @@ def gamma_k(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
     """Truncated prime sum for L'(1,chi)/L(1,chi):
     -sum_l log l (chi(l)/(l-1) + |chi(l)|(1-chi(l))/(l^2-1))."""
     _check_ell_bound(ell_bound)
-    terms = []
-    for ell in arith.cached_primes(ell_bound):
-        c = K.chi(ell)
-        t = c / (ell - 1)
-        if c:
-            t += abs(c) * (1 - c) / (ell * ell - 1)
-        if t:
-            terms.append(math.log(ell) * t)
-    return -math.fsum(terms)
+    ell, lg = _primes_and_logs(ell_bound)
+    c = _chi(K, ell)
+    t = c / (ell - 1) + np.where(c == -1, 2.0 / (ell * ell - 1), 0.0)
+    return -math.fsum(lg * t)
 
 
 def sigma_k(
@@ -80,18 +96,14 @@ def sigma_k(
     sum_l (3/(l-1) - 4 E[val_l]) log l = gamma_K - Sigma_K holds term by term.
     """
     _check_ell_bound(ell_bound)
-    terms = []
-    for ell in arith.cached_primes(ell_bound):
-        c = K.chi(ell)
-        lg = math.log(ell)
-        t = (3 + c) / ((ell - 1) * (ell - 1)) if (all_primes or c == 1) else 0.0
-        if c == -1:
-            l2 = ell * ell - 1
-            t += (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
-        elif c == 0:
-            t += ell / ((ell - 1) * (ell - 1))
-        terms.append(lg * t)
-    return math.fsum(terms)
+    ell, lg = _primes_and_logs(ell_bound)
+    c = _chi(K, ell)
+    sq = (ell - 1) * (ell - 1)
+    t = np.where(all_primes | (c == 1), (3 + c) / sq, 0.0)
+    l2 = ell * ell - 1
+    inert = (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
+    t += np.select([c == -1, c == 0], [inert, ell / sq], 0.0)
+    return math.fsum(lg * t)
 
 
 def alpha_cm(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
@@ -114,16 +126,22 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
     return val4 / 4.0
 
 
-def _val(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
-def _mean_val(orders, ell: int) -> float:
-    return math.fsum(_val(n, ell) for n in orders) / len(orders)
+def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """The mean of val_ell(n) over the orders n, for each ell: the (ell, n)
+    pairs with ell | n, divided again while still divisible.  The ell-by-n
+    divisibility table is taken in blocks of at most _TABLE_CELLS entries."""
+    total = np.zeros(ells.size, dtype=np.int64)
+    step = max(1, _TABLE_CELLS // max(orders.size, 1))
+    for lo in range(0, ells.size, step):
+        block = ells[lo : lo + step]
+        li, ni = np.nonzero(orders % block[:, None] == 0)
+        n = orders[ni]
+        while li.size:
+            total[lo : lo + block.size] += np.bincount(li, minlength=block.size)
+            n //= block[li]
+            keep = n % block[li] == 0
+            li, n = li[keep], n[keep]
+    return total / orders.size
 
 
 def alpha_empirical(
@@ -141,20 +159,17 @@ def alpha_empirical(
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
     if orders is None:
-        # as Python ints, on which the valuation loops run several times faster
-        orders = census.order_table(E, 0, p_bound + 1)[1].tolist()
-    if not orders:
+        orders = census.order_table(E, 0, p_bound + 1)[1]
+    orders = np.asarray(orders, dtype=np.int64)
+    if not orders.size:
         raise DomainError(f"no good primes up to {p_bound}")
-    cm = E.cm_field is not None
-    terms = []
-    for ell in arith.cached_primes(ell_bound):
-        avg = _mean_val(orders, ell)
-        if cm:
-            t = 4.0 * avg - 3.0 / (ell - 1)
-        else:
-            t = avg - 1.0 / (ell - 1)
-        terms.append(t * math.log(ell))
-    return math.fsum(terms)
+    ell, lg = _primes_and_logs(ell_bound)
+    avg = _mean_vals(orders, ell)
+    if E.cm_field is not None:
+        t = 4.0 * avg - 3.0 / (ell - 1)
+    else:
+        t = avg - 1.0 / (ell - 1)
+    return math.fsum(t * lg)
 
 
 def w_noncm(d: int, m_guard: int = 1) -> float:
@@ -214,12 +229,11 @@ def alpha_report(
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
-    orders = census.order_table(E, 0, p_bound + 1)[1].tolist()
+    orders = census.order_table(E, 0, p_bound + 1)[1]
     at = alpha_empirical(E, empirical_ell_bound, p_bound, orders)
-    per_ell = [
-        (ell, expected_valuation_cm(K, ell), _mean_val(orders, ell))
-        for ell in arith.primes_below(per_ell_limit + 1)
-    ]
+    ells = arith.primes_below(per_ell_limit + 1)
+    means = _mean_vals(orders, np.array(ells, dtype=np.int64)).tolist()
+    per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(ells, means)]
     return AlphaReport(
         field_d=K.d,
         gamma_k=g,

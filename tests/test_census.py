@@ -106,6 +106,41 @@ class TestPsiExact:
             census.psi_exact(census.PSI_BUDGET + 1, 100)
 
 
+class TestPsiCounts:
+    SEG = 1 << 20  # psi_counts' segment length
+    CPS = [10, 999, 1000, 1001, 70_000, SEG, SEG + 1, SEG + 2]
+
+    @pytest.fixture(scope="class")
+    def lpf(self):
+        from test_acceptance import _largest_prime_factors
+
+        return _largest_prime_factors(self.SEG + 2)
+
+    def test_straddles_segment_edge(self, lpf):
+        # y = 1000 lies above the first two checkpoints only
+        for y in (2, 3, 1000):
+            friable = np.cumsum(lpf < y) - 1  # n = 0 is not counted
+            assert census.psi_counts(self.CPS, y) == friable[self.CPS].tolist(), y
+
+    def test_one_pass_equals_per_checkpoint(self):
+        cps = [self.SEG + 2, 16, self.SEG, 16]  # any order, repeats allowed
+        assert census.psi_counts(cps, 50) == [census.psi_exact(c, 50) for c in cps]
+
+    def test_y_above_every_checkpoint(self):
+        assert census.psi_counts([5, 100], 101) == [5, 100]
+        assert census.psi_counts([], 5) == []
+
+    def test_guards(self):
+        with pytest.raises(UsageError, match=r"x=0 must be >= 1"):
+            census.psi_counts([10, 0], 5)
+        with pytest.raises(UsageError, match=r"y=1 must be >= 2"):
+            census.psi_counts([10], 1)
+        with pytest.raises(CapacityError, match=r"psi_exact budget"):
+            census.psi_counts([10, census.PSI_BUDGET + 1], 100)
+        with pytest.raises(UsageError):
+            census.psi_exact(0, 5)
+
+
 class TestPsiE:
     def test_all_friable_bound(self):
         x = 500

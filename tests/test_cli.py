@@ -6,6 +6,15 @@ import pytest
 from ecsmooth import arith, census, cli, cmcount, ecm, lfunc
 
 
+def _val(n, ell):
+    """val_ell(n) by repeated division."""
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -108,7 +117,7 @@ class TestAlphaCommand:
         ]
         want = []
         for ell in arith.prime_sieve(20):
-            mean = sum(lfunc._val(n, ell) for n in orders) / len(orders)
+            mean = sum(_val(n, ell) for n in orders) / len(orders)
             theo = lfunc.expected_valuation_cm(e7.cm_field, ell)
             want.append(f"  {ell:>5}  {theo:.5f}  {mean:.5f}")
         assert rows == want

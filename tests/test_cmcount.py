@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ecsmooth import arith, cmcount, curve, ecm
+from ecsmooth import arith, census, cmcount, curve, ecm
 from ecsmooth.cmcount import SplittingType
-from ecsmooth.errors import BadReductionError, UsageError
+from ecsmooth.errors import AmbiguityError, BadReductionError, UsageError
 
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
@@ -125,3 +125,46 @@ class TestOrderFn:
         e37 = ecm.catalog_curve("e37")
         for p in (101, 2003):
             assert cmcount.order(e37, p) == curve.naive_count(e37.curve, p)
+
+
+REAL_BSGS = curve.bsgs_order
+
+
+class TestBsgsRetry:
+    E37 = ecm.catalog_curve("e37")
+
+    def spy(self, monkeypatch, failures):
+        """Replace bsgs_order by one that raises AmbiguityError on its first
+        `failures` calls and then runs the real one; returns the call log."""
+        real, calls = REAL_BSGS, []
+
+        def bsgs(E, p, samples, rng=None):
+            calls.append((p, samples, rng.getstate()))
+            if len(calls) <= failures:
+                raise AmbiguityError(f"group order ambiguous at p={p} after retry")
+            return real(E, p, samples, rng)
+
+        monkeypatch.setattr(curve, "bsgs_order", bsgs)
+        return calls
+
+    def test_one_failure_is_retried(self, monkeypatch):
+        calls = self.spy(monkeypatch, failures=1)
+        assert cmcount.order(self.E37, 2003, seed=5) == curve.naive_count(self.E37.curve, 2003)
+        assert [(p, samples) for p, samples, _ in calls] == [(2003, 3), (2003, 12)]
+        assert calls[1][2] != calls[0][2]  # the retry draws from a fresh stream
+
+    def test_retry_seed_is_deterministic(self, monkeypatch):
+        draws = []
+        for _ in range(2):
+            calls = self.spy(monkeypatch, failures=1)
+            cmcount.order(self.E37, 10007, seed=2)
+            draws.append(calls[1][2])
+        calls = self.spy(monkeypatch, failures=1)
+        cmcount.order(self.E37, 10007, seed=3)
+        assert draws[0] == draws[1] != calls[1][2]  # a function of (seed, p)
+
+    def test_second_failure_propagates_with_prefix(self, monkeypatch):
+        calls = self.spy(monkeypatch, failures=2)
+        with pytest.raises(AmbiguityError, match=r"^e37 segment \[2000, 2100\), p = 2003: "):
+            census.order_table(self.E37, 2000, 2100)
+        assert [samples for _, samples, _ in calls] == [3, 12]

@@ -1,10 +1,49 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsmooth import arith, curve, ecm, lfunc
 from ecsmooth.errors import DomainError, UsageError
+
+
+def val(n, ell):
+    """val_ell(n) by repeated division."""
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
+def gamma_k_loop(K, ell_bound):
+    """The scalar reference for lfunc.gamma_k: one Python term per prime."""
+    terms = []
+    for ell in arith.cached_primes(ell_bound):
+        c = K.chi(ell)
+        t = c / (ell - 1)
+        if c:
+            t += abs(c) * (1 - c) / (ell * ell - 1)
+        terms.append(math.log(ell) * t)
+    return -math.fsum(terms)
+
+
+def sigma_k_loop(K, ell_bound, all_primes):
+    """The scalar reference for lfunc.sigma_k."""
+    terms = []
+    for ell in arith.cached_primes(ell_bound):
+        c = K.chi(ell)
+        t = (3 + c) / ((ell - 1) * (ell - 1)) if (all_primes or c == 1) else 0.0
+        if c == -1:
+            l2 = ell * ell - 1
+            t += (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
+        elif c == 0:
+            t += ell / ((ell - 1) * (ell - 1))
+        terms.append(math.log(ell) * t)
+    return math.fsum(terms)
 
 
 class TestLOne:
@@ -45,6 +84,17 @@ class TestGammaSigma:
             warnings.simplefilter("error")
             lfunc.gamma_k(arith.field_for(7), ell_bound=10**5)
 
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_against_scalar_loops(self, d):
+        # every term is formed by the same IEEE operations, and math.fsum is
+        # exactly rounded whatever the order, so the sums are equal
+        K = arith.field_for(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", lfunc.TruncationWarning)
+            assert lfunc.gamma_k(K, 10**4) == gamma_k_loop(K, 10**4)
+            for all_primes in (False, True):
+                assert lfunc.sigma_k(K, 10**4, all_primes) == sigma_k_loop(K, 10**4, all_primes)
+
 
 class TestRearrangementIdentity:
     def test_exact_identity(self):
@@ -75,12 +125,12 @@ class TestExpectedValuation:
             if cat.curve.has_good_reduction(p)
         ]
         for ell in (3, 5, 11, 13):
-            avg = math.fsum(lfunc._val(n, ell) for n in orders) / len(orders)
+            avg = math.fsum(val(n, ell) for n in orders) / len(orders)
             assert avg == pytest.approx(lfunc.expected_valuation_cm(K, ell), abs=0.06)
         # the fixed curve beats the field average at l = 2 (global 2-torsion
         # forces even orders) and at the ramified l = 7; soft lower bounds only
         for ell in (2, 7):
-            avg = math.fsum(lfunc._val(n, ell) for n in orders) / len(orders)
+            avg = math.fsum(val(n, ell) for n in orders) / len(orders)
             assert avg >= lfunc.expected_valuation_cm(K, ell)
 
     def test_composite_rejected(self):
@@ -103,6 +153,26 @@ class TestAlphaEmpirical:
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
             lfunc.alpha_empirical(ecm.catalog_curve("e7"), ell_bound=1)
+
+
+class TestMeanVals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 997]), min_size=1, max_size=7),
+    )
+    def test_against_repeated_division(self, orders, ells):
+        got = lfunc._mean_vals(np.array(orders, np.int64), np.array(ells, np.int64))
+        want = [math.fsum(val(n, ell) for n in orders) / len(orders) for ell in ells]
+        assert got.tolist() == want
+
+    def test_blocks(self, monkeypatch):
+        # a table of more than _TABLE_CELLS entries is split into ell blocks
+        orders = np.arange(1, 300, dtype=np.int64)
+        ells = np.array(arith.prime_sieve(50), np.int64)
+        whole = lfunc._mean_vals(orders, ells)
+        monkeypatch.setattr(lfunc, "_TABLE_CELLS", 2 * orders.size)
+        assert lfunc._mean_vals(orders, ells).tolist() == whole.tolist()
 
 
 class TestWNonCm:
