@@ -1,6 +1,6 @@
 """Integer kernel: modular inversion with divisor surfacing, Kronecker symbol,
-primality, prime sieves, and Cornacchia-style norm representation in the nine
-class-number-1 imaginary quadratic fields.
+primality, prime sieves, and Cornacchia's solution of t^2 + |D| b^2 = 4p in
+the nine class-number-1 imaginary quadratic fields.
 
 Python ints are the arbitrary-precision substrate throughout; residues are
 plain ints paired with an explicit modulus argument.
@@ -137,12 +137,6 @@ def prime_sieve(limit: int, start: int = 2) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=8)
-def cached_primes(limit: int) -> tuple[int, ...]:
-    """Shared immutable prime table (used by the L-function and census loops)."""
-    return tuple(prime_sieve(limit))
-
-
 def primes_below(y: int) -> list[int]:
     """Primes strictly below y (the strict-friability convention)."""
     return prime_sieve(y - 1) if y > 2 else []
@@ -179,12 +173,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 @dataclass(frozen=True)
 class ImagQuadField:
-    """One of the nine imaginary quadratic fields of class number 1.
-
-    Elements of the ring of integers are written a + b*omega with
-    omega = sqrt(-d) when the discriminant is even and (1 + sqrt(-d))/2
-    when it is odd.
-    """
+    """One of the nine imaginary quadratic fields Q(sqrt(-d)) of class
+    number 1."""
 
     d: int
 
@@ -211,105 +201,40 @@ class ImagQuadField:
         table = self._chi_table
         return table[n % len(table)]
 
-    def norm(self, a: int, b: int) -> int:
-        if self.disc % 4 == 0:
-            return a * a + self.d * b * b
-        return a * a + a * b + ((1 + self.d) // 4) * b * b
-
-    def units(self) -> list["QuadInt"]:
-        one = QuadInt(self, 1, 0)
-        us = [one, -one]
-        if self.d == 1:
-            w = QuadInt(self, 0, 1)  # i
-            us += [w, -w]
-        elif self.d == 3:
-            w = QuadInt(self, 0, 1)  # primitive 6th root of unity
-            w2 = w * w
-            us += [w, -w, w2, -w2]
-        return us
-
 
 @lru_cache(maxsize=None)
 def field_for(d: int) -> ImagQuadField:
     return ImagQuadField(d)
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """Element a + b*omega of the ring of integers of an ImagQuadField."""
-
-    field: ImagQuadField
-    a: int
-    b: int
-
-    @property
-    def norm(self) -> int:
-        return self.field.norm(self.a, self.b)
-
-    @property
-    def trace(self) -> int:
-        # Tr(a + b*omega): omega has trace 0 (even disc) or 1 (odd disc)
-        return 2 * self.a if self.field.disc % 4 == 0 else 2 * self.a + self.b
-
-    def conjugate(self) -> "QuadInt":
-        if self.field.disc % 4 == 0:
-            return QuadInt(self.field, self.a, -self.b)
-        return QuadInt(self.field, self.a + self.b, -self.b)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(self.field, -self.a, -self.b)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        return QuadInt(self.field, self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        a, b, c, e = self.a, self.b, other.a, other.b
-        if self.field.disc % 4 == 0:
-            # omega^2 = -d
-            return QuadInt(self.field, a * c - self.field.d * b * e, a * e + b * c)
-        # omega^2 = omega - (1+d)/4
-        m = (1 + self.field.d) // 4
-        return QuadInt(self.field, a * c - m * b * e, a * e + b * c + b * e)
-
-
-def cornacchia(p: int, K: ImagQuadField) -> QuadInt | None:
-    """Element of norm p in O_K for a split prime p; None for an inert prime.
-
-    Output is the canonical associate: smallest nonnegative b, ties broken by
-    smallest a.  Raises RamifiedPrimeError when p divides disc(K).
-    """
-    D = K.disc
-    if (-D) % p == 0:
+def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int] | None:
+    """(t, b) with t, b >= 0 and t^2 + |disc K| b^2 = 4p for a split prime p:
+    t is the trace of an element of norm p.  None for an inert prime; raises
+    RamifiedPrimeError when p divides disc(K)."""
+    absD = -K.disc
+    if absD % p == 0:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{K.d}))")
-    sym = K.chi(p)
-    if sym == -1:
+    if K.chi(p) == -1:
         return None
-    if p <= 3:
-        sol = _tiny_norm_search(p, K)
+    if p > 3:
+        sol = _cornacchia_4p(p, absD)
+        if sol is not None:
+            return sol
     else:
-        sol = _cornacchia_4p(p, K)
-    if sol is None:
-        raise ArithmeticError(f"cornacchia failed for split p={p}, d={K.d}")
-    return _canonical_associate(sol)
+        # sqrt_mod needs an odd prime; for p <= 3 try every b instead
+        for b in range(math.isqrt(4 * p // absD) + 1):
+            t = math.isqrt(4 * p - absD * b * b)
+            if t * t + absD * b * b == 4 * p:
+                return t, b
+    raise ArithmeticError(f"cornacchia failed for split p={p}, d={K.d}")
 
 
-def _tiny_norm_search(p: int, K: ImagQuadField) -> QuadInt | None:
-    bound = math.isqrt(4 * p // K.d) + 2
-    for b in range(-bound, bound + 1):
-        for a in range(-4 * p, 4 * p + 1):
-            if K.norm(a, b) == p:
-                return QuadInt(K, a, b)
-    return None
-
-
-def _cornacchia_4p(p: int, K: ImagQuadField) -> QuadInt | None:
-    """Solve x^2 + |D| y^2 = 4p, then convert to the omega basis."""
-    D = K.disc
-    absD = -D
-    t = sqrt_mod(D % p, p)
+def _cornacchia_4p(p: int, absD: int) -> tuple[int, int] | None:
+    """Solve x^2 + |D| y^2 = 4p with x, y >= 0 (Cornacchia on 4p)."""
+    t = sqrt_mod(-absD % p, p)
     if t is None:
         return None
-    if (t - D) % 2 != 0:
+    if (t + absD) % 2 != 0:
         t = p - t
     # now t^2 = D (mod 4p); partial Euclid on (2p, t)
     a0, b0 = 2 * p, t % (2 * p)
@@ -323,19 +248,4 @@ def _cornacchia_4p(p: int, K: ImagQuadField) -> QuadInt | None:
     y = math.isqrt(y2)
     if y * y != y2:
         return None
-    if D % 4 == 0:
-        # x is even: p = (x/2)^2 + d y^2
-        return QuadInt(K, x // 2, y)
-    # pi = (x + y sqrt(-d))/2 = (x - y)/2 + y*omega
-    return QuadInt(K, (x - y) // 2, y)
-
-
-def _canonical_associate(z: QuadInt) -> QuadInt:
-    cands = []
-    for w in (z, z.conjugate()):
-        for u in z.field.units():
-            v = w * u
-            if v.b >= 0:
-                cands.append(v)
-    cands.sort(key=lambda v: (v.b, v.a))
-    return cands[0]
+    return x, y

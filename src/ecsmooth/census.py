@@ -393,6 +393,10 @@ class OrderCache:
     def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned int64 arrays of the good primes p <= x and their orders,
         computing and persisting any segment no file covers."""
+        if x > arith.SIEVE_LIMIT:
+            # up front: prime_sieve would refuse only the last segment, after
+            # every segment below it had been computed
+            raise CapacityError(f"order table to x={x} exceeds the sieve limit {arith.SIEVE_LIMIT}")
         los = range(0, x + 1, CACHE_SEGMENT)
         parts: dict[int, np.ndarray] = {}
         todo = []

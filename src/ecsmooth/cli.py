@@ -171,10 +171,15 @@ def cmd_census(args) -> int:
     cache = census.OrderCache(_cache_dir(args), seed=args.seed, workers=args.workers)
     budget = args.budget
     if args.rho:
+        if not args.rho_step > 0:
+            raise UsageError(f"--rho-step must be > 0, got {args.rho_step}")
+        if not 0 <= args.max_u <= dickman.DEFAULT_MAX_U:
+            raise UsageError(f"--max-u must be in [0, {dickman.DEFAULT_MAX_U}], got {args.max_u}")
         rows = []
         u = 0.0
         while u <= args.max_u + 1e-12:
-            rows.append((round(u * 1000), dickman.rho(u)))
+            # the last u may pass max_u by rounding; the table ends at DEFAULT_MAX_U
+            rows.append((round(u * 1000), dickman.rho(min(u, dickman.DEFAULT_MAX_U))))
             u += args.rho_step
         series = census.CensusSeries(
             census.SeriesKind.RHO,

@@ -1,16 +1,15 @@
 """|E(F_p)| for the CM catalog curves in closed form.
 
-An inert prime gives p + 1.  At a split prime the Frobenius pi has norm p,
-so |E(F_p)| = p + 1 - t with t = Tr(pi) a root of 4p - t^2 = |disc K| b^2.
-The candidates are the norms ||pi' - mu|| for pi' in {pi, conj(pi)} and mu a
-unit of O_K; which of them is the curve's own is fixed by a congruence on t
-that depends only on the curve (Rubin & Silverberg, "Choosing the correct
+An inert prime gives p + 1.  At a split prime p, Cornacchia gives t, b >= 0
+with t^2 + |disc K| b^2 = 4p, and |E(F_p)| = p + 1 - t' where t' is the trace
+of a unit multiple of the Frobenius: +-t, also +-2b in Q(i) and +-(t -+ 3b)/2
+in Q(sqrt(-3)).  Which of them is the curve's own is fixed by a congruence on
+t' that depends only on the curve (Rubin & Silverberg, "Choosing the correct
 elliptic curve in the CM method", Math. Comp. 79 (2010)).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 
@@ -20,29 +19,18 @@ from .ecm import CatalogCurve
 from .errors import AmbiguityError, BadReductionError, UsageError
 
 
-class SplittingType(enum.Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-def splitting_type(p: int, K: ImagQuadField) -> SplittingType:
-    if (-K.disc) % p == 0:
-        return SplittingType.RAMIFIED
-    return SplittingType.SPLIT if K.chi(p) == 1 else SplittingType.INERT
-
-
 def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
-    """All norms ||pi' - mu|| for pi' in {pi, conj(pi)} and mu a unit, where
-    pi has norm p.  Contains |E(F_p)| for every curve with CM by O_K."""
-    if splitting_type(p, K) != SplittingType.SPLIT:
+    """p + 1 -+ t' over the traces t' of the unit orbit of an element of norm
+    p.  Contains |E(F_p)| for every curve with CM by O_K."""
+    if K.chi(p) != 1:
         raise UsageError(f"p={p} is not split in Q(sqrt(-{K.d}))")
-    pi = arith.cornacchia(p, K)
-    cands = set()
-    for w in (pi, pi.conjugate()):
-        for mu in K.units():
-            n = (w - mu).norm
-            cands.add(n)
+    t, b = arith.cornacchia(p, K)
+    traces = [t]
+    if K.d == 1:
+        traces.append(2 * b)
+    elif K.d == 3:
+        traces += [(t - 3 * b) // 2, (t + 3 * b) // 2]
+    cands = {p + 1 + s * u for u in traces for s in (1, -1)}
     lo, hi = curve.hasse_interval(p)
     if not all(lo <= n <= hi for n in cands):
         raise ArithmeticError(f"candidate order outside the Hasse interval at p={p}")
@@ -80,11 +68,11 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
         raise UsageError(f"{cat.name} is not a CM curve")
     if not cat.curve.has_good_reduction(p):
         raise BadReductionError(f"{cat.name} has bad reduction at {p}")
-    st = splitting_type(p, K)
-    if st == SplittingType.RAMIFIED:
+    chi = K.chi(p)
+    if chi == 0:
         # for these catalog curves ramified primes are exactly the bad ones
         raise BadReductionError(f"p={p} ramifies in the CM field of {cat.name}")
-    if st == SplittingType.INERT:
+    if chi == -1:
         return p + 1
     picked = []
     for n in candidate_orders(p, K):

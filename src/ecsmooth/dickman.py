@@ -78,7 +78,8 @@ class RhoTable:
         k = int(pos)
         unit_lo = (k // n) * n
         unit_hi = unit_lo + n
-        i0 = min(max(k - 1, unit_lo), unit_hi - 3)
+        # at u = max_u the stencil ends at the last node instead
+        i0 = min(max(k - 1, unit_lo), unit_hi - 3, v.size - 4)
         i0 = max(i0, 0)
         xs = np.arange(i0, i0 + 4)
         ys = v[i0 : i0 + 4]

@@ -158,7 +158,7 @@ def test_criterion_3_claim1_sweep(capsys):
     cases = failures = 0
     for C in (20, 50):
         tester = census.FriabilityTester(C + 1)  # C-friable: all factors <= C
-        for p in arith.cached_primes(3000):
+        for p in arith.prime_sieve(3000):
             if not cat.curve.has_good_reduction(p):
                 continue
             if not tester(curve.naive_count(cat.curve, p)):
@@ -181,7 +181,7 @@ def test_criterion_4_cm_order_oracle(capsys):
     for cat in ecm.curve_catalog():
         if cat.cm_field is None:
             continue
-        for p in arith.cached_primes(2000):
+        for p in arith.prime_sieve(2000):
             if not cat.curve.has_good_reduction(p):
                 continue
             checked += 1

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecsmooth import arith, census, cli, cmcount, ecm, lfunc
+from ecsmooth import arith, census, cli, cmcount, dickman, ecm, lfunc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _val(n, ell):
@@ -136,6 +142,36 @@ class TestCensusCommand:
         row = dict((r[0], r[1]) for r in obj["rows"])
         assert row[2000] == pytest.approx(0.30685281944, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "option", [["--rho-step", "-0.5"], ["--max-u", "60"], ["--max-u", "-1"]],
+        ids=["negative-step", "max-u-above-table", "negative-max-u"],
+    )
+    def test_rho_bad_input(self, tmp_path, capsys, option):
+        args = ["census", "--rho", *option,
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "r")]
+        code, _, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE and option[0] in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_rho_step_zero_exits(self, tmp_path):
+        # in a child process, so that a step that never advances fails here instead of hanging
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecsmooth.cli", "census", "--rho", "--rho-step", "0",
+             "--cache-dir", str(tmp_path), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == cli.EXIT_USAGE and "--rho-step" in proc.stderr
+
+    def test_rho_dump_to_table_end(self, tmp_path, capsys):
+        # 500 steps of 0.1 overshoot 50 by rounding; the last row is rho(50)
+        args = ["census", "--rho", "--max-u", "50", "--rho-step", "0.1",
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "r")]
+        assert run(args, capsys)[0] == cli.EXIT_OK
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert rows[-1] == [50000, dickman.rho(50.0)]
+
     def test_psi_series(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, _ = run(
@@ -207,6 +243,22 @@ class TestCensusCommand:
             ["census", *command, "--budget", budget, "--cache-dir", str(tmp_path)], capsys
         )
         assert code == cli.EXIT_USAGE and "--budget" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["--race", "e7-e11"], ["psi_e", "--curve", "e7"], ["gamma_tilde", "--curve", "e11"]],
+        ids=["race", "psi_e", "gamma_tilde"],
+    )
+    def test_budget_above_sieve_limit(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError(f"segment {args} computed past the sieve limit")
+
+        monkeypatch.setattr(census, "_compute_segment", refuse)
+        budget = str(arith.SIEVE_LIMIT + 1)
+        args = ["census", *command, "--budget", budget, "--cache-dir", str(tmp_path)]
+        code, _, _ = run(args, capsys)
+        assert code == cli.EXIT_BUDGET
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, capsys, workers):

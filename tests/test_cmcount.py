@@ -1,9 +1,9 @@
+import math
 import random
 
 import pytest
 
 from ecsmooth import arith, census, cmcount, curve, ecm
-from ecsmooth.cmcount import SplittingType
 from ecsmooth.errors import AmbiguityError, BadReductionError, UsageError
 
 E7 = ecm.catalog_curve("e7")
@@ -15,13 +15,13 @@ CM_CURVES = [cat for cat in ecm.curve_catalog() if cat.cm_field is not None]
 class TestSplittingType:
     def test_examples_d7(self):
         K = arith.field_for(7)
-        assert cmcount.splitting_type(3, K) == SplittingType.INERT
-        assert cmcount.splitting_type(7, K) == SplittingType.RAMIFIED
-        assert cmcount.splitting_type(29, K) == SplittingType.SPLIT
+        assert K.chi(3) == -1  # inert
+        assert K.chi(7) == 0  # ramified
+        assert K.chi(29) == 1  # split
 
     def test_inert_density(self):
         # Chebotarev at desk scale: inert primes have density 1/2
-        primes = arith.cached_primes(10**5)
+        primes = arith.prime_sieve(10**5)
         for d in arith.CLASS_NUMBER_ONE_DS:
             K = arith.field_for(d)
             inert = sum(1 for p in primes if K.chi(p) == -1)
@@ -41,7 +41,7 @@ class TestCandidateOrders:
     def test_hasse_membership_and_twist_sum(self):
         for d in (7, 11, 19):
             K = arith.field_for(d)
-            for p in arith.cached_primes(10**4):
+            for p in arith.prime_sieve(10**4):
                 if p < 5 or K.chi(p) != 1:
                     continue
                 cands = cmcount.candidate_orders(p, K)
@@ -57,22 +57,42 @@ class TestCandidateOrders:
         # somewhere the richer unit groups actually produce > 2 candidates
         assert any(
             len(cmcount.candidate_orders(p, K3)) > 2
-            for p in arith.cached_primes(200)
+            for p in arith.prime_sieve(200)
             if K3.chi(p) == 1
         )
+
+
+def _brute_candidates(p, K):
+    """{p + 1 - t : t^2 + |D| b^2 = 4p, b >= 0}, t of either sign, found by
+    trying every b."""
+    absD, cands = -K.disc, set()
+    for b in range(math.isqrt(4 * p // absD) + 1):
+        t = math.isqrt(4 * p - absD * b * b)
+        if t * t + absD * b * b == 4 * p:
+            cands |= {p + 1 - t, p + 1 + t}
+    return cands
+
+
+class TestCandidateOracle:
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_matches_lattice_enumeration(self, d):
+        K = arith.field_for(d)
+        for p in arith.prime_sieve(2 * 10**4):
+            if K.chi(p) == 1:
+                assert cmcount.candidate_orders(p, K) == _brute_candidates(p, K), p
 
 
 class TestCmOrder:
     def test_inert_gives_p_plus_one(self):
         K = E7.cm_field
-        for p in arith.cached_primes(500):
+        for p in arith.prime_sieve(500):
             if p >= 5 and K.chi(p) == -1:
                 assert cmcount.cm_order(E7, p) == p + 1
 
     def test_oracle_sweep_sampled(self):
         rng = random.Random(17)
         for cat in (E7, E11, E8000):
-            for p in arith.cached_primes(2000):
+            for p in arith.prime_sieve(2000):
                 if p < 5 or not cat.curve.has_good_reduction(p):
                     continue
                 if rng.random() < 0.8:
@@ -109,7 +129,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
     def test_one_candidate_passes_every_good_prime(self, cat):
         # cm_order raises ArithmeticError unless exactly one candidate passes
-        for p in arith.cached_primes(2 * 10**4):
+        for p in arith.prime_sieve(2 * 10**4):
             if cat.curve.has_good_reduction(p):
                 cmcount.cm_order(cat, p)
 

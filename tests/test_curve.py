@@ -125,7 +125,7 @@ class TestGroupLaw:
 
 class TestNaiveCount:
     def test_hasse_membership(self):
-        for p in arith.cached_primes(200):
+        for p in arith.prime_sieve(200):
             if E8000.has_good_reduction(p):
                 n = curve.naive_count(E8000, p)
                 lo, hi = curve.hasse_interval(p)
@@ -160,7 +160,7 @@ class TestHasseInterval:
 class TestBsgsOrder:
     def test_agrees_with_naive(self):
         rng = random.Random(3)
-        for p in arith.cached_primes(2000):
+        for p in arith.prime_sieve(2000):
             if p < 5 or not E7.has_good_reduction(p):
                 continue
             if rng.random() < 0.85:
@@ -194,7 +194,7 @@ class TestBsgsOrder:
 
 class TestShortModel:
     @settings(max_examples=40)
-    @given(st.sampled_from([p for p in arith.cached_primes(500) if p > 3]))
+    @given(st.sampled_from([p for p in arith.prime_sieve(500) if p > 3]))
     def test_point_counts_match(self, p):
         if not E7.has_good_reduction(p):
             return

@@ -60,6 +60,12 @@ class TestRho:
         v, flag = dickman.rho_clipped(2.0)
         assert not flag and v == pytest.approx(1 - math.log(2), abs=1e-9)
 
+    def test_last_node(self):
+        # u = max_u interpolates on the last four nodes instead of running off the grid
+        last = dickman.default_table().values[-1]
+        assert dickman.rho(dickman.DEFAULT_MAX_U) == last
+        assert dickman.rho_clipped(50.0) == (last, False)
+
 
 class TestDeBruijn:
     def test_ratio_band(self):

@@ -12,7 +12,7 @@ CORPUS = Path(__file__).with_name("data") / "ecm_corpus.json"
 
 
 def naive_friable(n, C):
-    for p in arith.cached_primes(C):
+    for p in arith.prime_sieve(C):
         while n % p == 0:
             n //= p
     return n == 1
@@ -123,7 +123,7 @@ class TestEcmOneCurve:
     def test_shared_disc_factor(self):
         cat = ecm.catalog_curve("e8000")
         d = abs(cat.curve.disc)
-        p = next(p for p in arith.cached_primes(100) if d % p == 0)
+        p = next(p for p in arith.prime_sieve(100) if d % p == 0)
         out = ecm.ecm_one_curve(p * 101, cat, 1.5, 1.2)
         assert out.ok and out.factor % p == 0
 

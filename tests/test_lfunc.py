@@ -22,7 +22,7 @@ def val(n, ell):
 def gamma_k_loop(K, ell_bound):
     """The scalar reference for lfunc.gamma_k: one Python term per prime."""
     terms = []
-    for ell in arith.cached_primes(ell_bound):
+    for ell in arith.prime_sieve(ell_bound):
         c = K.chi(ell)
         t = c / (ell - 1)
         if c:
@@ -34,7 +34,7 @@ def gamma_k_loop(K, ell_bound):
 def sigma_k_loop(K, ell_bound, all_primes):
     """The scalar reference for lfunc.sigma_k."""
     terms = []
-    for ell in arith.cached_primes(ell_bound):
+    for ell in arith.prime_sieve(ell_bound):
         c = K.chi(ell)
         t = (3 + c) / ((ell - 1) * (ell - 1)) if (all_primes or c == 1) else 0.0
         if c == -1:
@@ -106,7 +106,7 @@ class TestRearrangementIdentity:
             lhs = math.fsum(
                 (3.0 / (ell - 1) - 4.0 * lfunc.expected_valuation_cm(K, ell))
                 * math.log(ell)
-                for ell in arith.cached_primes(L)
+                for ell in arith.prime_sieve(L)
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", lfunc.TruncationWarning)
@@ -121,7 +121,7 @@ class TestExpectedValuation:
         K = cat.cm_field
         orders = [
             curve.naive_count(cat.curve, p)
-            for p in arith.cached_primes(2000)
+            for p in arith.prime_sieve(2000)
             if cat.curve.has_good_reduction(p)
         ]
         for ell in (3, 5, 11, 13):
