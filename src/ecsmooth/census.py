@@ -167,8 +167,10 @@ def sweep(primes: np.ndarray, orders: np.ndarray, checkpoints: list[int], hit) -
 
 
 def psi_E(table, x: int, y: int) -> int:
-    """#{p <= x good : P+(|E(F_p)|) < y}."""
-    return sweep(*table, [x], FriabilityTester(y))[0]
+    """#{p <= x good : P+(|E(F_p)|) < y}, testing only the orders of the p <= x."""
+    primes, orders = table
+    n = int(np.searchsorted(primes, x, side="right"))
+    return sweep(primes[:n], orders[:n], [x], FriabilityTester(y))[0]
 
 
 def psi_E_z(table, x: int, y: int, z: int) -> int:
@@ -201,6 +203,7 @@ class SeriesKind(enum.Enum):
     PSI_E = "psi_e"
     RACE = "race"
     RHO = "rho"
+    GAMMA_TILDE = "gamma_tilde"
 
 
 @dataclass

@@ -28,6 +28,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+RHO_X_SCALE = 1000  # census --rho writes rho(u) at x = round(RHO_X_SCALE * u)
+
 CM_CURVE_BY_D = {
     1: "e1", 2: "e8000", 3: "e3", 7: "e7", 11: "e11",
     19: "e19", 43: "e43", 67: "e67", 163: "e163",
@@ -99,6 +101,8 @@ def cmd_ecm(args) -> int:
 def cmd_split(args) -> int:
     if not arith.is_prime(args.q):
         raise UsageError(f"q={args.q} is not prime")
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
     u = v = ecm.auto_uv(args.q) if args.auto else None
     if not args.auto:
         if args.u is None or args.v is None:
@@ -130,6 +134,10 @@ def cmd_alpha(args) -> int:
     ds = sorted(CM_CURVE_BY_D) if args.all else [args.d]
     if not args.all and args.d not in CM_CURVE_BY_D:
         raise UsageError(f"unknown discriminant d={args.d}")
+    for flag, value, least in (("--ell-bound", args.ell_bound, 2), ("--p-bound", args.p_bound, 2),
+                               ("--per-ell", args.per_ell, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cols = _alpha_columns(ds, args.ell_bound, args.p_bound, args.per_ell)
@@ -171,19 +179,20 @@ def cmd_census(args) -> int:
     cache = census.OrderCache(_cache_dir(args), seed=args.seed, workers=args.workers)
     budget = args.budget
     if args.rho:
-        if not args.rho_step > 0:
-            raise UsageError(f"--rho-step must be > 0, got {args.rho_step}")
+        # rows are keyed by x = round(RHO_X_SCALE * u), so a finer step would repeat an x
+        if not args.rho_step >= 1 / RHO_X_SCALE:
+            raise UsageError(f"--rho-step must be >= {1 / RHO_X_SCALE}, got {args.rho_step}")
         if not 0 <= args.max_u <= dickman.DEFAULT_MAX_U:
             raise UsageError(f"--max-u must be in [0, {dickman.DEFAULT_MAX_U}], got {args.max_u}")
         rows = []
         u = 0.0
         while u <= args.max_u + 1e-12:
             # the last u may pass max_u by rounding; the table ends at DEFAULT_MAX_U
-            rows.append((round(u * 1000), dickman.rho(min(u, dickman.DEFAULT_MAX_U))))
+            rows.append((round(u * RHO_X_SCALE), dickman.rho(min(u, dickman.DEFAULT_MAX_U))))
             u += args.rho_step
         series = census.CensusSeries(
             census.SeriesKind.RHO,
-            {"max_u": args.max_u, "step": args.rho_step, "x_scale": 1000},
+            {"max_u": args.max_u, "step": args.rho_step, "x_scale": RHO_X_SCALE},
             rows,
         )
         _write_series(series, args.out or "rho")
@@ -194,11 +203,8 @@ def cmd_census(args) -> int:
             e1, e2 = ecm.catalog_curve(n1), ecm.catalog_curve(n2)
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
-        try:
-            t1 = _cache_table(cache, e1, budget)
-            t2 = _cache_table(cache, e2, budget)
-        except CapacityError:
-            return EXIT_BUDGET
+        t1 = _cache_table(cache, e1, budget)
+        t2 = _cache_table(cache, e2, budget)
         series = census.race(e1, e2, args.y, _checkpoints(budget), t1, t2)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
@@ -207,9 +213,6 @@ def cmd_census(args) -> int:
             return EXIT_NEGATIVE
         return EXIT_OK
     if args.kind == "psi":
-        if budget > census.PSI_BUDGET:
-            print(f"budget {budget} exceeds psi guard {census.PSI_BUDGET}")
-            return EXIT_BUDGET
         cps = _checkpoints(budget)
         rows = list(zip(cps, census.psi_counts(cps, args.y)))
         series = census.CensusSeries(census.SeriesKind.PSI, {"y": args.y}, rows)
@@ -229,14 +232,26 @@ def cmd_census(args) -> int:
     if args.kind == "gamma_tilde":
         if args.d is not None:
             K = arith.field_for(args.d)
-            val = census.gamma_tilde_field(K, budget, args.y)
-            label = f"d={args.d}"
+            gamma = lambda x, y: census.gamma_tilde_field(K, x, y)
+            label, params = f"d={args.d}", {"d": args.d}
         else:
             cat = ecm.catalog_curve(args.curve)
-            val = census.gamma_tilde_curve(_cache_table(cache, cat, budget), budget, args.y)
-            label = f"curve={args.curve}"
+            table = _cache_table(cache, cat, budget)
+            gamma = lambda x, y: census.gamma_tilde_curve(table, x, y)
+            label, params = f"curve={args.curve}", {"curve": cat.name}
+        val = gamma(budget, args.y)
         u = math.log(budget) / math.log(args.y)
         print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {val:.6f}")
+        if args.out:
+            # convergence at fixed u: y_x = x^(1/u) at every checkpoint below the budget
+            rows = [(x, gamma(x, max(2, round(x ** (1 / u))))) for x in _checkpoints(budget)[:-1]]
+            if args.d is not None:
+                # the conjectured limit in ideal-count mode, recorded and not checked
+                params["reference"] = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
+            series = census.CensusSeries(
+                census.SeriesKind.GAMMA_TILDE, {**params, "u": u, "y": args.y}, rows + [(budget, val)]
+            )
+            _write_series(series, args.out)
         return EXIT_OK
     raise UsageError("nothing to do: pick a census kind, --race, or --rho")
 

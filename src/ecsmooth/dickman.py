@@ -68,21 +68,19 @@ class RhoTable:
                 window = math.fsum(panel[k - n + 1 : k + 1])
         return v
 
-    def _interp_at(self, v: np.ndarray, u: float) -> float:
+    def _interp_at(self, u: float) -> float:
         """Cubic Lagrange interpolation with the 4-node stencil clamped inside
         the unit interval containing u (rho has kinks at the integers)."""
-        if u <= 1.0:
-            return 1.0
         n = self._per_unit
         pos = u * n
         k = int(pos)
         unit_lo = (k // n) * n
         unit_hi = unit_lo + n
         # at u = max_u the stencil ends at the last node instead
-        i0 = min(max(k - 1, unit_lo), unit_hi - 3, v.size - 4)
+        i0 = min(max(k - 1, unit_lo), unit_hi - 3, self.values.size - 4)
         i0 = max(i0, 0)
         xs = np.arange(i0, i0 + 4)
-        ys = v[i0 : i0 + 4]
+        ys = self.values[i0 : i0 + 4]
         res = 0.0
         for j in range(4):
             w = 1.0
@@ -99,7 +97,7 @@ class RhoTable:
             raise DomainError(f"u={u} beyond table max_u={self.max_u}")
         if u <= 1.0:
             return 1.0
-        return float(self._interp_at(self.values, u))
+        return float(self._interp_at(u))
 
 
 _default_table: RhoTable | None = None

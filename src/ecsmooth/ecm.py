@@ -66,7 +66,6 @@ class CatalogCurve:
     curve: WeierstrassCurve
     point: tuple[int, int] | None  # rational affine point, if one is published
     cm_d: int | None  # d of the CM field, None for non-CM
-    infinite_order: bool = False
 
     @property
     def cm_field(self) -> arith.ImagQuadField | None:
@@ -78,11 +77,11 @@ def curve_catalog() -> list[CatalogCurve]:
     non-CM control curve.  e8000 is the positive-rank twist used by the
     splitting step."""
 
-    def mk(name, coeffs, point, cm_d, inf=False):
-        return CatalogCurve(name, WeierstrassCurve.from_coeffs(*coeffs), point, cm_d, inf)
+    def mk(name, coeffs, point, cm_d):
+        return CatalogCurve(name, WeierstrassCurve.from_coeffs(*coeffs), point, cm_d)
 
     return [
-        mk("e8000", (0, 1, 0, -3, 1), (-1, 2), 2, inf=True),
+        mk("e8000", (0, 1, 0, -3, 1), (-1, 2), 2),
         mk("e7", (1, -1, 0, -2, -1), (2, -1), 7),
         mk("e11", (0, -1, 1, -7, 10), (4, 5), 11),
         mk("e1", (0, 0, 0, -1, 0), (0, 0), 1),
@@ -91,7 +90,7 @@ def curve_catalog() -> list[CatalogCurve]:
         mk("e43", (0, 0, 1, -860, 9707), (15, 13), 43),
         mk("e67", (0, 0, 1, -7370, 243528), None, 67),
         mk("e163", (0, 0, 1, -2174420, 1234136692), (850, 68), 163),
-        mk("e37", (0, 0, 1, -1, 0), (0, 0), None, inf=True),
+        mk("e37", (0, 0, 1, -1, 0), (0, 0), None),
     ]
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 from ecsmooth import arith, census, cli, cmcount, dickman, ecm, lfunc
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _val(n, ell):
@@ -35,6 +38,33 @@ class TestTopLevel:
     def test_unknown_command_usage(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "-d", "7", "--ell-bound", "1"],
+            ["alpha", "-d", "7", "--p-bound", "1"],
+            ["alpha", "-d", "7", "--per-ell", "-3"],
+            ["split", "101", "2", "5", "-u", "1.5", "-v", "1.5", "--max-iters", "-1"],
+        ],
+        ids=["ell-bound", "p-bound", "per-ell", "max-iters"],
+    )
+    def test_bound_below_minimum(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: {argv[-2]} must be >= ")
+
+    def test_readme_command_lines_parse(self):
+        readme = (ROOT / "README.md").read_text()
+        blocks = readme.split("```sh\n")[1:]
+        lines = [
+            line for block in blocks for line in block.split("```")[0].splitlines()
+            if line.startswith("ecsmooth ")
+        ]
+        assert len(lines) >= 8
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 class TestEcmCommand:
@@ -143,8 +173,9 @@ class TestCensusCommand:
         assert row[2000] == pytest.approx(0.30685281944, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "option", [["--rho-step", "-0.5"], ["--max-u", "60"], ["--max-u", "-1"]],
-        ids=["negative-step", "max-u-above-table", "negative-max-u"],
+        "option",
+        [["--rho-step", "-0.5"], ["--rho-step", "0.0005"], ["--max-u", "60"], ["--max-u", "-1"]],
+        ids=["negative-step", "step-below-grid", "max-u-above-table", "negative-max-u"],
     )
     def test_rho_bad_input(self, tmp_path, capsys, option):
         args = ["census", "--rho", *option,
@@ -153,12 +184,13 @@ class TestCensusCommand:
         assert code == cli.EXIT_USAGE and option[0] in err
         assert not (tmp_path / "r.csv").exists()
 
-    def test_rho_step_zero_exits(self, tmp_path):
+    @pytest.mark.parametrize("step", ["0", "1e-20"])
+    def test_rho_step_below_grid_exits(self, tmp_path, step):
         # in a child process, so that a step that never advances fails here instead of hanging
         path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-m", "ecsmooth.cli", "census", "--rho", "--rho-step", "0",
+            [sys.executable, "-m", "ecsmooth.cli", "census", "--rho", "--rho-step", step,
              "--cache-dir", str(tmp_path), "--out", str(tmp_path / "r")],
             env=env, capture_output=True, text=True, timeout=10,
         )
@@ -171,6 +203,13 @@ class TestCensusCommand:
         assert run(args, capsys)[0] == cli.EXIT_OK
         rows = json.loads((tmp_path / "r.json").read_text())["rows"]
         assert rows[-1] == [50000, dickman.rho(50.0)]
+
+    def test_rho_finest_step(self, tmp_path, capsys):
+        args = ["census", "--rho", "--max-u", "2", "--rho-step", "0.001",
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "r")]
+        assert run(args, capsys)[0] == cli.EXIT_OK
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert [x for x, _ in rows] == list(range(2001))
 
     def test_psi_series(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -185,10 +224,11 @@ class TestCensusCommand:
         assert len(csv_rows) == len(s.rows)
 
     def test_psi_budget_guard(self, capsys):
-        code, _, _ = run(
+        code, out, err = run(
             ["census", "psi", "--y", "10", "--budget", str(census.PSI_BUDGET * 2)], capsys
         )
         assert code == cli.EXIT_BUDGET
+        assert out == "" and err.startswith("budget exceeded:")
 
     def test_race_preset_and_cache_resume(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -256,8 +296,9 @@ class TestCensusCommand:
         monkeypatch.setattr(census, "_compute_segment", refuse)
         budget = str(arith.SIEVE_LIMIT + 1)
         args = ["census", *command, "--budget", budget, "--cache-dir", str(tmp_path)]
-        code, _, _ = run(args, capsys)
+        code, out, err = run(args, capsys)
         assert code == cli.EXIT_BUDGET
+        assert out == "" and err.startswith("budget exceeded:")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -286,12 +327,62 @@ class TestCensusCommand:
         )
         assert code == cli.EXIT_OK
 
-    def test_gamma_tilde_field(self, capsys):
+    def test_gamma_tilde_field(self, tmp_path, capsys, monkeypatch):
+        # without --out: the one stdout line, and no file
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         code, out, _ = run(
-            ["census", "gamma_tilde", "-d", "7", "--y", "100", "--budget", "10000"], capsys
+            ["census", "gamma_tilde", "-d", "7", "--y", "100", "--budget", "10000",
+             "--cache-dir", str(tmp_path / "cache")], capsys
         )
         assert code == cli.EXIT_OK
-        assert "gamma_tilde(d=7" in out
+        assert out == "gamma_tilde(d=7, x=10000, y=100, u=2.000) = 0.828948\n"
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mode, printed",
+        [
+            # the x = 2^10, 2^12, ..., 2^18 values of the former convergence script,
+            # scripts/run_gamma_tilde.py -d 7 --u 1.5 --budget 1000000 --curve e7
+            (["-d", "7"], [0.4708, 0.7036, 0.6456, 0.6167, 0.5844]),
+            (["--curve", "e7"], [2.3903, 2.7712, 2.8267, 2.9638, 3.0640]),
+        ],
+        ids=["field", "curve"],
+    )
+    def test_gamma_tilde_series(self, tmp_path, capsys, order_cache, mode, printed):
+        budget, y = 10**6, 10**4
+        args = ["census", "gamma_tilde", *mode, "--y", str(y), "--budget", str(budget),
+                "--cache-dir", str(order_cache.cache_dir), "--out", str(tmp_path / "g")]
+        code, out, _ = run(args, capsys)
+        assert code == cli.EXIT_OK
+        text = (tmp_path / "g.json").read_text()
+        s = census.CensusSeries.from_json(text)
+        assert s.to_json() == text
+        assert s.kind is census.SeriesKind.GAMMA_TILDE
+        u = math.log(budget) / math.log(y)
+        if mode[0] == "-d":
+            K = arith.field_for(7)
+            gamma = lambda x, y_x: census.gamma_tilde_field(K, x, y_x)
+            reference = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
+            assert s.params == {"d": 7, "u": u, "y": y, "reference": reference}
+        else:
+            table = order_cache.table(ecm.catalog_curve("e7"), budget)
+            gamma = lambda x, y_x: census.gamma_tilde_curve(table, x, y_x)
+            assert s.params == {"curve": "e7", "u": u, "y": y}
+        xs = cli._checkpoints(budget)
+        ys = [max(2, round(x ** (1 / u))) for x in xs[:-1]] + [y]
+        assert s.rows == [(x, gamma(x, y_x)) for x, y_x in zip(xs, ys)]
+        assert out.splitlines()[0].endswith(f" = {s.rows[-1][1]:.6f}")
+        assert [round(dict(s.rows)[2**k], 4) for k in (10, 12, 14, 16, 18)] == printed
+
+    def test_gamma_tilde_y_below_two(self, tmp_path, capsys):
+        args = ["census", "gamma_tilde", "-d", "7", "--y", "1",
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "g")]
+        code, out, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("usage error:") and "Traceback" not in err
+        assert not (tmp_path / "g.json").exists()
 
     def test_nothing_to_do(self, capsys):
         code, _, _ = run(["census"], capsys)
