@@ -30,17 +30,18 @@ EXIT_BUDGET = 3
 
 RHO_X_SCALE = 1000  # census --rho writes rho(u) at x = round(RHO_X_SCALE * u)
 
-CM_CURVE_BY_D = {
-    1: "e1", 2: "e8000", 3: "e3", 7: "e7", 11: "e11",
-    19: "e19", 43: "e43", 67: "e67", 163: "e163",
-}
+CM_CURVE_BY_D = {c.cm_d: c.name for c in ecm.curve_catalog() if c.cm_d is not None}
 
 
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"--config {path}: {exc.strerror}") from exc
     cfg = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -51,29 +52,14 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-_ACTIONS: dict[tuple[str, str], argparse.Action] = {}
-
-
-def _record_actions(sub: argparse.ArgumentParser, command: str) -> None:
-    for action in sub._actions:
-        if action.dest != "help":
-            _ACTIONS[(command, action.dest)] = action
-
-
-def _merge_config(args: argparse.Namespace, cfg: dict[str, str]) -> None:
-    """Config supplies values only where the command line left the default,
-    parsed with the option's own argparse type."""
-    for k, v in cfg.items():
-        action = _ACTIONS.get((args.command, k))
-        if action is None or getattr(args, k) != action.default:
-            continue
-        if isinstance(action.default, bool):
-            setattr(args, k, v.lower() in ("1", "true", "yes"))
-            continue
-        try:
-            setattr(args, k, action.type(v) if action.type else v)
-        except ValueError as exc:
-            raise UsageError(f"config value {k} = {v!r}: {exc}") from exc
+def _config_defaults(p: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
+    """Make the config values defaults of subcommand p, so that any flag
+    typed on the command line beats them; argparse converts each through
+    the option's own type."""
+    p.set_defaults(**{
+        a.dest: cfg[a.dest].lower() in ("1", "true", "yes") if isinstance(a.default, bool) else cfg[a.dest]
+        for a in p._actions if a.dest in cfg
+    })
 
 
 def _cache_dir(args) -> str:
@@ -270,7 +256,9 @@ def _checkpoints(budget: int) -> list[int]:
     return cps
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser; `config` (from --config) supplies each subcommand's defaults."""
+    config = config or {}
     ap = argparse.ArgumentParser(prog="ecsmooth", description=__doc__)
     ap.add_argument("--config", help="key=value config file merged under flags")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -282,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", type=float, default=2.0)
     p.add_argument("--exact-m", action="store_true", dest="exact_m")
     p.set_defaults(fn=cmd_ecm)
-    _record_actions(p, "ecm")
+    _config_defaults(p, config)
 
     p = sub.add_parser("split", help="NFS splitting step")
     p.add_argument("q", type=int)
@@ -294,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
     p.set_defaults(fn=cmd_split)
-    _record_actions(p, "split")
+    _config_defaults(p, config)
 
     p = sub.add_parser("alpha", help="constants table")
     g = p.add_mutually_exclusive_group(required=True)
@@ -306,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-ell", type=int, default=0, dest="per_ell",
                    help="also print theoretical vs observed mean valuations for ell <= this")
     p.set_defaults(fn=cmd_alpha)
-    _record_actions(p, "alpha")
+    _config_defaults(p, config)
 
     p = sub.add_parser("census", help="counting experiments")
     p.add_argument("kind", nargs="?", choices=["psi", "psi_e", "gamma_tilde"])
@@ -323,21 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_census)
-    _record_actions(p, "census")
+    _config_defaults(p, config)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        cfg = _load_config(args.config)
+        if cfg:
+            try:
+                args = build_parser(cfg).parse_args(argv)
+            except SystemExit:
+                # the argv parsed alone, so a value from the file failed
+                print(f"usage error: bad value in --config {args.config}", file=sys.stderr)
+                raise
+        return args.fn(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = _load_config(args.config)
-        _merge_config(args, cfg)
-        return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

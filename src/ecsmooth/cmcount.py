@@ -16,7 +16,7 @@ import random
 from . import arith, curve
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
-from .errors import AmbiguityError, BadReductionError, UsageError
+from .errors import BadReductionError, UsageError
 
 
 def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
@@ -89,14 +89,10 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
 def order(cat: CatalogCurve, p: int, seed: int = 0) -> int:
     """|E(F_p)| at a good prime p: the closed form for CM curves; for the
     others a naive count up to 2000 and BSGS above, seeded per prime
-    (seed xor p) so that results do not depend on scheduling.  An ambiguous
-    BSGS run is retried once with more samples and a fresh seed, again
-    derived from (seed, p) only; a second AmbiguityError propagates."""
+    (seed xor p).  BSGS returns only the true order and is never ambiguous
+    above p = 229, so the result does not depend on the seed."""
     if cat.cm_field is not None:
         return cm_order(cat, p)
     if p <= 2000:
         return curve.naive_count(cat.curve, p)
-    try:
-        return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))
-    except AmbiguityError:
-        return curve.bsgs_order(cat.curve, p, samples=12, rng=random.Random(f"retry {seed} {p}"))
+    return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))

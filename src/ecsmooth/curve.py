@@ -9,6 +9,11 @@ inversion is exactly the event that surfaces a factor of a composite
 modulus, so complete projective formulas would defeat the purpose.  Curves
 are stored in long Weierstrass form; short_model and short_point carry a
 curve and its points over.
+
+BSGS keeps only the orders that the point orders on E and on its quadratic
+twist allow, so it never returns a wrong order: it returns the one order
+left, or raises AmbiguityError when more than one remains (possible only
+for p <= 229).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from . import arith
 from .errors import AmbiguityError, BadReductionError, CapacityError, DivisorFound, UsageError
 
 NAIVE_COUNT_LIMIT = 10**7
+BSGS_ROUNDS = 16  # rounds of point orders before bsgs_order gives up
 
 
 @dataclass(frozen=True)
@@ -219,27 +225,15 @@ def _exponent_multiple(p: int, A: int, B: int, count: int, rng: random.Random) -
     return acc
 
 
-def _candidates(acc: int, lo: int, hi: int) -> list[int]:
-    first = ((lo + acc - 1) // acc) * acc
-    return list(range(first, hi + 1, acc))
-
-
-def _weil_filter(cands: list[int], acc: int, p: int) -> list[int]:
-    """Weil-pairing tiebreak: for E(F_p) = Z/e x Z/m one has m | p - 1, so if
-    acc is the true exponent the cofactor N/acc divides gcd(acc, p-1).  Only
-    sound once acc has stabilized, hence applied last and never allowed to
-    empty the candidate list."""
-    g = math.gcd(acc, p - 1)
-    filtered = [n for n in cands if g % (n // acc) == 0]
-    return filtered if filtered else cands
-
-
 def bsgs_order(E: WeierstrassCurve, p: int, samples: int, rng: random.Random | None = None) -> int:
-    """|E(F_p)| from the orders of random points: the unique multiple of their
-    lcm in the Hasse interval.  When the group exponent is too small to pin the
-    order down (possible for small p), the quadratic twist supplies the missing
-    constraint via |E| + |E^t| = 2p + 2.  Doubles the sample count once on
-    residual ambiguity, then raises AmbiguityError."""
+    """|E(F_p)| from the orders of random points on E and on its quadratic
+    twist E^t: the one n in the Hasse interval with lcm_E | n and
+    lcm_t | |E^t| = 2p + 2 - n.  Each round adds `samples` point orders to
+    each side; if more than one n is left after BSGS_ROUNDS rounds, raises
+    AmbiguityError.  For p > 229 the group exponents of E and E^t always pin
+    n down (Cremona & Sutherland, "On a theorem of Mestre and Schoof",
+    JTNB 22 (2010)); below that they may not (e8000 at p = 17: |E| = 24,
+    |E^t| = 12)."""
     if samples <= 0:
         raise UsageError("samples must be positive")
     if not arith.is_prime(p):
@@ -253,25 +247,16 @@ def bsgs_order(E: WeierstrassCurve, p: int, samples: int, rng: random.Random | N
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
-    At, Bt = c * c * A % p, c * c * c * B % p
+    sides = ((A, B), (c * c * A % p, c * c * c * B % p))
     lo, hi = hasse_interval(p)
-    acc = acct = 1
-    for count in (samples, 2 * samples):
-        acc = math.lcm(acc, _exponent_multiple(p, A, B, count, rng))
-        cands = _candidates(acc, lo, hi)
-        if not cands:
-            raise ArithmeticError("no multiple of the point-order lcm in the Hasse interval")
-        if len(cands) == 1:
-            return cands[0]
-        acct = math.lcm(acct, _exponent_multiple(p, At, Bt, count, rng))
-        twisted = set(_candidates(acct, lo, hi))
-        cands = [n for n in cands if 2 * p + 2 - n in twisted]
-        if len(cands) == 1:
-            return cands[0]
-        if not cands:
-            raise ArithmeticError("twist constraint eliminated every candidate order")
-        cands = _weil_filter(cands, acc, p)
-        cands = [n for n in cands if 2 * p + 2 - n in set(_weil_filter(sorted(twisted), acct, p))]
-        if len(cands) == 1:
-            return cands[0]
-    raise AmbiguityError(f"group order ambiguous at p={p} after retry")
+    lcms = [1, 1]
+    for _ in range(BSGS_ROUNDS):
+        for side, (a, b) in enumerate(sides):
+            lcms[side] = math.lcm(lcms[side], _exponent_multiple(p, a, b, samples, rng))
+            first = -(-lo // lcms[0]) * lcms[0]
+            cands = [n for n in range(first, hi + 1, lcms[0]) if (2 * p + 2 - n) % lcms[1] == 0]
+            if not cands:
+                raise ArithmeticError("no order in the Hasse interval fits the point orders of E and its twist")
+            if len(cands) == 1:
+                return cands[0]
+    raise AmbiguityError(f"group order ambiguous at p={p} after {BSGS_ROUNDS} rounds")

@@ -410,13 +410,23 @@ class TestConfigFile:
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg"
         cfg.write_text("y=10\n")
-        code, _, _ = run(
-            ["--config", str(cfg), "census", "psi", "--y", "7",
-             "--budget", "300", "--out", "flag"], capsys
-        )
-        assert code == cli.EXIT_OK
-        s = census.CensusSeries.from_json((tmp_path / "flag.json").read_text())
-        assert s.params["y"] == 7
+        for y in (7, 128):  # 128 is the flag's default, typed out
+            code, _, _ = run(
+                ["--config", str(cfg), "census", "psi", "--y", str(y),
+                 "--budget", "300", "--out", "flag"], capsys
+            )
+            assert code == cli.EXIT_OK
+            s = census.CensusSeries.from_json((tmp_path / "flag.json").read_text())
+            assert s.params["y"] == y
+
+    def test_config_bool(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        for value, csv in (("true", True), ("no", False)):
+            cfg.write_text(f"csv = {value}\n")
+            code, out, _ = run(["--config", str(cfg), "alpha", "-d", "7",
+                                "--ell-bound", "1000", "--p-bound", "100"], capsys)
+            assert code == cli.EXIT_OK
+            assert out.startswith("row,d=7") == csv
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -442,9 +452,14 @@ class TestConfigFile:
         assert code == cli.EXIT_OK
         assert "gamma_tilde(d=7" in out
 
+    def test_missing_config(self, tmp_path, capsys):
+        code, _, err = run(["--config", str(tmp_path / "absent"), "census", "psi"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "--config" in err and "absent" in err
+
     def test_config_bad_value(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("budget = lots\n")
         code, _, err = run(["--config", str(cfg), "census", "psi"], capsys)
         assert code == cli.EXIT_USAGE
-        assert "budget" in err
+        assert "budget" in err and f"bad value in --config {cfg}" in err

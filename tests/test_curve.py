@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ecsmooth import arith, curve, ecm
 from ecsmooth.curve import WeierstrassCurve
-from ecsmooth.errors import BadReductionError, CapacityError, DivisorFound, UsageError
+from ecsmooth.errors import AmbiguityError, BadReductionError, CapacityError, DivisorFound, UsageError
 
 E8000 = ecm.catalog_curve("e8000").curve  # y^2 = x^3 + x^2 - 3x + 1
 E7 = ecm.catalog_curve("e7").curve
@@ -171,6 +171,34 @@ class TestBsgsOrder:
         # |E8000(F_11)| = 18 but a 4-point sample can yield an order lcm of 9;
         # the twist constraint must still recover 18.
         assert curve.bsgs_order(E8000, 11, samples=4, rng=random.Random(11)) == 18
+        # this stream gives lcm_E = 9, which leaves 9 and 18; only |E^t| = 6
+        # (not 24 - 9 = 15) admits the even twist point orders that decide it
+        assert curve.bsgs_order(E8000, 11, samples=1, rng=random.Random(23768)) == 18
+
+    @pytest.mark.parametrize("cat", ecm.curve_catalog(), ids=lambda cat: cat.name)
+    def test_sound_at_small_primes(self, cat):
+        # the true order or AmbiguityError, and the latter only where the group
+        # exponents of E and its twist may not pin the order down: p <= 229
+        # (Cremona & Sutherland, JTNB 22 (2010))
+        E = cat.curve
+        for p in arith.prime_sieve(300, 5):
+            if not E.has_good_reduction(p):
+                continue
+            want = curve.naive_count(E, p)
+            for samples in range(1, 5):
+                for seed in range(3):
+                    try:
+                        got = curve.bsgs_order(E, p, samples, random.Random(seed))
+                    except AmbiguityError:
+                        assert p <= 229, (p, samples, seed)
+                        continue
+                    assert got == want, (p, samples, seed)
+
+    def test_ambiguous_at_17(self):
+        # |E(F_17)| = 24 and |E^t(F_17)| = 12: the group exponents of E and
+        # E^t allow n = 12 and n = 24 alike, so no point orders can decide
+        with pytest.raises(AmbiguityError, match="p=17"):
+            curve.bsgs_order(E8000, 17, samples=1, rng=random.Random(17))
 
     def test_d3_curve_at_5(self):
         E3 = ecm.catalog_curve("e3").curve
