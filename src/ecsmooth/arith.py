@@ -88,7 +88,7 @@ def is_prime(n: int) -> bool:
     (witnesses drawn from an n-seeded generator so the answer is stable)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -96,42 +96,54 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n < 3317044064679887385961981:
-        witnesses = [a for a in _MR_WITNESSES if a < n - 1]
+        witnesses = _MR_WITNESSES  # n > 37 here, so every witness is < n - 1
     else:
         rng = random.Random(n)
         witnesses = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_ABOVE)]
     return all(_mr_round(n, a, d, s) for a in witnesses)
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise DomainError(f"prime_factors needs n >= 1, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def prime_sieve(limit: int, start: int = 2) -> list[int]:
-    """All primes p with start <= p <= limit, ascending (segmented odd-only
+    """All primes p with start <= p <= limit, ascending (segmented
     Eratosthenes over [start, limit] only)."""
     if limit < 2:
         raise DomainError(f"prime_sieve needs limit >= 2, got {limit}")
     if limit > SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds budget {SIEVE_LIMIT}")
+    return _sieve(limit, start)
+
+
+def _sieve(limit: int, start: int) -> list[int]:
+    """Each segment of [start, limit] is crossed off from p^2 on by every
+    prime p <= sqrt(limit).  Those base primes come from the same sieve on
+    sqrt(limit); each survives in its own segment, since p < p^2."""
     root = math.isqrt(limit)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for i in range(2, math.isqrt(root) + 1):
-        if base[i]:
-            base[i * i :: i] = False
-    small = np.nonzero(base)[0]
-    primes = [int(p) for p in small if p >= start]
-    odd_small = [int(p) for p in small if p > 2]
-    lo = max(start, root + 1)
+    base = _sieve(root, 2) if root >= 2 else []
+    primes = []
+    lo = max(start, 2)
     while lo <= limit:
         hi = min(lo + _SEGMENT - 1, limit)
         seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in odd_small:
-            first = max(p * p, ((lo + p - 1) // p) * p)
+        for p in base:
+            first = max(p * p, -(-lo // p) * p)
             seg[first - lo :: p] = False
-        if lo % 2 == 0:
-            seg[0::2] = False
-        else:
-            seg[1::2] = False
-        if lo <= 2 <= hi:
-            seg[2 - lo] = True
         primes.extend((np.nonzero(seg)[0] + lo).tolist())
         lo = hi + 1
     return primes

@@ -273,6 +273,8 @@ def psi_K(x: int, K: arith.ImagQuadField) -> int:
     sum_{a <= r} (chi(a) floor(x/a) + S(floor(x/a))) - r S(r), where
     S(t) = sum_{a <= t} chi(a) depends only on t mod |disc| (a period of chi
     sums to 0): O(sqrt x) time, O(|disc|) memory."""
+    if x < 0:
+        raise UsageError(f"ideal count needs x >= 0, got {x}")
     m = -K.disc
     S = list(itertools.accumulate((K.chi(a) for a in range(1, m)), initial=0))
     r = math.isqrt(x)
@@ -284,24 +286,20 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
     """Number of ideals with y-friable norm <= x (the norm, as an integer,
     has P+ < y), by depth-first search over the rational primes.  A split p
     contributes k+1 ideals of norm p^k, inert p one ideal of norm p^(2k),
-    ramified p one ideal of norm p^k."""
-    ps = [p for p in arith.primes_below(min(y, x + 1))]
-    info = []
-    for p in ps:
-        c = K.chi(p)
-        if c == -1 and p * p > x:
-            continue  # inert primes only appear with norm p^2
-        info.append((p, c))
+    ramified p one ideal of norm p^k.  The primes are taken in ascending
+    order of their step, the least norm of an ideal above p (p, or p^2 for
+    an inert p), so the first step above the budget ends each level."""
+    if x < 0:
+        raise UsageError(f"ideal count needs x >= 0, got {x}")
+    chis = ((p, K.chi(p)) for p in arith.primes_below(min(y, x + 1)))
+    steps = sorted((p * p if c == -1 else p, c) for p, c in chis)
 
     def dfs(i: int, budget: int) -> int:
         total = 1  # exponent-0 assignment for all remaining primes
-        for j in range(i, len(info)):
-            p, c = info[j]
-            if p > budget:
-                break  # info is ascending in p, and step >= p
-            step = p * p if c == -1 else p
+        for j in range(i, len(steps)):
+            step, c = steps[j]
             if step > budget:
-                continue  # inert steps are p^2, not monotone along the list
+                break
             norm = step
             k = 1
             while norm <= budget:
@@ -311,7 +309,7 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
                 k += 1
         return total
 
-    return dfs(0, x)
+    return dfs(0, x) if x else 0
 
 
 def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:

@@ -172,24 +172,10 @@ def sw_random_point(p: int, A: int, B: int, rng: random.Random):
 def _point_order(p: int, A: int, P, k: int) -> int:
     """Exact order of P given a multiple k of the order ([k]P = O)."""
     order = k
-    for q in _distinct_prime_factors(k):
+    for q in arith.prime_factors(k):
         while order % q == 0 and ec_scalar_mul(p, A, order // q, P) is None:
             order //= q
     return order
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _bsgs_annihilator(p: int, A: int, P) -> int:

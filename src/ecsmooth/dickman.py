@@ -14,6 +14,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,7 +92,7 @@ class RhoTable:
         return res
 
     def rho(self, u: float) -> float:
-        if u < 0:
+        if not u >= 0:  # written so that NaN fails it
             raise DomainError(f"rho domain is u >= 0, got {u}")
         if u > self.max_u:
             raise DomainError(f"u={u} beyond table max_u={self.max_u}")
@@ -100,14 +101,9 @@ class RhoTable:
         return float(self._interp_at(u))
 
 
-_default_table: RhoTable | None = None
-
-
+@functools.cache
 def default_table() -> RhoTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = RhoTable()
-    return _default_table
+    return RhoTable()
 
 
 def rho(u: float) -> float:
@@ -126,14 +122,14 @@ def rho_clipped(u: float) -> tuple[float, bool]:
 
 def rho_debruijn(u: float) -> float:
     """Asymptotic main term exp(-u (log u + log log(u+2) - 1))."""
-    if u < 1:
+    if not u >= 1:
         raise DomainError(f"de Bruijn main term needs u >= 1, got {u}")
     return math.exp(-u * (math.log(u) + math.log(math.log(u + 2)) - 1.0))
 
 
 def xi(u: float) -> float:
     """Positive solution of exp(xi) = 1 + u*xi (Newton iteration)."""
-    if u <= 1:
+    if not u > 1:
         raise DomainError(f"xi domain is u > 1, got {u}")
     x = math.log(u * math.log(u)) if u >= math.e else 2.0 * (u - 1.0)
     for _ in range(200):

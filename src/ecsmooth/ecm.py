@@ -13,9 +13,11 @@ curve.py surfaces the factor at the first failed inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import arith, curve
 from .curve import WeierstrassCurve
@@ -137,7 +139,9 @@ def ecm_one_curve(
     factor surfaced by the first failed inversion, or Fail.  A divisor equal
     to n itself is a Fail (retry with another curve rather than report n).
     The short model needs gcd(n, 6) = 1, so a factor 2 or 3 of n is reported
-    by the gcd shortcut, like a factor of the discriminant."""
+    by the gcd shortcut, like a factor of the discriminant.  Past the
+    shortcuts, a catalog point of finite order k over Q is a UsageError: it
+    has order k mod every prime of n, so stage 1 can never separate them."""
     if n < 2:
         raise UsageError("N must be >= 2")
     _, C = EcmParams(u, v).bounds(n)
@@ -149,6 +153,9 @@ def ecm_one_curve(
             return EcmOutcome.fail()
     if cat.point is None:
         raise UsageError(f"catalog curve {cat.name} has no rational point for ECM")
+    k = _torsion_order(cat.curve, cat.point)
+    if k is not None:
+        raise UsageError(f"the point of catalog curve {cat.name} is a torsion point of order {k} over Q")
     A, _ = curve.short_model(cat.curve, n)
     P = curve.short_point(cat.curve, n, cat.point)
     try:
@@ -165,6 +172,27 @@ def ecm_one_curve(
         return EcmOutcome(d.g)
     # stage 1 finished on an affine point without a failed inversion
     return EcmOutcome.fail()
+
+
+@functools.cache
+def _torsion_order(E: WeierstrassCurve, P: tuple[int, int]) -> int | None:
+    """Order of the rational point P if it is a torsion point, else None.
+    By Mazur's theorem a torsion point over Q has order at most 12, so the
+    multiples [k]P, k <= 11, are compared with -P in exact rational
+    arithmetic on the long model (the group law mod n cannot decide this)."""
+    x1, y1 = map(Fraction, P)
+    neg_y1 = -y1 - E.a1 * x1 - E.a3
+    x, y = x1, y1  # [k]P
+    for k in range(1, 12):
+        if x == x1 and y == neg_y1:
+            return k + 1
+        if x == x1:  # [k]P = P, so the tangent at P
+            lam = (3 * x * x + 2 * E.a2 * x + E.a4 - E.a1 * y) / (2 * y + E.a1 * x + E.a3)
+        else:
+            lam = (y - y1) / (x - x1)
+        x3 = lam * lam + E.a1 * lam - E.a2 - x - x1
+        x, y = x3, -(lam + E.a1) * x3 - (y - lam * x) - E.a3
+    return None
 
 
 def split_step(

@@ -179,20 +179,11 @@ def w_noncm(d: int, m_guard: int = 1) -> float:
         raise DomainError("d must be positive")
     if m_guard > 1 and math.gcd(d, m_guard) != 1:
         raise UsageError(f"d={d} shares a factor with the guard {m_guard}")
-    w = 1.0
-    n = d
-    ell = 2
-    while ell * ell <= n:
-        if n % ell == 0:
-            n //= ell
-            if n % ell == 0:
-                raise DomainError(f"d={d} is not squarefree")
-            w *= ell * (ell * ell - 2) / ((ell - 1) * (ell * ell - 1))
-        ell += 1 if ell == 2 else 2
-    if n > 1:
-        ell = n
-        w *= ell * (ell * ell - 2) / ((ell - 1) * (ell * ell - 1))
-    return w
+    ells = arith.prime_factors(d)
+    if math.prod(ells) != d:
+        raise DomainError(f"d={d} is not squarefree")
+    terms = (ell * (ell * ell - 2) / ((ell - 1) * (ell * ell - 1)) for ell in ells)
+    return math.prod(terms, start=1.0)
 
 
 @dataclass(frozen=True)

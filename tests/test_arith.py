@@ -58,12 +58,24 @@ class TestPrimes:
         with pytest.raises(DomainError):
             arith.prime_sieve(1)
 
-    @pytest.mark.parametrize("limit", [2, 3, 100, 2**20 + 7, 2**21 + 3])
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, 2**20, 2**20 + 1, 2**20 + 7, 2**21 + 3])
     def test_sieve_start_is_filtered_full_sieve(self, limit):
         full = arith.prime_sieve(limit)
         root = math.isqrt(limit)
         for start in (0, 1, 2, 3, root - 1, root + 1, 2**20 - 1, 2**20 + 1, limit + 1, limit + 5):
             assert arith.prime_sieve(limit, start) == [p for p in full if p >= start], start
+
+    def test_prime_factors_brute(self):
+        top = 10**4
+        factors = [[] for _ in range(top + 1)]
+        for q in range(2, top + 1):
+            if not factors[q]:  # no smaller prime divides q
+                for m in range(q, top + 1, q):
+                    factors[m].append(q)
+        for n in range(1, top + 1):
+            assert arith.prime_factors(n) == factors[n], n
+        with pytest.raises(DomainError):
+            arith.prime_factors(0)
 
     def test_primes_below_strict(self):
         assert arith.primes_below(7) == [2, 3, 5]

@@ -342,6 +342,34 @@ class TestPsiK:
                 brute += sum(K.chi(dd) for dd in range(1, n + 1) if n % dd == 0)
             assert census.psi_K_friable(x, y, K) == brute, d
 
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_friable_divisor_sum_oracle(self, d):
+        # sum over y-friable n <= x of #ideals of norm n = sum_{e | n} chi(e),
+        # with P+(n) and the divisor sums from plain sieves
+        K = arith.field_for(d)
+        top = 10**5
+        lpf = np.ones(top + 1, np.int64)
+        for p in range(2, top + 1):
+            if lpf[p] == 1:  # no smaller prime divides p
+                lpf[p::p] = p
+        ideals = np.zeros(top + 1, np.int64)
+        for e in range(1, top + 1):
+            ideals[e::e] += K.chi(e)
+        for x in (1, 2, 30, 1000, 54321, top):
+            for y in (2, 3, 10, 100, 1000, x + 1):
+                count = int(ideals[: x + 1][lpf[: x + 1] < y].sum())
+                assert census.psi_K_friable(x, y, K) == count, (d, x, y)
+
+    def test_below_one(self):
+        for d in arith.CLASS_NUMBER_ONE_DS:
+            K = arith.field_for(d)
+            assert census.psi_K(0, K) == census.psi_K_friable(0, 5, K) == 0
+            assert census.psi_K(1, K) == census.psi_K_friable(1, 5, K) == 1
+            with pytest.raises(UsageError):
+                census.psi_K(-1, K)
+            with pytest.raises(UsageError):
+                census.psi_K_friable(-1, 5, K)
+
     def test_friable_caps_at_total(self):
         K = arith.field_for(7)
         assert census.psi_K_friable(500, 1000, K) == census.psi_K(500, K)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecsmooth import arith, census, cli, cmcount, dickman, ecm, lfunc
+from ecsmooth import arith, census, cli, cmcount, curve, dickman, ecm, lfunc
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -87,6 +87,18 @@ class TestEcmCommand:
     def test_bad_params(self, capsys):
         code, _, _ = run(["ecm", "35", "-u", "0.5", "-v", "2"], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("name, order", [("e7", 2), ("e1", 2), ("e3", 3)])
+    def test_torsion_point_refused(self, name, order, capsys):
+        # the point's order mod good primes p >= 3 is its order over Q
+        cat = ecm.catalog_curve(name)
+        for p in (101, 1009):
+            A, _ = curve.short_model(cat.curve, p)
+            P = curve.short_point(cat.curve, p, cat.point)
+            assert min(k for k in range(1, 13) if curve.ec_scalar_mul(p, A, k, P) is None) == order
+        code, out, err = run(["ecm", "10403", "--curve", name], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"torsion point of order {order}" in err
 
 
 class TestSplitCommand:

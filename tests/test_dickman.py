@@ -67,6 +67,12 @@ class TestRho:
         assert dickman.rho_clipped(50.0) == (last, False)
 
 
+@pytest.mark.parametrize("fn", [dickman.rho, dickman.rho_clipped, dickman.xi, dickman.rho_debruijn])
+def test_nan_is_a_domain_error(fn):
+    with pytest.raises(DomainError):
+        fn(math.nan)
+
+
 class TestDeBruijn:
     def test_ratio_band(self):
         for k in range(10, 41):
