@@ -92,13 +92,14 @@ class FriabilityTester:
 
 def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
     """The integers n in [lo, hi), int64, each divided by the full power of
-    every prime in primes."""
+    every prime in primes: one strided division by p along the multiples of
+    each power p^k < hi, so that an n with v_p(n) = v is divided v times."""
     rem = np.arange(lo, hi, dtype=np.int64)
     for p in primes:
-        idx = np.arange(-lo % p, hi - lo, p)
-        while idx.size:
-            rem[idx] //= p
-            idx = idx[rem[idx] % p == 0]
+        q = p
+        while q < hi:
+            rem[-lo % q :: q] //= p
+            q *= p
     return rem
 
 

@@ -22,10 +22,13 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import arith
 from .errors import AmbiguityError, BadReductionError, CapacityError, DivisorFound, UsageError
 
 NAIVE_COUNT_LIMIT = 10**7
+NAIVE_CHUNK = 1 << 20  # x values per numpy step of naive_count
 BSGS_ROUNDS = 16  # rounds of point orders before bsgs_order gives up
 
 
@@ -82,15 +85,23 @@ def naive_count(E: WeierstrassCurve, p: int) -> int:
                 if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p == 0:
                     count += 1
         return count
+    # complete the square: (2y + a1 x + a3)^2 = 4 rhs(x) + (a1 x + a3)^2
+    # = 4x^3 + b2 x^2 + 2 b4 x + b6, evaluated by Horner mod p, so that no
+    # product exceeds p^2 < 2^63
+    b2 = E.a1 * E.a1 + 4 * E.a2
+    b4 = 2 * E.a4 + E.a1 * E.a3
+    b6 = E.a3 * E.a3 + 4 * E.a6
+    square = np.zeros(p, dtype=bool)  # the nonzero squares mod p
+    for lo in range(1, (p + 1) // 2, NAIVE_CHUNK):
+        r = np.arange(lo, min(lo + NAIVE_CHUNK, (p + 1) // 2), dtype=np.int64)
+        square[r * r % p] = True
     count = 1
-    half = (p - 1) // 2
-    for x in range(p):
-        # complete the square: (2y + a1 x + a3)^2 = 4 rhs(x) + (a1 x + a3)^2
-        disc = (4 * E.rhs(x) + (E.a1 * x + E.a3) ** 2) % p
-        if disc == 0:
-            count += 1
-        elif pow(disc, half, p) == 1:
-            count += 2
+    for lo in range(0, p, NAIVE_CHUNK):
+        x = np.arange(lo, min(lo + NAIVE_CHUNK, p), dtype=np.int64)
+        disc = np.full(x.size, 4, dtype=np.int64)
+        for c in (b2 % p, 2 * b4 % p, b6 % p):
+            disc = (disc * x + c) % p
+        count += int(np.count_nonzero(disc == 0)) + 2 * int(np.count_nonzero(square[disc]))
     return count
 
 

@@ -9,7 +9,8 @@ to cancellation).  Each panel uses the derivative-corrected trapezoid rule,
 with rho'(t) = -rho(t-1)/t read off the grid one unit down; the sliding
 window sum is recomputed exactly at every integer so rounding noise from the
 incremental updates cannot pile up.  Step-halving is the self-convergence
-oracle.
+oracle.  The table is built unit by unit up to the largest u asked, so a
+caller that needs rho only on [0, 2] never pays for the grid to u = 50.
 """
 
 from __future__ import annotations
@@ -20,42 +21,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 DEFAULT_STEP = 1.0 / 1024
 DEFAULT_MAX_U = 50.0
+MAX_PER_UNIT = 1 << 16  # the finest step is 1/MAX_PER_UNIT: at most 50 * 2^16 nodes
 
 
 @dataclass
 class RhoTable:
-    """Precomputed grid of rho values with a cubic interpolation contract."""
+    """Grid of rho values with a cubic interpolation contract, built unit by
+    unit up to the largest u asked; `values` is the complete grid."""
 
     step: float = DEFAULT_STEP
     max_u: float = DEFAULT_MAX_U
-    values: np.ndarray = field(init=False, repr=False)
     _per_unit: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
+        bad_step = DomainError(f"step must be 1/k for an integer k >= 8, got {self.step}")
+        if not 0 < self.step <= 1.0 / 8:
+            raise bad_step
+        if self.step < 1.0 / MAX_PER_UNIT:
+            raise CapacityError(f"step {self.step} is finer than 1/{MAX_PER_UNIT}")
         n = round(1.0 / self.step)
-        if abs(n * self.step - 1.0) > 1e-12 or n < 8:
-            raise DomainError("step must be 1/k for an integer k >= 8")
+        if not abs(n * self.step - 1.0) <= 1e-12:
+            raise bad_step
+        if not 1 <= self.max_u <= DEFAULT_MAX_U:
+            raise DomainError(f"max_u must be in [1, {DEFAULT_MAX_U}], got {self.max_u}")
         self._per_unit = n
-        self.values = self._build()
-
-    def _build(self) -> np.ndarray:
-        n = self._per_unit
         h = 1.0 / n
         total = int(round(self.max_u * n))
-        v = np.ones(total + 1)
+        self._v = np.ones(total + 1)
         # panel[k] = int_{(k-1)h}^{kh} rho; rho = 1 below u = 1
-        panel = np.empty(total + 1)
-        panel[: n + 1] = h
+        self._panel = np.empty(total + 1)
+        self._panel[: n + 1] = h
         # derivative rho'(kh) = -rho(kh - 1)/(kh), zero below u = 1;
         # at the kink u = 1 the panels to the right need the right-limit -1
-        dv = np.zeros(total + 1)
-        dv[n] = -1.0
-        window = 1.0  # sum of the n panels ending at the current node
-        for k in range(n + 1, total + 1):
+        self._dv = np.zeros(total + 1)
+        self._dv[n] = -1.0
+        self._window = 1.0  # sum of the n panels ending at the last built node
+        self._built = n  # nodes 0..n are rho = 1 and need no recurrence
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._built < self._v.size - 1:
+            self._build(self._v.size - 1)
+        return self._v
+
+    def _build(self, last: int) -> None:
+        """Run the recurrence from the last built node up to node `last`.
+        Node k reads only nodes k - n .. k - 1, so the grid does not depend
+        on how the build is split."""
+        n = self._per_unit
+        h = 1.0 / n
+        v, panel, dv = self._v, self._panel, self._dv
+        window = self._window
+        for k in range(self._built + 1, last + 1):
             u = k * h
             dv[k] = -v[k - n] / u
             # corrected trapezoid, solved for the (linear) unknown v[k]:
@@ -67,7 +89,8 @@ class RhoTable:
             if k % n == 0:
                 # exact refresh kills accumulated rounding in the sliding sum
                 window = math.fsum(panel[k - n + 1 : k + 1])
-        return v
+        self._window = window
+        self._built = max(self._built, last)
 
     def _interp_at(self, u: float) -> float:
         """Cubic Lagrange interpolation with the 4-node stencil clamped inside
@@ -77,11 +100,15 @@ class RhoTable:
         k = int(pos)
         unit_lo = (k // n) * n
         unit_hi = unit_lo + n
+        last = self._v.size - 1
         # at u = max_u the stencil ends at the last node instead
-        i0 = min(max(k - 1, unit_lo), unit_hi - 3, self.values.size - 4)
+        i0 = min(max(k - 1, unit_lo), unit_hi - 3, last - 3)
         i0 = max(i0, 0)
+        end = min(unit_hi, last)  # the stencil's unit interval ends here
+        if self._built < end:
+            self._build(end)
         xs = np.arange(i0, i0 + 4)
-        ys = self.values[i0 : i0 + 4]
+        ys = self._v[i0 : i0 + 4]
         res = 0.0
         for j in range(4):
             w = 1.0

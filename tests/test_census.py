@@ -106,6 +106,45 @@ class TestPsiExact:
             census.psi_exact(census.PSI_BUDGET + 1, 100)
 
 
+def divided_out(n, primes):
+    """n divided by the full power of every prime in primes, by trial division."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+class TestDivideOut:
+    # windows [lo, hi) and bounds y: from 1; lo a prime, unaligned with every
+    # p^k; windows shorter than most p; hi just above and just below a power
+    # (2^20, 3^12 = 531441, 101^2 = 10201); primes at and above hi
+    WINDOWS = [
+        (1, 3000, 3),
+        (1, 3000, 50),
+        (1, 600, 10**4),
+        (1_000_003, 1_000_400, 10**4),
+        (999_983, 999_990, 1000),
+        (2**20 - 300, 2**20, 200),
+        (2**20 - 300, 2**20 + 1, 200),
+        (531_441 - 100, 531_441, 100),
+        (531_441 - 100, 531_442, 100),
+        (10_150, 10_201, 200),
+        (10_150, 10_202, 200),
+        (5, 40, 100),
+    ]
+
+    def test_matches_trial_division(self):
+        rng = np.random.default_rng(2026)
+        windows = list(self.WINDOWS)
+        for _ in range(20):
+            lo = int(rng.integers(1, 2 * 10**6))
+            windows.append((lo, lo + int(rng.integers(1, 400)), int(rng.choice([2, 3, 7, 100, 5000]))))
+        for lo, hi, y in windows:
+            primes = arith.primes_below(y)
+            want = [divided_out(n, primes) for n in range(lo, hi)]
+            assert census._divide_out(lo, hi, primes).tolist() == want, (lo, hi, y)
+
+
 class TestPsiCounts:
     SEG = 1 << 20  # psi_counts' segment length
     CPS = [10, 999, 1000, 1001, 70_000, SEG, SEG + 1, SEG + 2]
@@ -117,8 +156,8 @@ class TestPsiCounts:
         return _largest_prime_factors(self.SEG + 2)
 
     def test_straddles_segment_edge(self, lpf):
-        # y = 1000 lies above the first two checkpoints only
-        for y in (2, 3, 1000):
+        # y = 1000 lies above the first two checkpoints only, y = 10^4 above four
+        for y in (2, 3, 1000, 10**4):
             friable = np.cumsum(lpf < y) - 1  # n = 0 is not counted
             assert census.psi_counts(self.CPS, y) == friable[self.CPS].tolist(), y
 

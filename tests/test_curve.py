@@ -27,6 +27,19 @@ def short_points(E, p):
     return [curve.short_point(E, p, P) for P in affine_points(E, p)]
 
 
+def legendre_count(E, p):
+    """|E(F_p)| for p > 3 by the scalar loop naive_count once ran: one
+    Euler-criterion Legendre symbol per x."""
+    count = 1
+    for x in range(p):
+        disc = (4 * E.rhs(x) + (E.a1 * x + E.a3) ** 2) % p
+        if disc == 0:
+            count += 1
+        elif pow(disc, (p - 1) // 2, p) == 1:
+            count += 2
+    return count
+
+
 class TestWeierstrassCurve:
     def test_singular_rejected(self):
         with pytest.raises(UsageError):
@@ -138,6 +151,17 @@ class TestNaiveCount:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             curve.naive_count(E8000, 10**7 + 19)
+
+    def test_matches_scalar_loop(self):
+        rng = random.Random(1400)
+        names = ["e7", "e11", "e37", "e8000", "e1", "e3", "e163"]
+        ps = arith.prime_sieve(2 * 10**4)
+        pairs = [(rng.choice(names), rng.choice(ps)) for _ in range(60)]
+        pairs.append((rng.choice(names), 999_983))  # a prime near 10^6
+        for name, p in pairs:
+            E = ecm.catalog_curve(name).curve
+            if p > 3 and E.has_good_reduction(p):
+                assert curve.naive_count(E, p) == legendre_count(E, p), (name, p)
 
     def test_brute_agreement_tiny(self):
         for p in (5, 11, 13):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import dickman
-from ecsmooth.errors import DomainError
+from ecsmooth.errors import CapacityError, DomainError
 
 # High-precision reference values for rho (frozen literature constants).
 RHO_REFERENCE = {
@@ -15,6 +17,21 @@ RHO_REFERENCE = {
     5.0: 0.00035472470045487723,
     10.0: 2.7701718381738851e-11,
 }
+
+# sha256 of RhoTable().values.tobytes(), recorded before the table was built
+# on demand: the grid must not change with how it is built.
+RHO_GRID_SHA256 = "8adb2b20bf378071c17b3d01cad60f9171e0add5bc15569c1ad1cf44b786c05a"
+
+
+def grid_sha256(table):
+    return hashlib.sha256(table.values.tobytes()).hexdigest()
+
+
+@functools.cache
+def built_in_one_go():
+    table = dickman.RhoTable()
+    table.values  # the complete grid, before any point is asked
+    return table
 
 
 class TestRho:
@@ -60,6 +77,21 @@ class TestRho:
         v, flag = dickman.rho_clipped(2.0)
         assert not flag and v == pytest.approx(1 - math.log(2), abs=1e-9)
 
+    def test_grid_pin(self):
+        assert grid_sha256(dickman.RhoTable()) == RHO_GRID_SHA256
+
+    def test_grid_after_scattered_queries(self):
+        table = dickman.RhoTable()
+        for u in (1.5, 17.3, 2.0, 3.0, 33.0, 0.5):
+            table.rho(u)
+        assert grid_sha256(table) == RHO_GRID_SHA256
+
+    @given(st.lists(st.one_of(st.floats(0.0, 12.0), st.sampled_from([1.0, 2.0, 7.0, 12.0])), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_any_query_order(self, us):
+        fresh = dickman.RhoTable()
+        assert [fresh.rho(u) for u in us] == [built_in_one_go().rho(u) for u in us]
+
     def test_last_node(self):
         # u = max_u interpolates on the last four nodes instead of running off the grid
         last = dickman.default_table().values[-1]
@@ -71,6 +103,36 @@ class TestRho:
 def test_nan_is_a_domain_error(fn):
     with pytest.raises(DomainError):
         fn(math.nan)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"step": 0.0},
+        {"step": math.nan},
+        {"step": -1.0 / 16},
+        {"step": math.inf},
+        {"step": 1.0 / 7},
+        {"step": 1.0 / 1000.5},
+        {"max_u": math.nan},
+        {"max_u": -1.0},
+        {"max_u": math.inf},
+        {"max_u": 0.5},
+        {"max_u": dickman.DEFAULT_MAX_U + 1},
+    ],
+    ids=repr,
+)
+def test_bad_table_arguments(kwargs):
+    with pytest.raises(DomainError):
+        dickman.RhoTable(**kwargs)
+
+
+def test_step_guard():
+    dickman.RhoTable(step=1.0 / dickman.MAX_PER_UNIT, max_u=1.0)
+    with pytest.raises(CapacityError):
+        dickman.RhoTable(step=1.0 / (dickman.MAX_PER_UNIT + 1))
+    with pytest.raises(CapacityError):
+        dickman.RhoTable(step=5e-324)  # 1/step overflows to inf
 
 
 class TestDeBruijn:
