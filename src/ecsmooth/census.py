@@ -10,6 +10,7 @@ every serialized output carries the convention marker.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import json
@@ -26,6 +27,7 @@ from .ecm import CatalogCurve, catalog_curve
 from .errors import CacheError, CapacityError, DomainError, EcsmoothError, UsageError
 
 PSI_BUDGET = 10**9
+PSI_K_PRIME_LIMIT = 10**8  # psi_K_friable's Python list of primes: ~9 MB per 10^6
 CONVENTION = "Pplus_strict"
 CACHE_SEGMENT = 1 << 17
 MASK_CHUNK = 1 << 15  # orders per step of the array friability test
@@ -289,18 +291,25 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
     contributes k+1 ideals of norm p^k, inert p one ideal of norm p^(2k),
     ramified p one ideal of norm p^k.  The primes are taken in ascending
     order of their step, the least norm of an ideal above p (p, or p^2 for
-    an inert p), so the first step above the budget ends each level."""
+    an inert p), so the first step above the budget ends each level.  Once
+    step^2 > budget, every later step is a leaf: it fits once, alone, and
+    the leaves' ideals (2 for a split p, else 1) come from a prefix sum."""
     if x < 0:
         raise UsageError(f"ideal count needs x >= 0, got {x}")
-    chis = ((p, K.chi(p)) for p in arith.primes_below(min(y, x + 1)))
+    bound = min(y, x + 1)
+    if bound > PSI_K_PRIME_LIMIT:
+        raise CapacityError(f"psi_K_friable holds every prime below {bound} (limit {PSI_K_PRIME_LIMIT})")
+    chis = ((p, K.chi(p)) for p in arith.primes_below(bound))
     steps = sorted((p * p if c == -1 else p, c) for p, c in chis)
+    values = [step for step, _ in steps]
+    leaves = list(itertools.accumulate((2 if c == 1 else 1 for _, c in steps), initial=0))
 
     def dfs(i: int, budget: int) -> int:
         total = 1  # exponent-0 assignment for all remaining primes
         for j in range(i, len(steps)):
             step, c = steps[j]
-            if step > budget:
-                break
+            if step * step > budget:
+                return total + leaves[bisect.bisect_right(values, budget, j)] - leaves[j]
             norm = step
             k = 1
             while norm <= budget:
@@ -316,19 +325,25 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
 def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:
     """gamma-tilde in ideal-count mode:
     ((psi_K(x,y)/psi_K(x,inf)) / rho(u) - 1) / (log(u+1)/log y)."""
+    check_gamma_tilde_bounds(x, y)
     return _gamma_tilde(psi_K_friable(x, y, K), psi_K(x, K), x, y)
 
 
 def gamma_tilde_curve(table, x: int, y: int) -> float:
     """gamma-tilde in curve mode, with psi_E(x,y)/#good primes <= x as the
     ratio."""
+    check_gamma_tilde_bounds(x, y)
     total = int(np.searchsorted(table[0], x, side="right"))
     return _gamma_tilde(psi_E(table, x, y), total, x, y)
 
 
-def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
+def check_gamma_tilde_bounds(x: int, y: int) -> None:
+    """Refuse a gamma-tilde at (x, y) unless 2 <= y <= x, before any count."""
     if not (2 <= y <= x):
         raise UsageError("gamma_tilde needs 2 <= y <= x")
+
+
+def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
     if total == 0:
         raise DomainError("empty census, cannot form the ratio")
     u = math.log(x) / math.log(y)

@@ -216,6 +216,10 @@ def cmd_census(args) -> int:
         _write_series(series, args.out or f"psie_{cat.name}_y{args.y}")
         return EXIT_OK
     if args.kind == "gamma_tilde":
+        if args.d is None:
+            _check_curve_budget(budget)
+        # before any count or cache file: every y of the --out series lies in [2, y]
+        census.check_gamma_tilde_bounds(budget, args.y)
         if args.d is not None:
             K = arith.field_for(args.d)
             gamma = lambda x, y: census.gamma_tilde_field(K, x, y)
@@ -242,10 +246,14 @@ def cmd_census(args) -> int:
     raise UsageError("nothing to do: pick a census kind, --race, or --rho")
 
 
-def _cache_table(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int):
-    """The cache's (primes, orders) arrays for the good primes p <= budget."""
+def _check_curve_budget(budget: int) -> None:
     if budget < 2:
         raise UsageError(f"--budget must be >= 2 for a curve-order census, got {budget}")
+
+
+def _cache_table(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int):
+    """The cache's (primes, orders) arrays for the good primes p <= budget."""
+    _check_curve_budget(budget)
     return cache.table(cat, budget)
 
 

@@ -413,6 +413,74 @@ class TestPsiK:
         K = arith.field_for(7)
         assert census.psi_K_friable(500, 1000, K) == census.psi_K(500, K)
 
+    @staticmethod
+    def dfs_visiting_leaves(x, y, K):
+        # the plain DFS, one recursive call per ideal, leaves included: the
+        # reference for psi_K_friable's prefix-sum leaf count
+        chis = ((p, K.chi(p)) for p in arith.primes_below(min(y, x + 1)))
+        steps = sorted((p * p if c == -1 else p, c) for p, c in chis)
+
+        def dfs(i, budget):
+            total = 1
+            for j in range(i, len(steps)):
+                step, c = steps[j]
+                if step > budget:
+                    break
+                norm, k = step, 1
+                while norm <= budget:
+                    total += ((k + 1) if c == 1 else 1) * dfs(j + 1, budget // norm)
+                    norm *= step
+                    k += 1
+            return total
+
+        return dfs(0, x) if x else 0
+
+    @pytest.mark.parametrize(
+        "d, x", [(d, x) for d in arith.CLASS_NUMBER_ONE_DS for x in (10**5, 10**6)] + [(7, 10**7)]
+    )
+    def test_friable_to_infinity_is_hyperbola(self, d, x):
+        # with every prime admitted, the DFS and the hyperbola count share no code
+        K = arith.field_for(d)
+        assert census.psi_K_friable(x, x + 1, K) == census.psi_K(x, K)
+
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_leaf_boundary_matches_visiting_dfs(self, d):
+        # x at p^2 and p^2 +- 1, where a step switches between leaf and
+        # inner node: the first split and inert p above 50, the largest
+        # ramified p
+        K = arith.field_for(d)
+        picked = {}
+        for p in arith.prime_sieve(1000):
+            if K.chi(p) == 0 or (p > 50 and K.chi(p) not in picked):
+                picked[K.chi(p)] = p
+        assert sorted(picked) == [-1, 0, 1]
+        for p in picked.values():
+            for x in (p * p - 1, p * p, p * p + 1):
+                for y in (2, 3, 100, 10**4, x + 1):
+                    got = census.psi_K_friable(x, y, K)
+                    assert got == self.dfs_visiting_leaves(x, y, K), (d, p, x, y)
+
+    @given(st.sampled_from(arith.CLASS_NUMBER_ONE_DS), st.integers(0, 2 * 10**5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_visiting_dfs(self, d, x, data):
+        K = arith.field_for(d)
+        y = data.draw(st.integers(2, x + 2))
+        assert census.psi_K_friable(x, y, K) == self.dfs_visiting_leaves(x, y, K)
+
+    def test_prime_list_guard(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"prime_sieve{args} called past the guard")
+
+        monkeypatch.setattr(arith, "prime_sieve", refuse)
+        K = arith.field_for(7)
+        limit = census.PSI_K_PRIME_LIMIT
+        for x, y in ((10**9, limit + 1), (limit, 10**9), (limit, limit + 5)):
+            with pytest.raises(CapacityError, match="psi_K_friable"):
+                census.psi_K_friable(x, y, K)
+        # the limit itself passes the guard and reaches the sieve
+        with pytest.raises(AssertionError, match="called past the guard"):
+            census.psi_K_friable(10**9, limit, K)
+
 
 class TestGammaTilde:
     def test_u_near_one_small(self):
@@ -437,6 +505,18 @@ class TestGammaTilde:
     def test_underflow(self):
         with pytest.raises(DomainError):
             census._gamma_tilde(1, 100, 2**60, 2)
+
+    @pytest.mark.parametrize("x, y", [(10**4, 1), (10**4, 10**4 + 1), (1, 2)])
+    def test_bad_y_before_counting(self, monkeypatch, x, y):
+        def refuse(*args):
+            raise AssertionError(f"counted {args} with a bad y")
+
+        for name in ("psi_K_friable", "psi_K", "psi_E"):
+            monkeypatch.setattr(census, name, refuse)
+        with pytest.raises(UsageError, match="gamma_tilde needs 2 <= y <= x"):
+            census.gamma_tilde_field(arith.field_for(7), x, y)
+        with pytest.raises(UsageError, match="gamma_tilde needs 2 <= y <= x"):
+            census.gamma_tilde_curve(naive_table(E7, 100), x, y)
 
 
 def fake_orders(monkeypatch, fail_at=None):

@@ -396,6 +396,25 @@ class TestCensusCommand:
         assert out == "" and err.startswith("usage error:") and "Traceback" not in err
         assert not (tmp_path / "g.json").exists()
 
+    @pytest.mark.parametrize(
+        "mode, y, budget",
+        [(["-d", "7"], "20000000", "10000000"), (["--curve", "e11"], "2000000", "300000"),
+         (["--curve", "e11"], "1", "300000"), (["-d", "7"], "1", "300000")],
+        ids=["field-above", "curve-above", "curve-below", "field-below"],
+    )
+    def test_gamma_tilde_bad_y_counts_nothing(self, tmp_path, capsys, monkeypatch, mode, y, budget):
+        def refuse(*args):
+            raise AssertionError(f"counted {args} with a bad y")
+
+        for name in ("psi_K_friable", "psi_K", "psi_E", "_compute_segment"):
+            monkeypatch.setattr(census, name, refuse)
+        args = ["census", "gamma_tilde", *mode, "--y", y, "--budget", budget,
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "g")]
+        code, out, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err == "usage error: gamma_tilde needs 2 <= y <= x\n"
+        assert list(tmp_path.rglob("*.npy")) == [] and not (tmp_path / "g.json").exists()
+
     def test_nothing_to_do(self, capsys):
         code, _, _ = run(["census"], capsys)
         assert code == cli.EXIT_USAGE
