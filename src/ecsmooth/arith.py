@@ -21,6 +21,7 @@ from .errors import CapacityError, DomainError, RamifiedPrimeError, UsageError
 CLASS_NUMBER_ONE_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 SIEVE_LIMIT = 1 << 31  # capacity guard for prime_sieve
+PRIME_LIST_LIMIT = 10**8  # integers in one prime_sieve window: its list costs ~2.5 MB per 10^6
 _SEGMENT = 1 << 20
 
 
@@ -122,11 +123,16 @@ def prime_factors(n: int) -> list[int]:
 
 def prime_sieve(limit: int, start: int = 2) -> list[int]:
     """All primes p with start <= p <= limit, ascending (segmented
-    Eratosthenes over [start, limit] only)."""
+    Eratosthenes over [start, limit] only).  The window [max(start, 2),
+    limit] may hold at most PRIME_LIST_LIMIT integers."""
     if limit < 2:
         raise DomainError(f"prime_sieve needs limit >= 2, got {limit}")
     if limit > SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds budget {SIEVE_LIMIT}")
+    width = limit - max(start, 2) + 1
+    if width > PRIME_LIST_LIMIT:
+        raise CapacityError(f"prime list over [{max(start, 2)}, {limit}] spans {width} integers, "
+                            f"more than {PRIME_LIST_LIMIT}")
     return _sieve(limit, start)
 
 

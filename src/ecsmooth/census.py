@@ -27,7 +27,6 @@ from .ecm import CatalogCurve, catalog_curve
 from .errors import CacheError, CapacityError, DomainError, EcsmoothError, UsageError
 
 PSI_BUDGET = 10**9
-PSI_K_PRIME_LIMIT = 10**8  # psi_K_friable's Python list of primes: ~9 MB per 10^6
 CONVENTION = "Pplus_strict"
 CACHE_SEGMENT = 1 << 17
 MASK_CHUNK = 1 << 15  # orders per step of the array friability test
@@ -141,7 +140,7 @@ def psi_exact(x: int, y: int) -> int:
     return psi_counts([x], y)[0]
 
 
-def order_table(E: CatalogCurve, lo: int, hi: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
     |E(F_p)|, one cmcount.order call per prime.  An order that fails names
     the curve, the range and the prime."""
@@ -150,7 +149,7 @@ def order_table(E: CatalogCurve, lo: int, hi: int, seed: int = 0) -> tuple[np.nd
     orders = []
     for p in primes:
         try:
-            orders.append(cmcount.order(E, p, seed))
+            orders.append(cmcount.order(E, p))
         except EcsmoothError as exc:
             exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
             raise
@@ -296,10 +295,7 @@ def psi_K_friable(x: int, y: int, K: arith.ImagQuadField) -> int:
     the leaves' ideals (2 for a split p, else 1) come from a prefix sum."""
     if x < 0:
         raise UsageError(f"ideal count needs x >= 0, got {x}")
-    bound = min(y, x + 1)
-    if bound > PSI_K_PRIME_LIMIT:
-        raise CapacityError(f"psi_K_friable holds every prime below {bound} (limit {PSI_K_PRIME_LIMIT})")
-    chis = ((p, K.chi(p)) for p in arith.primes_below(bound))
+    chis = ((p, K.chi(p)) for p in arith.primes_below(min(y, x + 1)))
     steps = sorted((p * p if c == -1 else p, c) for p, c in chis)
     values = [step for step, _ in steps]
     leaves = list(itertools.accumulate((2 if c == 1 else 1 for _, c in steps), initial=0))
@@ -360,9 +356,9 @@ def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
     return cache_dir / f"{curve_name}.v{ORDER_VERSION}.{seg_lo:010d}.npy"
 
 
-def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, seed: int) -> np.ndarray:
+def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
     """(p, |E(F_p)|) rows, int64, for the good primes in [seg_lo, seg_hi)."""
-    return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi, seed))
+    return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
 
 
 def _load_segment(path: Path) -> np.ndarray:
@@ -399,10 +395,9 @@ class OrderCache:
     that needs more computes only [hi, x + 1) and replaces the file with the
     stored rows and the new ones.  Files are bit-exact reproducible."""
 
-    def __init__(self, cache_dir: str | os.PathLike, seed: int = 0, workers: int = 1):
+    def __init__(self, cache_dir: str | os.PathLike, workers: int = 1):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.seed = seed
         if workers < 1:
             raise UsageError(f"workers={workers} must be >= 1")
         self.workers = workers
@@ -439,13 +434,10 @@ class OrderCache:
 
     def _compute(self, curve_name: str, todo):
         if self.workers == 1 or len(todo) <= 1:
-            return [_compute_segment(curve_name, start, hi, self.seed) for _, start, hi, _ in todo]
+            return [_compute_segment(curve_name, start, hi) for _, start, hi, _ in todo]
         # the fork start method forks all max_workers at the first submit
         with ProcessPoolExecutor(max_workers=min(self.workers, len(todo))) as pool:
-            futs = [
-                pool.submit(_compute_segment, curve_name, start, hi, self.seed)
-                for _, start, hi, _ in todo
-            ]
+            futs = [pool.submit(_compute_segment, curve_name, start, hi) for _, start, hi, _ in todo]
             return [f.result() for f in futs]
 
     def _write(self, path: Path, seg: np.ndarray) -> None:

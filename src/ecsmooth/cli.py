@@ -69,8 +69,6 @@ def _cache_dir(args) -> str:
 
 
 def cmd_ecm(args) -> int:
-    if args.n < 2:
-        raise UsageError("N must be >= 2")
     cat = ecm.catalog_curve(args.curve)
     t0 = time.perf_counter()
     out = ecm.ecm_one_curve(args.n, cat, args.u, args.v, exact_m=args.exact_m)
@@ -109,8 +107,7 @@ def cmd_split(args) -> int:
 def _alpha_columns(ds, ell_bound, p_bound, per_ell):
     return [
         lfunc.alpha_report(
-            ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=ell_bound,
-            empirical_ell_bound=10**4, p_bound=p_bound, per_ell_limit=per_ell,
+            ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=ell_bound, p_bound=p_bound, per_ell_limit=per_ell
         )
         for d in ds
     ]
@@ -162,7 +159,7 @@ def _write_series(series: census.CensusSeries, out_base: str) -> None:
 
 
 def cmd_census(args) -> int:
-    cache = census.OrderCache(_cache_dir(args), seed=args.seed, workers=args.workers)
+    cache = census.OrderCache(_cache_dir(args), workers=args.workers)
     budget = args.budget
     if args.rho:
         # rows are keyed by x = round(RHO_X_SCALE * u), so a finer step would repeat an x
@@ -316,7 +313,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: no order depends on a seed")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_census)
     _config_defaults(p, config)

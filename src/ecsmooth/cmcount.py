@@ -86,13 +86,13 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
     return picked[0]
 
 
-def order(cat: CatalogCurve, p: int, seed: int = 0) -> int:
+def order(cat: CatalogCurve, p: int) -> int:
     """|E(F_p)| at a good prime p: the closed form for CM curves; for the
-    others a naive count up to 2000 and BSGS above, seeded per prime
-    (seed xor p).  BSGS returns only the true order and is never ambiguous
-    above p = 229, so the result does not depend on the seed."""
+    others a naive count up to 2000 and BSGS above, its random points drawn
+    from random.Random(p).  BSGS returns only the true order and is never
+    ambiguous above p = 229, so no choice of points changes the result."""
     if cat.cm_field is not None:
         return cm_order(cat, p)
     if p <= 2000:
         return curve.naive_count(cat.curve, p)
-    return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(seed ^ p))
+    return curve.bsgs_order(cat.curve, p, samples=3, rng=random.Random(p))

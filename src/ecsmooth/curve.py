@@ -222,7 +222,7 @@ def _exponent_multiple(p: int, A: int, B: int, count: int, rng: random.Random) -
     return acc
 
 
-def bsgs_order(E: WeierstrassCurve, p: int, samples: int, rng: random.Random | None = None) -> int:
+def bsgs_order(E: WeierstrassCurve, p: int, samples: int, rng: random.Random) -> int:
     """|E(F_p)| from the orders of random points on E and on its quadratic
     twist E^t: the one n in the Hasse interval with lcm_E | n and
     lcm_t | |E^t| = 2p + 2 - n.  Each round adds `samples` point orders to
@@ -239,7 +239,6 @@ def bsgs_order(E: WeierstrassCurve, p: int, samples: int, rng: random.Random | N
         raise BadReductionError(f"bad reduction at {p}")
     if p <= 3:
         return naive_count(E, p)
-    rng = rng if rng is not None else random.Random(0xEC0)
     A, B = short_model(E, p)
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:

@@ -49,17 +49,13 @@ class EcmParams:
 
 @dataclass(frozen=True)
 class EcmOutcome:
-    """Factor(g) with 1 < g < N, or Fail."""
+    """Factor(g) with 1 < g < N, or Fail: EcmOutcome(), with no factor."""
 
     factor: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.factor is not None
-
-    @classmethod
-    def fail(cls) -> "EcmOutcome":
-        return cls(None)
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def ecm_one_curve(
         if 1 < g < n:
             return EcmOutcome(g)
         if g == n:
-            return EcmOutcome.fail()
+            return EcmOutcome()
     if cat.point is None:
         raise UsageError(f"catalog curve {cat.name} has no rational point for ECM")
     k = _torsion_order(cat.curve, cat.point)
@@ -163,15 +159,15 @@ def ecm_one_curve(
             P = curve.ec_scalar_mul(n, A, s, P)
             if P is None:
                 # [M']P = O mod every prime of n at once: nothing to separate
-                return EcmOutcome.fail()
+                return EcmOutcome()
     except DivisorFound as d:
         if d.g == n:
-            return EcmOutcome.fail()
+            return EcmOutcome()
         if n % d.g:
             raise ArithmeticError(f"surfaced divisor {d.g} does not divide N={n}") from d
         return EcmOutcome(d.g)
     # stage 1 finished on an affine point without a failed inversion
-    return EcmOutcome.fail()
+    return EcmOutcome()
 
 
 @functools.cache

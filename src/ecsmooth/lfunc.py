@@ -24,7 +24,6 @@ EULER_GAMMA = 0.57721566490153286061
 
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
-EMPIRICAL_P_BOUND = 10**3
 _ELL_GUARD = 10**5
 _TABLE_CELLS = 1 << 22  # entries of the ell-by-n table in _mean_vals
 
@@ -144,25 +143,17 @@ def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
     return total / orders.size
 
 
-def alpha_empirical(
-    E: CatalogCurve,
-    ell_bound: int = EMPIRICAL_ELL_BOUND,
-    p_bound: int = EMPIRICAL_P_BOUND,
-    orders=None,
-) -> float:
+def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:
     """alpha-tilde: replace the expectation in the per-prime terms by the
-    average valuation of |E(F_p)| over good primes p <= p_bound.  CM curves
-    use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1)) log l; the sign
-    convention matches the frozen reference column (more negative = larger
-    observed valuations = more ECM-friendly).  orders, when given, are the
-    orders of those primes."""
+    average valuation of the given orders |E(F_p)|, one per good prime p.
+    CM curves use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1))
+    log l; the sign convention matches the frozen reference column (more
+    negative = larger observed valuations = more ECM-friendly)."""
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
-    if orders is None:
-        orders = census.order_table(E, 0, p_bound + 1)[1]
     orders = np.asarray(orders, dtype=np.int64)
     if not orders.size:
-        raise DomainError(f"no good primes up to {p_bound}")
+        raise DomainError("alpha-tilde needs at least one order")
     ell, lg = _primes_and_logs(ell_bound)
     avg = _mean_vals(orders, ell)
     if E.cm_field is not None:
@@ -207,21 +198,22 @@ class AlphaReport:
 
 def alpha_report(
     E: CatalogCurve,
+    p_bound: int,
     ell_bound: int = DEFAULT_ELL_BOUND,
-    empirical_ell_bound: int = EMPIRICAL_ELL_BOUND,
-    p_bound: int = EMPIRICAL_P_BOUND,
     per_ell_limit: int = 0,
 ) -> AlphaReport:
-    """The table column of a CM curve; per_ell lists, for every prime
-    ell <= per_ell_limit, the theoretical and the observed mean valuation.
-    The orders are computed once, for alpha-tilde and per_ell alike."""
+    """The table column of a CM curve, with alpha-tilde over the good primes
+    p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
+    prime ell <= per_ell_limit, the theoretical and the observed mean
+    valuation.  The orders are computed once, for alpha-tilde and per_ell
+    alike."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
     orders = census.order_table(E, 0, p_bound + 1)[1]
-    at = alpha_empirical(E, empirical_ell_bound, p_bound, orders)
+    at = alpha_empirical(E, orders)
     ells = arith.primes_below(per_ell_limit + 1)
     means = _mean_vals(orders, np.array(ells, dtype=np.int64)).tolist()
     per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(ells, means)]

@@ -7,4 +7,4 @@ from ecsmooth import census
 def order_cache(tmp_path_factory):
     """Shared on-disk order cache so the heavy prime sweeps run once."""
     root = tmp_path_factory.mktemp("orders")
-    return census.OrderCache(root, seed=0, workers=4)
+    return census.OrderCache(root, workers=4)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from concurrent.futures import Future
@@ -219,7 +220,7 @@ class TestSweep:
     def test_one_order_per_prime(self, monkeypatch):
         calls = []
 
-        def order(cat, p, seed=0):
+        def order(cat, p):
             calls.append(p)
             return p + 1
 
@@ -469,15 +470,16 @@ class TestPsiK:
 
     def test_prime_list_guard(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError(f"prime_sieve{args} called past the guard")
+            raise AssertionError(f"_sieve{args} called past the guard")
 
-        monkeypatch.setattr(arith, "prime_sieve", refuse)
+        monkeypatch.setattr(arith, "_sieve", refuse)
         K = arith.field_for(7)
-        limit = census.PSI_K_PRIME_LIMIT
+        # the primes below min(y, x + 1) span [2, min(y, x + 1) - 1]
+        limit = arith.PRIME_LIST_LIMIT + 2
         for x, y in ((10**9, limit + 1), (limit, 10**9), (limit, limit + 5)):
-            with pytest.raises(CapacityError, match="psi_K_friable"):
+            with pytest.raises(CapacityError, match="prime list"):
                 census.psi_K_friable(x, y, K)
-        # the limit itself passes the guard and reaches the sieve
+        # a window of exactly PRIME_LIST_LIMIT integers passes the guard and reaches the sieve
         with pytest.raises(AssertionError, match="called past the guard"):
             census.psi_K_friable(10**9, limit, K)
 
@@ -523,7 +525,7 @@ def fake_orders(monkeypatch, fail_at=None):
     """Make every segment cheap: |E(F_p)| := p + 1, except that the prime
     fail_at raises AmbiguityError."""
 
-    def order(cat, p, seed=0):
+    def order(cat, p):
         if p == fail_at:
             raise AmbiguityError("no unique candidate")
         return p + 1
@@ -536,9 +538,9 @@ def spy_segments(monkeypatch):
     calls = []
     compute = census._compute_segment
 
-    def spy(name, lo, hi, seed):
+    def spy(name, lo, hi):
         calls.append((lo, hi))
-        return compute(name, lo, hi, seed)
+        return compute(name, lo, hi)
 
     monkeypatch.setattr(census, "_compute_segment", spy)
     return calls
@@ -546,13 +548,13 @@ def spy_segments(monkeypatch):
 
 class TestOrderCache:
     def test_matches_direct(self, tmp_path):
-        cache = census.OrderCache(tmp_path, seed=0)
+        cache = census.OrderCache(tmp_path)
         table = cache.orders(E7, 3000)
-        assert table == {p: cmcount.order(E7, p, 0) for p in good_primes(E7, 3000)}
+        assert table == {p: cmcount.order(E7, p) for p in good_primes(E7, 3000)}
 
     def test_resume_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        ca, cb = census.OrderCache(a_dir, seed=0), census.OrderCache(b_dir, seed=0)
+        ca, cb = census.OrderCache(a_dir), census.OrderCache(b_dir)
         x = census.CACHE_SEGMENT + 100  # one full segment + a persisted tail
         ca.orders(E7, x)
         cb.orders(E7, x)
@@ -564,7 +566,7 @@ class TestOrderCache:
         for name in files_a:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
         # second call must reuse the files and agree exactly
-        again = census.OrderCache(a_dir, seed=0).orders(E7, x)
+        again = census.OrderCache(a_dir).orders(E7, x)
         assert again == cb.orders(E7, x)
 
     @pytest.mark.parametrize(
@@ -576,16 +578,36 @@ class TestOrderCache:
         # what the segment held when it was cut from the full prime table
         cat = ecm.catalog_curve(name)
         want = [
-            [p, cmcount.order(cat, p, 0)]
+            [p, cmcount.order(cat, p)]
             for p in arith.prime_sieve(hi)
             if lo <= p < hi and cat.curve.has_good_reduction(p)
         ]
-        seg = census._compute_segment(name, lo, hi, 0)
+        seg = census._compute_segment(name, lo, hi)
         assert seg.dtype == np.int64 and seg.tolist() == want
 
     def test_segment_is_half_open(self):
-        assert [p for p, _ in census._compute_segment("e7", 90, 101, 0).tolist()] == [97]
-        assert census._compute_segment("e7", 0, 2, 0).shape == (0, 2)
+        assert [p for p, _ in census._compute_segment("e7", 90, 101).tolist()] == [97]
+        assert census._compute_segment("e7", 0, 2).shape == (0, 2)
+
+    # SHA-256 of every file the cache writes for these tables: e7 and e11 to
+    # 3 * 10^5 (two full segments and a persisted tail each), e37 to 3 * 10^4
+    # (naive counts up to p = 2000, BSGS above)
+    DIGESTS = {
+        "e11.v1.0000000000.npy": "06f230c42f88267cb320f9f663983b38efec1a47e455bd1ed00466517371cc24",
+        "e11.v1.0000131072.npy": "d3dbd82fa582a0cd65b6407d17a3232db3f0e4c23e423448b00963bdd8478fda",
+        "e11.v1.0000262144.npy": "8ca66f40d743d8fbafe2a831286e46adb68ca35792c3c78f14e54f3527758588",
+        "e37.v1.0000000000.npy": "e4bedee7a9c278093c974d621ef291def22e49a7c5e9c69307a331f7fcc68d3e",
+        "e7.v1.0000000000.npy": "db1b8c56f0bf0f6b62b45ff6c82dc313c477e4e1b9a4efae796faa20dd48cc10",
+        "e7.v1.0000131072.npy": "481fb906fc53c6b3a24710ee3f6b9cc657dcf99b7dcb41ab3b1a69be4b36b777",
+        "e7.v1.0000262144.npy": "3af73ad44d7befcb5b9f50bfa5ca459adc81888b2ad11aad2e81141e9fe2b895",
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        cache = census.OrderCache(tmp_path)
+        for name, x in (("e7", 3 * 10**5), ("e11", 3 * 10**5), ("e37", 3 * 10**4)):
+            cache.table(ecm.catalog_curve(name), x)
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert got == self.DIGESTS
 
     def test_write_leaves_foreign_tmp(self, tmp_path):
         cache = census.OrderCache(tmp_path)
@@ -628,7 +650,7 @@ class TestOrderCache:
         assert sizes == [2]
 
     def test_table_matches_orders(self, tmp_path):
-        cache = census.OrderCache(tmp_path, seed=0)
+        cache = census.OrderCache(tmp_path)
         ps, ns = cache.table(E7, 3000)
         assert ps.tolist() == good_primes(E7, 3000)
         assert dict(zip(ps.tolist(), ns.tolist())) == cache.orders(E7, 3000)

@@ -101,6 +101,48 @@ class TestEcmCommand:
         assert f"torsion point of order {order}" in err
 
 
+    @pytest.mark.parametrize("n", ["1", "0", "-35"])
+    def test_n_below_two(self, n, capsys):
+        code, out, err = run(["ecm", n], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err == "usage error: N must be >= 2\n"
+
+
+class TestPrimeListGuard:
+    """Inputs whose prime list would span more than PRIME_LIST_LIMIT
+    integers exit 3 before any such window is sieved."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "-d", "7", "--ell-bound", "2000000000"],
+            ["alpha", "-d", "7", "--per-ell", "2000000000"],
+            ["alpha", "-d", "7", "--p-bound", "2000000000"],
+            ["census", "psi", "--y", "500000000", "--budget", "1000000000"],
+            ["census", "--race", "e7-e11", "--y", "2000000000", "--budget", "16"],
+            ["census", "psi_e", "--curve", "e7", "--y", "2000000000", "--budget", "16"],
+            ["ecm", "2147483659", "-u", "1.01", "-v", "1.01"],
+        ],
+        ids=["ell-bound", "per-ell", "p-bound", "psi", "race", "psi_e", "ecm"],
+    )
+    def test_refused_before_sieving(self, argv, tmp_path, capsys, monkeypatch):
+        sieve = arith._sieve
+
+        def small_only(limit, start):
+            if limit - max(start, 2) + 1 > arith.PRIME_LIST_LIMIT:
+                raise AssertionError(f"_sieve({limit}, {start}) called past the guard")
+            return sieve(limit, start)
+
+        monkeypatch.setattr(arith, "_sieve", small_only)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "census":
+            argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_BUDGET
+        assert err.startswith("budget exceeded: prime list over") and "Traceback" not in err
+        assert "more than 100000000" in err
+
+
 class TestSplitCommand:
     def test_q101(self, capsys):
         code, out, _ = run(["split", "101", "2", "1", "-u", "1.5", "-v", "1.5"], capsys)

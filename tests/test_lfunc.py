@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsmooth import arith, curve, ecm, lfunc
+from ecsmooth import arith, census, curve, ecm, lfunc
 from ecsmooth.errors import DomainError, UsageError
 
 
@@ -146,13 +146,13 @@ class TestAlphaEmpirical:
             for p in arith.prime_sieve(500)
             if cat.curve.has_good_reduction(p)
         ]
-        a = lfunc.alpha_empirical(cat, ell_bound=100, p_bound=500, orders=orders)
-        b = lfunc.alpha_empirical(cat, ell_bound=100, p_bound=500)
+        a = lfunc.alpha_empirical(cat, orders, ell_bound=100)
+        b = lfunc.alpha_empirical(cat, census.order_table(cat, 0, 501)[1], ell_bound=100)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
-            lfunc.alpha_empirical(ecm.catalog_curve("e7"), ell_bound=1)
+            lfunc.alpha_empirical(ecm.catalog_curve("e7"), [8], ell_bound=1)
 
 
 class TestMeanVals:
@@ -194,13 +194,11 @@ class TestWNonCm:
 
 class TestAlphaReport:
     def test_fields(self):
-        rep = lfunc.alpha_report(
-            ecm.catalog_curve("e7"), ell_bound=10**5, empirical_ell_bound=10**3, p_bound=200
-        )
+        rep = lfunc.alpha_report(ecm.catalog_curve("e7"), ell_bound=10**5, p_bound=200)
         assert rep.field_d == 7
         assert rep.alpha == pytest.approx(rep.gamma_k - rep.sigma_k)
         assert rep.difference == pytest.approx(rep.alpha_tilde - rep.alpha)
 
     def test_non_cm_rejected(self):
         with pytest.raises(UsageError):
-            lfunc.alpha_report(ecm.catalog_curve("e37"))
+            lfunc.alpha_report(ecm.catalog_curve("e37"), p_bound=10**3)
