@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,43 +40,33 @@ class FriabilityTester:
     """Strict y-friability: accepts n iff P+(n) < y.  n = 1 is accepted
     (its largest prime factor is an empty maximum); callers that must
     exclude 1 (no prime divisor exists) do so themselves.  Called on an int
-    it returns a bool, on an int64 array the boolean mask."""
+    it returns a bool, on an int64 array the boolean mask.  Each call
+    divides out the primes below min(y, isqrt(max n) + 1) and accepts n iff
+    what is left is below y: an n <= N with no prime factor <= sqrt(N) is 1
+    or a prime, so no verdict needs a prime above sqrt(N)."""
 
     y: int
-    primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.y < 2:
             raise UsageError(f"friability bound y={self.y} must be >= 2")
-        object.__setattr__(self, "primes", tuple(arith.primes_below(self.y)))
 
     def __call__(self, n: int | np.ndarray) -> bool | np.ndarray:
-        if isinstance(n, np.ndarray):
-            return self._mask(n)
-        if n < 1:
-            raise UsageError(f"friability test needs n >= 1, got {n}")
-        for p in self.primes:
-            if p * p > n:
-                break
-            while n % p == 0:
-                n //= p
-        # remaining n is 1, a prime, or has all factors >= y; n < y forces prime
-        return n < self.y
-
-    def _mask(self, ns: np.ndarray) -> np.ndarray:
-        # Divide out the primes p < y in ascending order, one chunk of ns at
-        # a time so that the temporaries stay small.  Once the primes below p
-        # are divided out, a remainder below p^2 is 1 or a prime, so its
-        # verdict is final and it leaves the working set; compacting only
-        # every 8th prime keeps the compaction cheaper than the passes it saves.
-        if ns.size and ns.min() < 1:
+        # Divide out the primes in ascending order, one chunk of ns at a time
+        # so that the temporaries stay small.  Once the primes below p are
+        # divided out, a remainder below p^2 is 1 or a prime, so its verdict
+        # is final and it leaves the working set; compacting only every 8th
+        # prime keeps the compaction cheaper than the passes it saves.
+        ns = n if isinstance(n, np.ndarray) else np.array([n], dtype=np.int64)
+        if ns.min(initial=1) < 1:
             raise UsageError(f"friability test needs n >= 1, got {ns.min()}")
+        primes = arith.primes_below(min(self.y, math.isqrt(int(ns.max(initial=1))) + 1))
         out = np.empty(ns.size, dtype=bool)
         for lo in range(0, ns.size, MASK_CHUNK):
             verdict = out[lo : lo + MASK_CHUNK]
             live = ns[lo : lo + MASK_CHUNK].astype(np.int64)
             pos = np.arange(live.size)
-            for i, p in enumerate(self.primes):
+            for i, p in enumerate(primes):
                 if i % 8 == 0:
                     verdict[pos] = live < self.y
                     keep = np.flatnonzero(live >= p * p)
@@ -88,7 +78,7 @@ class FriabilityTester:
                     live[idx] //= p
                     idx = idx[live[idx] % p == 0]
             verdict[pos] = live < self.y
-        return out
+        return out if ns is n else bool(out[0])
 
 
 def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
@@ -107,7 +97,8 @@ def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
 def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     """Exact Psi(c, y) = #{n <= c : P+(n) < y} at each checkpoint c, from one
     segmented pass over [1, max(checkpoints)]: per segment, the positions
-    that dividing out the primes < y reduces to 1, added to a running total
+    that dividing out the primes below min(y, isqrt(max(checkpoints)) + 1)
+    reduces below y (the rule of FriabilityTester), added to a running total
     and read off at every checkpoint inside the segment."""
     if not checkpoints:
         return []
@@ -120,13 +111,13 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
         raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
     if y > x:
         return list(checkpoints)
-    primes = arith.primes_below(y)
+    primes = arith.primes_below(min(y, math.isqrt(x) + 1))
     todo = sorted(set(checkpoints))
     counts: dict[int, int] = {}
     total = 0
     seg = 1 << 20
     for lo in range(1, x + 1, seg):
-        friable = _divide_out(lo, min(lo + seg, x + 1), primes) == 1
+        friable = _divide_out(lo, min(lo + seg, x + 1), primes) < y
         while todo and todo[0] < lo + seg:
             c = todo.pop(0)
             counts[c] = total + int(np.count_nonzero(friable[: c + 1 - lo]))
@@ -189,7 +180,7 @@ def psi_E_z(table, x: int, y: int, z: int) -> int:
     hit = np.zeros(x + 1, dtype=bool)
     for p in primes[below][FriabilityTester(z)(orders[below])].tolist():
         hit[p::p] = True
-    friable = _divide_out(1, x + 1, arith.primes_below(min(y, x + 1))) == 1
+    friable = _divide_out(1, x + 1, arith.primes_below(min(y, math.isqrt(x) + 1))) < y
     return int(np.count_nonzero(hit[1:] & friable))
 
 

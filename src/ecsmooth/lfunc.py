@@ -147,7 +147,7 @@ def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUN
     """alpha-tilde: replace the expectation in the per-prime terms by the
     average valuation of the given orders |E(F_p)|, one per good prime p.
     CM curves use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1))
-    log l; the sign convention matches the frozen reference column (more
+    log l; the sign convention matches the frozen reference column (less
     negative = larger observed valuations = more ECM-friendly)."""
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
@@ -187,8 +187,6 @@ class AlphaReport:
     alpha: float
     alpha_tilde: float
     curve_name: str
-    ell_bound: int
-    p_bound: int
     per_ell: list[tuple[int, float, float]] = field(default_factory=list)
 
     @property
@@ -224,7 +222,5 @@ def alpha_report(
         alpha=g - s,
         alpha_tilde=at,
         curve_name=E.name,
-        ell_bound=ell_bound,
-        p_bound=p_bound,
         per_ell=per_ell,
     )

@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
-name and reads some of their arguments by position.  These tests read its
-source with ast, importing nothing from perfbench, and check that every
-name it hooks still exists and that the arguments it reads are still where
-it reads them."""
+name and reads some of their arguments by position, and its runner
+(perfbench/run.py) passes fixed command lines to the CLI.  These tests read
+their source with ast, importing nothing from perfbench, and check that
+every name the tracer hooks still exists, that the arguments it reads are
+still where it reads them, and that every benchmark command line parses."""
 
 import ast
 import inspect
@@ -13,6 +14,7 @@ import pytest
 from ecsmooth import arith, census, cli, cmcount, curve, dickman, ecm, lfunc
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUNNER = TRACER.with_name("run.py")
 TREE = ast.parse(TRACER.read_text())
 MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in (arith, census, cli, cmcount, curve, dickman, ecm, lfunc)}
 
@@ -70,3 +72,37 @@ def test_positional_arguments_read_by_hooks(name, leading):
     assert name in hooked_names()
     params = list(inspect.signature(resolve(name)).parameters)
     assert params[: len(leading)] == leading
+
+
+def benchmark_command_lines() -> dict[str, list[str]]:
+    """Every command line of perfbench/run.py's commands() at each of its
+    SCALES, from only those two definitions of its source."""
+    tree = ast.parse(RUNNER.read_text())
+    keep = [
+        node for node in tree.body
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SCALES" for t in node.targets))
+        or (isinstance(node, ast.FunctionDef) and node.name == "commands")
+    ]
+    ns = {"Path": Path}
+    exec(compile(ast.Module(body=keep, type_ignores=[]), str(RUNNER), "exec"), ns)
+    return {
+        f"{scale}-{name}": argv
+        for scale, cfg in ns["SCALES"].items()
+        for name, argv in ns["commands"](cfg, "cache", Path("out"), 0).items()
+    }
+
+
+COMMAND_LINES = benchmark_command_lines()
+
+
+def test_all_benchmark_command_lines_found():
+    assert len(COMMAND_LINES) == 14
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES.values(), ids=COMMAND_LINES.keys())
+def test_benchmark_command_line_parses(argv):
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the CLI refuses {argv}")
+    assert args.command == argv[0]

@@ -72,19 +72,32 @@ class TestFriabilityTester:
     @settings(max_examples=300, deadline=None)
     def test_mask_matches_scalar(self, ns, y):
         # y runs from far below sqrt(n) to above it; prime powers reach 3000^5
-        tester = census.FriabilityTester(y)
-        mask = tester(np.array(ns, dtype=np.int64))
-        assert mask.dtype == bool and mask.tolist() == [tester(n) for n in ns]
+        mask = census.FriabilityTester(y)(np.array(ns, dtype=np.int64))
+        assert mask.dtype == bool
+        assert mask.tolist() == [n == 1 or largest_prime_factor(n) < y for n in ns]
 
     def test_mask_across_chunks(self, monkeypatch):
         monkeypatch.setattr(census, "MASK_CHUNK", 7)
         ns = np.arange(1, 3000, dtype=np.int64)
         for y in (2, 5, 60):
-            tester = census.FriabilityTester(y)
-            assert tester(ns).tolist() == [tester(n) for n in ns.tolist()]
+            want = [n == 1 or largest_prime_factor(n) < y for n in ns.tolist()]
+            assert census.FriabilityTester(y)(ns).tolist() == want
 
     def test_scalar_returns_bool(self):
         assert census.FriabilityTester(7)(12) is True
+
+    def test_primes_only_to_sqrt_of_largest_n(self):
+        # every order of e7 to 10^4 is below 10^4 + 202, so a call needs only
+        # the primes <= 100, not the 664,579 primes below y
+        orders = census.order_table(E7, 0, 10**4 + 1)[1]
+        tracemalloc.start()
+        try:
+            mask = census.FriabilityTester(10**7)(orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.all()
+        assert peak < 1 << 20, peak
 
 
 class TestPsiExact:

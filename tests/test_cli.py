@@ -118,12 +118,9 @@ class TestPrimeListGuard:
             ["alpha", "-d", "7", "--ell-bound", "2000000000"],
             ["alpha", "-d", "7", "--per-ell", "2000000000"],
             ["alpha", "-d", "7", "--p-bound", "2000000000"],
-            ["census", "psi", "--y", "500000000", "--budget", "1000000000"],
-            ["census", "--race", "e7-e11", "--y", "2000000000", "--budget", "16"],
-            ["census", "psi_e", "--curve", "e7", "--y", "2000000000", "--budget", "16"],
             ["ecm", "2147483659", "-u", "1.01", "-v", "1.01"],
         ],
-        ids=["ell-bound", "per-ell", "p-bound", "psi", "race", "psi_e", "ecm"],
+        ids=["ell-bound", "per-ell", "p-bound", "ecm"],
     )
     def test_refused_before_sieving(self, argv, tmp_path, capsys, monkeypatch):
         sieve = arith._sieve
@@ -141,6 +138,53 @@ class TestPrimeListGuard:
         assert code == cli.EXIT_BUDGET
         assert err.startswith("budget exceeded: prime list over") and "Traceback" not in err
         assert "more than 100000000" in err
+
+
+def sieve_spy(monkeypatch, top):
+    """Make arith._sieve fail on any limit above top."""
+    sieve = arith._sieve
+
+    def bounded(limit, start):
+        if limit > top:
+            raise AssertionError(f"_sieve({limit}, {start}) above {top}")
+        return sieve(limit, start)
+
+    monkeypatch.setattr(arith, "_sieve", bounded)
+
+
+class TestFriabilityPrimesToSqrt:
+    """A friability verdict on n <= N needs only the primes <= sqrt(N), so
+    a --y far above the largest n sieves no prime list sized by y."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--race", "e7-e11"], ["psi_e", "--curve", "e7"]],
+        ids=["race", "psi_e"],
+    )
+    def test_curve_orders(self, argv, tmp_path, capsys, monkeypatch):
+        # at --budget 16 every order is <= 16 + 1 + 8 = 25, so --y 26 already
+        # accepts them all; the cache is built by that run
+        base = ["census", *argv, "--budget", "16", "--cache-dir", str(tmp_path / "cache")]
+        code, _, _ = run(base + ["--y", "26", "--out", str(tmp_path / "y26")], capsys)
+        assert code == cli.EXIT_OK
+        sieve_spy(monkeypatch, math.isqrt(25) + 1)
+        code, _, err = run(base + ["--y", "2000000000", "--out", str(tmp_path / "big")], capsys)
+        assert code == cli.EXIT_OK, err
+        rows = lambda name: json.loads((tmp_path / f"{name}.json").read_text())["rows"]
+        assert rows("big") == rows("y26")
+
+    def test_psi(self, tmp_path, capsys, monkeypatch):
+        x_max, y = 10**6, 900_000
+        primes = arith.prime_sieve(x_max, y)
+        sieve_spy(monkeypatch, math.isqrt(x_max) + 1)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["census", "psi", "--y", str(y), "--budget", str(x_max), "--out", "psi"], capsys)
+        assert code == cli.EXIT_OK, err
+        rows = json.loads((tmp_path / "psi.json").read_text())["rows"]
+        # Buchstab: for y > sqrt(x) an n <= x has at most one prime factor p >= y,
+        # to the first power, so Psi(x, y) = x - sum_{y <= p <= x} floor(x/p)
+        assert rows == [[x, x - sum(x // p for p in primes if p <= x)] for x, _ in rows]
+        assert len(rows) == 17 and rows[-1][0] == x_max
 
 
 class TestSplitCommand:
