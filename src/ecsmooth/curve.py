@@ -3,12 +3,15 @@ independent group-order oracles over prime fields (naive enumeration and
 baby-step/giant-step).
 
 There is one group law: affine chord-and-tangent on a short model
-y^2 = x^3 + Ax + B mod n (sw_add, ec_scalar_mul), serving ECM and BSGS
-alike.  Every inversion goes through arith.inverse_or_divisor: a failed
-inversion is exactly the event that surfaces a factor of a composite
-modulus, so complete projective formulas would defeat the purpose.  Curves
-are stored in long Weierstrass form; short_model and short_point carry a
-curve and its points over.
+y^2 = x^3 + Ax + B mod n (sw_add), serving ECM and BSGS alike.  Every
+inversion goes through arith.inverse_or_divisor: a failed inversion is
+exactly the event that surfaces a factor of a composite modulus.
+ec_scalar_mul returns what the affine double-and-add chain of sw_add steps
+returns, but evaluates that chain in Jacobian coordinates with a single
+inversion at the end; only when that inversion fails does it replay the
+affine chain, which then returns None or raises the same DivisorFound.
+Curves are stored in long Weierstrass form; short_model and short_point
+carry a curve and its points over.
 
 BSGS keeps only the orders that the point orders on E and on its quadratic
 twist allow, so it never returns a wrong order: it returns the one order
@@ -156,10 +159,51 @@ def sw_add(n: int, A: int, P, Q):
 
 
 def ec_scalar_mul(n: int, A: int, k: int, P):
-    """[k]P mod n by left-to-right double-and-add; raises DivisorFound at the
-    first failed inversion."""
+    """[k]P mod n by left-to-right double-and-add, with the outcome of the
+    affine sw_add chain over the same bits of k: the point, None, or
+    DivisorFound at its first failed inversion.
+
+    The chain runs in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), adding
+    the affine P by mixed addition, so it makes one inversion, of Z at the
+    end.  Every affine step that would fail mod a prime p of n (2y = 0,
+    R = -P or R = P mod p) makes Z = 0 mod p, and Z stays 0 mod p from then
+    on; so a unit Z means that no affine step failed and both chains reach
+    the same point.  Otherwise the affine chain is replayed."""
     if k < 0:
         raise UsageError("scalar must be nonnegative")
+    if k == 0 or P is None:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1  # the leading bit of k: R = P
+    for bit in bin(k)[3:]:
+        # R = 2R, with Z3 = 2YZ
+        YY = Y * Y % n
+        S = 4 * X * YY % n
+        ZZ = Z * Z % n
+        M = (3 * X * X + A * ZZ * ZZ) % n
+        Z = 2 * Y * Z % n
+        X = (M * M - 2 * S) % n
+        Y = (M * (S - X) - 8 * YY * YY) % n
+        if bit == "1":
+            # R = R + P, with Z3 = ZH
+            ZZ = Z * Z % n
+            H = (x * ZZ - X) % n
+            r = (y * ZZ * Z - Y) % n
+            HH = H * H % n
+            HHH = H * HH % n
+            V = X * HH % n
+            X = (r * r - HHH - 2 * V) % n
+            Y = (r * (V - X) - Y * HHH) % n
+            Z = Z * H % n
+    inv, _ = arith.inverse_or_divisor(Z, n)
+    if inv is None:
+        return _affine_scalar_mul(n, A, k, P)
+    inv2 = inv * inv % n
+    return X * inv2 % n, Y * inv2 * inv % n
+
+
+def _affine_scalar_mul(n: int, A: int, k: int, P):
+    """The affine double-and-add chain of ec_scalar_mul, one sw_add per step."""
     R = None
     for bit in bin(k)[2:]:
         R = sw_add(n, A, R, R)

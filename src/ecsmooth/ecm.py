@@ -7,8 +7,14 @@ factorial exponent is still available behind a flag for tiny N so the
 equivalence is testable.
 
 Stage 1 runs on the short model of the catalog curve mod N: the catalog
-point is carried over by curve.short_point, and the single group law of
-curve.py surfaces the factor at the first failed inversion.
+point is carried over by curve.short_point, and curve.ec_scalar_mul
+multiplies it by each prime l of the plan, e_l times, in plan order.  Each
+scalar costs one inversion (the chain runs in Jacobian coordinates); when
+that inversion fails, the affine chain is replayed and surfaces the factor
+at its first failed inversion.  The affine chain can surface p at a step
+where the running point is P mod p, although [l]P is not O mod p, so which
+factors are found depends on the addition chain: NAF, windows or merged
+scalars would change the outcomes.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ class EcmParams:
             raise UsageError("ECM parameters require u > 1 and v > 1")
 
     def bounds(self, n: int) -> tuple[int, int]:
-        b = int(n ** (1.0 / self.u))
+        try:
+            b = int(n ** (1.0 / self.u))
+        except OverflowError:
+            # floats end just below 2^1024
+            raise UsageError(f"a {n.bit_length()}-bit modulus is too large for the float bounds B and C") from None
         c = int(b ** (1.0 / self.v)) if b >= 1 else 0
         if b >= n:
             raise UsageError(f"B={b} must be smaller than N={n}")

@@ -204,7 +204,9 @@ def alpha_report(
     p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
     prime ell <= per_ell_limit, the theoretical and the observed mean
     valuation.  The orders are computed once, for alpha-tilde and per_ell
-    alike."""
+    alike.  Warns with TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the
+    largest order: every ell above it divides no order and adds only its
+    -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
@@ -212,6 +214,12 @@ def alpha_report(
     s = sigma_k(K, ell_bound)
     orders = census.order_table(E, 0, p_bound + 1)[1]
     at = alpha_empirical(E, orders)
+    if EMPIRICAL_ELL_BOUND > orders.max():
+        warnings.warn(
+            f"alpha-tilde sums ell <= {EMPIRICAL_ELL_BOUND} over orders <= {orders.max()} (p_bound={p_bound})",
+            TruncationWarning,
+            stacklevel=2,
+        )
     ells = arith.primes_below(per_ell_limit + 1)
     means = _mean_vals(orders, np.array(ells, dtype=np.int64)).tolist()
     per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(ells, means)]

@@ -3,10 +3,17 @@ name and reads some of their arguments by position, and its runner
 (perfbench/run.py) passes fixed command lines to the CLI.  These tests read
 their source with ast, importing nothing from perfbench, and check that
 every name the tracer hooks still exists, that the arguments it reads are
-still where it reads them, and that every benchmark command line parses."""
+still where it reads them, and that every benchmark command line parses.
+The library jobs of perfbench/child.py (`ecm` and `check`) run in a child
+process on tiny specs, and their results must pass the checks run.py
+applies."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +22,8 @@ from ecsmooth import arith, census, cli, cmcount, curve, dickman, ecm, lfunc
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 RUNNER = TRACER.with_name("run.py")
+CHILD = TRACER.with_name("child.py")
+ROOT = TRACER.parents[1]
 TREE = ast.parse(TRACER.read_text())
 MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in (arith, census, cli, cmcount, curve, dickman, ecm, lfunc)}
 
@@ -106,3 +115,52 @@ def test_benchmark_command_line_parses(argv):
     except SystemExit:
         pytest.fail(f"the CLI refuses {argv}")
     assert args.command == argv[0]
+
+
+def run_child(mode: str, spec: dict, tmp_path: Path) -> dict:
+    """Run one perfbench/child.py job on the checkout's src, untraced, and
+    return its result."""
+    spec_path, out_path = tmp_path / f"{mode}.json", tmp_path / f"{mode}.out.json"
+    spec_path.write_text(json.dumps(spec))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PERFBENCH_")}
+    env["PERFBENCH_SRC"] = "src"
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), mode, str(spec_path), str(out_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out_path.read_text())
+
+
+def test_child_ecm_job(tmp_path):
+    q, g, h = 2**61 - 1, 3, 7
+    n_curve = 786433 * 1398107  # just above 2^40, drawn as run.py's smoke scale draws them
+    spec = {"q": q, "g": g, "h": h, "split_seeds": [1, 2], "curve_moduli": [n_curve], "curve_u": 3.0, "curve_v": 2.0}
+    res = run_child("ecm", spec, tmp_path)
+    assert [row["seed"] for row in res["splits"]] == [1, 2]
+    uv = ecm.auto_uv(q)
+    for row in res["splits"]:
+        assert row["e"] is not None, f"split seed {row['seed']} exhausted its iterations"
+        n, f = pow(g, row["e"], q) * h % q, row["factor"]
+        assert 1 <= row["e"] < q and 1 < f < n and n % f == 0 and f < row["bound"], row
+        assert (row["e"], f) == ecm.split_step(q, g, h, uv, uv, seed=row["seed"])
+    [row] = res["curves"]
+    f = row["factor"]
+    assert row["n"] == n_curve and (f is None or (1 < f < n_curve and n_curve % f == 0))
+    assert res["disc"] == ecm.catalog_curve("e8000").curve.disc
+
+
+def test_child_check_job(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["census", "--cache-dir", str(cache), "--race", "e7-e11", "--budget", "3000", "--out", str(tmp_path / "race")]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    spec = {
+        "cache_dir": str(cache), "curves": ["e7", "e11"], "budget": 3000, "seed": 1,
+        "naive_max": 1000, "naive_samples": 2, "bsgs_samples": 4,
+    }
+    res = run_child("check", spec, tmp_path)
+    assert res["mismatches"] == []
+    assert res["checked"] == 2 * (2 + 4)
+    cats = [ecm.catalog_curve(name).curve for name in spec["curves"]]
+    assert res["orders"] == sum(E.has_good_reduction(p) for E in cats for p in arith.prime_sieve(3000))

@@ -107,6 +107,16 @@ class TestEcmCommand:
         assert code == cli.EXIT_USAGE and out == ""
         assert err == "usage error: N must be >= 2\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["ecm", str(2**1024 + 1)], ["split", str(2**1279 - 1), "3", "7", "--auto"]], ids=["ecm", "split"]
+    )
+    def test_modulus_beyond_float_range(self, argv, capsys):
+        # the float bounds B and C once raised OverflowError here, a traceback and exit 1
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("usage error: a ") and "too large for the float bounds" in err
+        assert "Traceback" not in err
+
 
 class TestPrimeListGuard:
     """Inputs whose prime list would span more than PRIME_LIST_LIMIT
@@ -222,6 +232,16 @@ class TestAlphaCommand:
         )
         assert code == cli.EXIT_OK
         assert "WARNING=truncation_guard" in out
+
+    @pytest.mark.parametrize("p_bound, flagged", [(None, True), ("20000", False)], ids=["default", "p-bound"])
+    def test_alpha_tilde_truncation_flag(self, capsys, p_bound, flagged):
+        # at the default --p-bound 1000 every order is below EMPIRICAL_ELL_BOUND = 10^4;
+        # the orders of p <= 20000 reach past it
+        code, out, _ = run(["alpha", "-d", "7"] + (["--p-bound", p_bound] if p_bound else []), capsys)
+        assert code == cli.EXIT_OK
+        footer = out.splitlines()[-1]
+        assert footer.startswith("# curves: e7  ell_bound=1000000")
+        assert footer.endswith("WARNING=truncation_guard") == flagged
 
     def test_unknown_d(self, capsys):
         code, _, _ = run(["alpha", "-d", "5"], capsys)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -38,6 +39,82 @@ def legendre_count(E, p):
         elif pow(disc, (p - 1) // 2, p) == 1:
             count += 2
     return count
+
+
+class Failed(Exception):
+    """A failed inversion of affine_mul, with gcd(denominator, n)."""
+
+    def __init__(self, g):
+        self.g = g
+
+
+def affine_mul(n, A, k, P, seen):
+    """[k]P mod n by the affine left-to-right double-and-add, written out
+    here with its own chord-and-tangent steps: the point, None, or Failed
+    at the first non-unit denominator.  Adds to `seen` the kind of that
+    failure, and whether the chain went through O mod n before adding P."""
+
+    def add(R, Q):
+        if R is None:
+            return Q
+        if Q is None:
+            return R
+        (x1, y1), (x2, y2) = R, Q
+        if x1 == x2 and (y1 + y2) % n == 0:
+            return None
+        if R == Q:
+            num, den, kind = 3 * x1 * x1 + A, 2 * y1, "2y = 0 mod p"
+        else:
+            num, den = y2 - y1, x2 - x1
+            kind = "R = P mod p" if (y2 - y1) % math.gcd(den, n) == 0 else "R = -P mod p"
+        g = math.gcd(den, n)
+        if g > 1:
+            seen.add(kind)
+            raise Failed(g)
+        lam = num * pow(den, -1, n) % n
+        x3 = (lam * lam - x1 - x2) % n
+        return x3, (lam * (x1 - x3) - y1) % n
+
+    R = None
+    for i, bit in enumerate(bin(k)[2:]):
+        R = add(R, R)
+        if bit == "1":
+            if i and R is None:
+                seen.add("O mod n, then R + P")
+            R = add(R, P)
+    return R
+
+
+def scalar_mul_cases(moduli, count, seed):
+    """Seeded (n, A, k, P) on the catalog curves that have a point, with
+    n drawn by moduli(rng) and 0 <= k < 3000."""
+    cats = [c for c in ecm.curve_catalog() if c.point is not None]
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n, cat = moduli(rng), rng.choice(cats)
+        if math.gcd(cat.curve.disc, n) == 1:
+            A, _ = curve.short_model(cat.curve, n)
+            cases.append((n, A, rng.randrange(3000), curve.short_point(cat.curve, n, cat.point)))
+    return cases
+
+
+def same_outcomes(cases):
+    """Assert ec_scalar_mul and affine_mul agree on every case; return the
+    kinds of event affine_mul met and the outcomes by kind."""
+    seen, kinds = set(), {"point": 0, "None": 0, "divisor": 0}
+    for n, A, k, P in cases:
+        try:
+            want = affine_mul(n, A, k, P, seen)
+        except Failed as f:
+            with pytest.raises(DivisorFound) as exc:
+                curve.ec_scalar_mul(n, A, k, P)
+            assert exc.value.g == f.g, (n, A, k, P)
+            kinds["divisor"] += 1
+            continue
+        assert curve.ec_scalar_mul(n, A, k, P) == want, (n, A, k, P)
+        kinds["None" if want is None else "point"] += 1
+    return seen, kinds
 
 
 class TestWeierstrassCurve:
@@ -134,6 +211,45 @@ class TestGroupLaw:
                         curve.ec_scalar_mul(n, A, k, P)
                     except DivisorFound as d:
                         assert d.g in (p, q, n)
+
+
+class TestJacobianChain:
+    """ec_scalar_mul against the affine chain: the same point, None, or the
+    same DivisorFound.g, on the cases where the Jacobian Z is not a unit."""
+
+    PRIMES = arith.prime_sieve(400)[2:]  # 5 <= p < 400
+
+    def test_semiprimes(self):
+        cases = scalar_mul_cases(lambda rng: math.prod(rng.sample(self.PRIMES, 2)), 1500, seed=18)
+        seen, kinds = same_outcomes(cases)
+        assert seen == {"2y = 0 mod p", "R = P mod p", "R = -P mod p", "O mod n, then R + P"}
+        assert min(kinds.values()) > 0, kinds
+
+    def test_primes(self):
+        cases = scalar_mul_cases(lambda rng: rng.choice(self.PRIMES), 1000, seed=19)
+        cases += scalar_mul_cases(lambda rng: 10**9 + 7, 50, seed=20)
+        seen, kinds = same_outcomes(cases)
+        assert "O mod n, then R + P" in seen
+        assert kinds["divisor"] == 0 and kinds["None"] > 0 and kinds["point"] > 0, kinds
+
+    def test_small_scalars_and_neutral(self):
+        for n in (5 * 7, 101 * 103, 10**9 + 7):
+            A, _ = curve.short_model(E8000, n)
+            P = curve.short_point(E8000, n, (-1, 2))
+            assert curve.ec_scalar_mul(n, A, 0, P) is None
+            assert curve.ec_scalar_mul(n, A, 1, P) == P
+            try:
+                double = curve.sw_add(n, A, P, P)
+            except DivisorFound as d:
+                with pytest.raises(DivisorFound) as exc:
+                    curve.ec_scalar_mul(n, A, 2, P)
+                assert exc.value.g == d.g
+            else:
+                assert curve.ec_scalar_mul(n, A, 2, P) == double
+            for k in (0, 1, 2, 7):
+                assert curve.ec_scalar_mul(n, A, k, None) is None
+        with pytest.raises(UsageError):
+            curve.ec_scalar_mul(101, 0, -1, (1, 1))
 
 
 class TestNaiveCount:

@@ -33,6 +33,15 @@ class TestEcmParams:
         with pytest.raises(UsageError):
             ecm.EcmParams(5.0, 5.0).bounds(100)
 
+    def test_beyond_float_range(self):
+        # floats end just below 2^1024: 2^1024 - 1 already rounds up to it
+        params = ecm.EcmParams(3.0, 2.0)
+        b, c = params.bounds(2**1023)
+        assert b.bit_length() == 341 and c.bit_length() == 171
+        for n in (2**1024 - 1, 2**1024 + 1, 2**1279 - 1):
+            with pytest.raises(UsageError, match="too large for the float bounds"):
+                params.bounds(n)
+
 
 class TestCatalog:
     def test_points_on_curves(self):

@@ -194,7 +194,8 @@ class TestWNonCm:
 
 class TestAlphaReport:
     def test_fields(self):
-        rep = lfunc.alpha_report(ecm.catalog_curve("e7"), ell_bound=10**5, p_bound=200)
+        with pytest.warns(lfunc.TruncationWarning):  # the orders of p <= 200 stay below 10^4
+            rep = lfunc.alpha_report(ecm.catalog_curve("e7"), ell_bound=10**5, p_bound=200)
         assert rep.field_d == 7
         assert rep.alpha == pytest.approx(rep.gamma_k - rep.sigma_k)
         assert rep.difference == pytest.approx(rep.alpha_tilde - rep.alpha)
@@ -202,3 +203,12 @@ class TestAlphaReport:
     def test_non_cm_rejected(self):
         with pytest.raises(UsageError):
             lfunc.alpha_report(ecm.catalog_curve("e37"), p_bound=10**3)
+
+    def test_truncation_warning(self):
+        # the orders of p <= 10^3 stay below EMPIRICAL_ELL_BOUND; those of p <= 2*10^4 do not
+        e7 = ecm.catalog_curve("e7")
+        with pytest.warns(lfunc.TruncationWarning, match="orders <= "):
+            lfunc.alpha_report(e7, ell_bound=10**5, p_bound=10**3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lfunc.alpha_report(e7, ell_bound=10**5, p_bound=2 * 10**4)
