@@ -161,7 +161,7 @@ def primes_below(y: int) -> list[int]:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo an odd prime p (Tonelli-Shanks), or None."""
+    """Square root of a modulo a prime p (Tonelli-Shanks), or None."""
     a %= p
     if a == 0:
         return 0
@@ -234,36 +234,16 @@ def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int] | None:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{K.d}))")
     if K.chi(p) == -1:
         return None
-    if p > 3:
-        sol = _cornacchia_4p(p, absD)
-        if sol is not None:
-            return sol
-    else:
-        # sqrt_mod needs an odd prime; for p <= 3 try every b instead
-        for b in range(math.isqrt(4 * p // absD) + 1):
-            t = math.isqrt(4 * p - absD * b * b)
-            if t * t + absD * b * b == 4 * p:
-                return t, b
-    raise ArithmeticError(f"cornacchia failed for split p={p}, d={K.d}")
-
-
-def _cornacchia_4p(p: int, absD: int) -> tuple[int, int] | None:
-    """Solve x^2 + |D| y^2 = 4p with x, y >= 0 (Cornacchia on 4p)."""
-    t = sqrt_mod(-absD % p, p)
-    if t is None:
-        return None
-    if (t + absD) % 2 != 0:
+    # Cornacchia on 4p: a root t of t^2 = disc (mod 4p), then a partial
+    # Euclid on (2p, t) down to t^2 <= 4p
+    t = sqrt_mod(-absD, p)
+    if (t + absD) % 2:
         t = p - t
-    # now t^2 = D (mod 4p); partial Euclid on (2p, t)
-    a0, b0 = 2 * p, t % (2 * p)
-    while b0 * b0 > 4 * p:
-        a0, b0 = b0, a0 % b0
-    x = b0
-    rem = 4 * p - x * x
-    if rem % absD != 0:
-        return None
-    y2 = rem // absD
-    y = math.isqrt(y2)
-    if y * y != y2:
-        return None
-    return x, y
+    a = 2 * p
+    while t * t > 4 * p:
+        a, t = t, a % t
+    b2, r = divmod(4 * p - t * t, absD)
+    b = math.isqrt(b2)
+    if r or b * b != b2:
+        raise ArithmeticError(f"cornacchia failed for split p={p}, d={K.d}")
+    return t, b

@@ -60,7 +60,7 @@ class FriabilityTester:
         ns = n if isinstance(n, np.ndarray) else np.array([n], dtype=np.int64)
         if ns.min(initial=1) < 1:
             raise UsageError(f"friability test needs n >= 1, got {ns.min()}")
-        primes = arith.primes_below(min(self.y, math.isqrt(int(ns.max(initial=1))) + 1))
+        primes = _friability_primes(self.y, int(ns.max(initial=1)))
         out = np.empty(ns.size, dtype=bool)
         for lo in range(0, ns.size, MASK_CHUNK):
             verdict = out[lo : lo + MASK_CHUNK]
@@ -79,6 +79,13 @@ class FriabilityTester:
                     idx = idx[live[idx] % p == 0]
             verdict[pos] = live < self.y
         return out if ns is n else bool(out[0])
+
+
+def _friability_primes(y: int, n: int) -> list[int]:
+    """The primes below min(y, isqrt(n) + 1), all that a strict y-friability
+    verdict on an m <= n divides out: what is left of m is then 1, a prime,
+    or free of primes below y, and m is y-friable iff that is below y."""
+    return arith.primes_below(min(y, math.isqrt(n) + 1))
 
 
 def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
@@ -111,7 +118,7 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
         raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
     if y > x:
         return list(checkpoints)
-    primes = arith.primes_below(min(y, math.isqrt(x) + 1))
+    primes = _friability_primes(y, x)
     todo = sorted(set(checkpoints))
     counts: dict[int, int] = {}
     total = 0
@@ -180,7 +187,7 @@ def psi_E_z(table, x: int, y: int, z: int) -> int:
     hit = np.zeros(x + 1, dtype=bool)
     for p in primes[below][FriabilityTester(z)(orders[below])].tolist():
         hit[p::p] = True
-    friable = _divide_out(1, x + 1, arith.primes_below(min(y, math.isqrt(x) + 1))) < y
+    friable = _divide_out(1, x + 1, _friability_primes(y, x)) < y
     return int(np.count_nonzero(hit[1:] & friable))
 
 
@@ -387,10 +394,10 @@ class OrderCache:
     stored rows and the new ones.  Files are bit-exact reproducible."""
 
     def __init__(self, cache_dir: str | os.PathLike, workers: int = 1):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
         if workers < 1:
             raise UsageError(f"workers={workers} must be >= 1")
+        self.cache_dir = Path(cache_dir)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
 
     def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray]:

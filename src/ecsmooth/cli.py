@@ -186,6 +186,7 @@ def cmd_census(args) -> int:
             e1, e2 = ecm.catalog_curve(n1), ecm.catalog_curve(n2)
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
+        census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
         t1 = _cache_table(cache, e1, budget)
         t2 = _cache_table(cache, e2, budget)
         series = census.race(e1, e2, args.y, _checkpoints(budget), t1, t2)
@@ -203,9 +204,9 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
+        tester = census.FriabilityTester(args.y)  # before any order is computed
         primes, orders = _cache_table(cache, cat, budget)
         cps = _checkpoints(budget)
-        tester = census.FriabilityTester(args.y)
         rows = list(zip(cps, census.sweep(primes, orders, cps, tester)))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows

@@ -1,16 +1,17 @@
 """|E(F_p)| for the CM catalog curves in closed form.
 
 An inert prime gives p + 1.  At a split prime p, Cornacchia gives t, b >= 0
-with t^2 + |disc K| b^2 = 4p, and |E(F_p)| = p + 1 - t' where t' is the trace
-of a unit multiple of the Frobenius: +-t, also +-2b in Q(i) and +-(t -+ 3b)/2
-in Q(sqrt(-3)).  Which of them is the curve's own is fixed by a congruence on
-t' that depends only on the curve (Rubin & Silverberg, "Choosing the correct
-elliptic curve in the CM method", Math. Comp. 79 (2010)).
+with t^2 + |disc K| b^2 = 4p.  The unit multiples of that element of norm p
+form an orbit of pairs (t', b') with t'^2 + |disc K| b'^2 = 4p, t' of either
+sign and b' >= 0: (t, b); also (2b, t/2) in Q(i); also ((t - 3b)/2, (t + b)/2)
+and ((t + 3b)/2, |t - b|/2) in Q(sqrt(-3)).  |E(F_p)| = p + 1 - t' for the
+one pair that passes a congruence depending only on the curve (Rubin &
+Silverberg, "Choosing the correct elliptic curve in the CM method", Math.
+Comp. 79 (2010)).
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from . import arith, curve
@@ -19,36 +20,43 @@ from .ecm import CatalogCurve
 from .errors import BadReductionError, UsageError
 
 
+def _orbit(p: int, K: ImagQuadField) -> list[tuple[int, int]]:
+    """The pairs (t', b'), t' of either sign, of the unit multiples of
+    Cornacchia's element of norm p, for a split prime p."""
+    t, b = arith.cornacchia(p, K)
+    pairs = [(t, b)]
+    if K.d == 1:
+        pairs.append((2 * b, t // 2))
+    elif K.d == 3:
+        pairs += [((t - 3 * b) // 2, (t + b) // 2), ((t + 3 * b) // 2, abs(t - b) // 2)]
+    return [(s * u, v) for u, v in pairs for s in (1, -1)]
+
+
 def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
-    """p + 1 -+ t' over the traces t' of the unit orbit of an element of norm
-    p.  Contains |E(F_p)| for every curve with CM by O_K."""
+    """p + 1 - t' over the orbit's traces t'.  Contains |E(F_p)| for every
+    curve with CM by O_K."""
     if K.chi(p) != 1:
         raise UsageError(f"p={p} is not split in Q(sqrt(-{K.d}))")
-    t, b = arith.cornacchia(p, K)
-    traces = [t]
-    if K.d == 1:
-        traces.append(2 * b)
-    elif K.d == 3:
-        traces += [(t - 3 * b) // 2, (t + 3 * b) // 2]
-    cands = {p + 1 + s * u for u in traces for s in (1, -1)}
+    cands = {p + 1 - t for t, _ in _orbit(p, K)}
     lo, hi = curve.hasse_interval(p)
     if not all(lo <= n <= hi for n in cands):
         raise ArithmeticError(f"candidate order outside the Hasse interval at p={p}")
     return cands
 
 
-# The trace rule of each CM catalog curve at a split prime p, on the trace t
-# of pi and b >= 0 with 4p - t^2 = |disc K| b^2 (Rubin & Silverberg, op. cit.).
-# Exactly one candidate passes:
-# - d = 7 ... 163: the traces are +-t, d does not divide t (else d | 4p) and
-#   (-1/d) = -1, so one sign has the Legendre symbol (t/d) the rule asks for.
-# - e3: for 4p = L^2 + 3M^2 the traces are +-L, +-(L -+ 3M)/2 with b = M,
-#   (L +- M)/2; 3 does not divide L, so exactly one b is divisible by 3
-#   (27 | 4p - t^2), and then t = 2 or 1 mod 3 tells the signs apart.
-# - e1: for p = a^2 + b^2 the traces are +-2a, +-2b and one of a, b is odd;
-#   t = 2a with a odd and a = 1 mod 4 iff 4 | b, i.e. t = 2 or 6 mod 8.
-# - e8000: t = 2 mod 4, and -t falls outside the classes mod 16 allowed for
-#   p mod 16 (t = 2 mod 8 at 1, 6 mod 8 at 9, 14 mod 16 at 3, 10 mod 16 at 11).
+# The trace rule of each CM catalog curve at a split prime p, on one pair
+# (t', b') of the orbit, written (t, b) (Rubin & Silverberg, op. cit.).
+# Exactly one pair passes:
+# - d = 7 ... 163: the orbit is (+-t, b), d does not divide t (else d | 4p)
+#   and (-1/d) = -1, so one sign has the Legendre symbol (t/d) the rule asks for.
+# - e3: for 4p = L^2 + 3M^2 the orbit is (+-L, M), (+-(L - 3M)/2, (L + M)/2)
+#   and (+-(L + 3M)/2, |L - M|/2); 3 does not divide L, so exactly one b' is
+#   divisible by 3 (27 | 4p - t'^2), and then t' = 2 or 1 mod 3 tells the
+#   signs apart.
+# - e1: for p = a^2 + b^2 the orbit is (+-2a, b), (+-2b, a) and one of a, b is
+#   odd; t' = 2a with a odd and a = 1 mod 4 iff 4 | b, i.e. t' = 2 or 6 mod 8.
+# - e8000: t' = 2 mod 4, and -t' falls outside the classes mod 16 allowed for
+#   p mod 16 (t' = 2 mod 8 at 1, 6 mod 8 at 9, 14 mod 16 at 3, 10 mod 16 at 11).
 _E8000_TRACE = {1: (2, 10), 9: (6, 14), 3: (14,), 11: (10,)}  # p mod 16 -> t mod 16
 _TRACE_RULES = {
     "e1": lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6),
@@ -61,8 +69,8 @@ _TRACE_RULES = {
 
 def cm_order(cat: CatalogCurve, p: int) -> int:
     """|E(F_p)| for a CM catalog curve: p + 1 at an inert prime, otherwise
-    the one candidate order whose trace solves the norm equation and passes
-    the curve's trace rule."""
+    p + 1 - t' for the one orbit pair (t', b') that passes the curve's trace
+    rule."""
     K = cat.cm_field
     if K is None:
         raise UsageError(f"{cat.name} is not a CM curve")
@@ -74,15 +82,10 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
         raise BadReductionError(f"p={p} ramifies in the CM field of {cat.name}")
     if chi == -1:
         return p + 1
-    picked = []
-    for n in candidate_orders(p, K):
-        t = p + 1 - n
-        b2, r = divmod(4 * p - t * t, -K.disc)
-        b = math.isqrt(max(b2, 0))
-        if r == 0 and b * b == b2 and _TRACE_RULES[cat.name](p, t, b):
-            picked.append(n)
+    rule = _TRACE_RULES[cat.name]
+    picked = [p + 1 - t for t, b in _orbit(p, K) if rule(p, t, b)]
     if len(picked) != 1:
-        raise ArithmeticError(f"{len(picked)} candidate orders of {cat.name} pass its trace rule at p={p}")
+        raise ArithmeticError(f"{len(picked)} orbit pairs of {cat.name} pass its trace rule at p={p}")
     return picked[0]
 
 

@@ -13,6 +13,7 @@ from ecsmooth.errors import AmbiguityError, CacheError, CapacityError, DomainErr
 
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
+CM_CURVES = [cat for cat in ecm.curve_catalog() if cat.cm_field is not None]
 
 
 def largest_prime_factor(n):
@@ -602,23 +603,45 @@ class TestOrderCache:
         assert [p for p, _ in census._compute_segment("e7", 90, 101).tolist()] == [97]
         assert census._compute_segment("e7", 0, 2).shape == (0, 2)
 
-    # SHA-256 of every file the cache writes for these tables: e7 and e11 to
-    # 3 * 10^5 (two full segments and a persisted tail each), e37 to 3 * 10^4
-    # (naive counts up to p = 2000, BSGS above)
+    # SHA-256 of every file the cache writes for these tables: the nine CM
+    # curves to 3 * 10^5 (two full segments and a persisted tail each), e37 to
+    # 3 * 10^4 (naive counts up to p = 2000, BSGS above)
     DIGESTS = {
+        "e1.v1.0000000000.npy": "471547c81355d1de7c7f5b6a5f509e69835e5f573d0c4c3437134816f287f5fc",
+        "e1.v1.0000131072.npy": "342a9499bc2fbc90f6e11731faa6550065c114cd62e93c07313a89f38788f783",
+        "e1.v1.0000262144.npy": "b2313cbcb2a2ec8bcd745e8d299e538b44fabbe380913034c4de2c0dbd692905",
         "e11.v1.0000000000.npy": "06f230c42f88267cb320f9f663983b38efec1a47e455bd1ed00466517371cc24",
         "e11.v1.0000131072.npy": "d3dbd82fa582a0cd65b6407d17a3232db3f0e4c23e423448b00963bdd8478fda",
         "e11.v1.0000262144.npy": "8ca66f40d743d8fbafe2a831286e46adb68ca35792c3c78f14e54f3527758588",
+        "e163.v1.0000000000.npy": "5f70e281407b87277f885dc43b5a811e956b75fd5905d49fa7d1fac36059e1b9",
+        "e163.v1.0000131072.npy": "e9477d736b48829056b38bb775359cbe04970fbff4bccd0b7a32ab6c8f394c60",
+        "e163.v1.0000262144.npy": "463de36c32f3395673a91c5973ff40b86f4450dbbb00237872a55593afd41963",
+        "e19.v1.0000000000.npy": "32a90e32474de485ae65604bdf8b2359fe52aa40a8637102e1b27db71fc170b5",
+        "e19.v1.0000131072.npy": "43168a54f4079297b1ee2aabfa4ab4e41292bf5fa559e60c28631342d652fd44",
+        "e19.v1.0000262144.npy": "eb6bd4bf2faf3debfd556f599820cc60c1ce70a0beeed77f49c8bca1aad98b32",
+        "e3.v1.0000000000.npy": "84acc1488b326abce2ed403bf63f5b3ef9c80efc8336fc2a648d2e90faae150a",
+        "e3.v1.0000131072.npy": "bfde78df1c3a5386f46c80caed74b4f789c4269d46afddc2224d74286a6a0ab5",
+        "e3.v1.0000262144.npy": "4af8ec8c7b0560242a43fc8749b1a26d1721077f203204bf64db7d1cdd1826b9",
         "e37.v1.0000000000.npy": "e4bedee7a9c278093c974d621ef291def22e49a7c5e9c69307a331f7fcc68d3e",
+        "e43.v1.0000000000.npy": "102435569c44aeb21d2eab18d701d5b657579f3f00259a0cb621832d50056336",
+        "e43.v1.0000131072.npy": "75216c35668880fb9a223c367966e4c56921808cd3b9e17ebed4829b80a491cd",
+        "e43.v1.0000262144.npy": "85d8d4620a47ea238d214db0608b8eb5789083002593bdc30538ab8fbd2a1693",
+        "e67.v1.0000000000.npy": "e714e3805cf4282cb47b7dd98a9564ac0bc116e96bad4c04cf60919c44325562",
+        "e67.v1.0000131072.npy": "1e8e4b9d2e6540d330f4e53a1d6a840cc7c5202ab4a83ef1187c25247fab549c",
+        "e67.v1.0000262144.npy": "a34f64c7931216c99e79f063eb74e83b548f58a415465219f6985aedfac6d2f4",
         "e7.v1.0000000000.npy": "db1b8c56f0bf0f6b62b45ff6c82dc313c477e4e1b9a4efae796faa20dd48cc10",
         "e7.v1.0000131072.npy": "481fb906fc53c6b3a24710ee3f6b9cc657dcf99b7dcb41ab3b1a69be4b36b777",
         "e7.v1.0000262144.npy": "3af73ad44d7befcb5b9f50bfa5ca459adc81888b2ad11aad2e81141e9fe2b895",
+        "e8000.v1.0000000000.npy": "0713e2d1e34eb37dfbbd9a2622d89ec1e8ddcea8ae97b5f6299b958b46038df1",
+        "e8000.v1.0000131072.npy": "6b3bcc00b2f77a78c7f64d32fe6b78e65c8339e920e22b23ea5493fcb7a02135",
+        "e8000.v1.0000262144.npy": "d6af69746b9ff10beb43906d15107b13e54ee75ce2e0b27e68b24c698adfa70b",
     }
 
     def test_files_match_recorded_digests(self, tmp_path):
         cache = census.OrderCache(tmp_path)
-        for name, x in (("e7", 3 * 10**5), ("e11", 3 * 10**5), ("e37", 3 * 10**4)):
-            cache.table(ecm.catalog_curve(name), x)
+        for cat in CM_CURVES:
+            cache.table(cat, 3 * 10**5)
+        cache.table(ecm.catalog_curve("e37"), 3 * 10**4)
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert got == self.DIGESTS
 

@@ -426,6 +426,23 @@ class TestCensusCommand:
         code, _, err = run(args, capsys)
         assert code == cli.EXIT_USAGE and "workers" in err
 
+    def test_workers_below_one_makes_no_cache_dir(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ["census", "--race", "e7-e11", "--budget", "3000", "--workers", "0",
+                "--cache-dir", str(cache)]
+        assert run(args, capsys)[0] == cli.EXIT_USAGE
+        assert not cache.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--race", "e7-e11"], ["psi_e", "--curve", "e7"]], ids=["race", "psi_e"]
+    )
+    def test_y_below_two_computes_no_order(self, tmp_path, capsys, argv):
+        args = ["census", *argv, "--y", "1", "--budget", "3000",
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "s")]
+        code, out, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and "y=1" in err
+        assert list(tmp_path.rglob("*.npy")) == [] and not (tmp_path / "s.json").exists()
+
     def test_implausible_cache_is_usage_error(self, tmp_path, capsys):
         args = ["census", "psi_e", "--curve", "e7", "--budget", "3000",
                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "s")]

@@ -62,15 +62,19 @@ class TestCandidateOrders:
         )
 
 
-def _brute_candidates(p, K):
-    """{p + 1 - t : t^2 + |D| b^2 = 4p, b >= 0}, t of either sign, found by
-    trying every b."""
-    absD, cands = -K.disc, set()
+def _lattice_points(p, K):
+    """{(t, b) : t, b >= 0, t^2 + |D| b^2 = 4p}, found by trying every b."""
+    absD, points = -K.disc, set()
     for b in range(math.isqrt(4 * p // absD) + 1):
         t = math.isqrt(4 * p - absD * b * b)
         if t * t + absD * b * b == 4 * p:
-            cands |= {p + 1 - t, p + 1 + t}
-    return cands
+            points.add((t, b))
+    return points
+
+
+def _brute_candidates(p, K):
+    """{p + 1 - t : t^2 + |D| b^2 = 4p, b >= 0}, t of either sign."""
+    return {p + 1 + s * t for t, _ in _lattice_points(p, K) for s in (1, -1)}
 
 
 class TestCandidateOracle:
@@ -80,6 +84,20 @@ class TestCandidateOracle:
         for p in arith.prime_sieve(2 * 10**4):
             if K.chi(p) == 1:
                 assert cmcount.candidate_orders(p, K) == _brute_candidates(p, K), p
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("d", arith.CLASS_NUMBER_ONE_DS)
+    def test_pairs_are_the_lattice_points(self, d):
+        K = arith.field_for(d)
+        for p in arith.prime_sieve(2 * 10**4):
+            if K.chi(p) != 1:
+                continue
+            orbit, points = cmcount._orbit(p, K), _lattice_points(p, K)
+            assert all(t * t + (-K.disc) * b * b == 4 * p and b >= 0 for t, b in orbit), p
+            assert {(abs(t), b) for t, b in orbit} == points, p
+            # each lattice point once with each sign of t'
+            assert sorted(orbit) == sorted((s * t, b) for t, b in points for s in (1, -1)), p
 
 
 class TestCmOrder:
