@@ -92,15 +92,24 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 3317044064679887385961981:
+        return _miller_rabin(n, _MR_WITNESSES)  # n > 37 here, so every witness is < n - 1
+    return _probable_prime(n)
+
+
+@lru_cache(maxsize=64)
+def _probable_prime(n: int) -> bool:
+    # memoized: 40 rounds cost milliseconds at 127 bits, and one q is asked
+    # about again and again (cli.cmd_split, then split_step on every call)
+    rng = random.Random(n)
+    return _miller_rabin(n, [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_ABOVE)])
+
+
+def _miller_rabin(n: int, witnesses) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < 3317044064679887385961981:
-        witnesses = _MR_WITNESSES  # n > 37 here, so every witness is < n - 1
-    else:
-        rng = random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_ABOVE)]
     return all(_mr_round(n, a, d, s) for a in witnesses)
 
 
@@ -161,28 +170,52 @@ def primes_below(y: int) -> list[int]:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo a prime p (Tonelli-Shanks), or None."""
+    """A square root of a modulo a prime p, or None when a is not a square.
+    Either root may be returned: cornacchia's (t, b) does not depend on it,
+    curve.sw_random_point flips the sign at random, and BSGS returns the
+    true order whatever its points.  One modular power at p = 3 mod 4
+    (a^((p+1)/4)) and at p = 5 mod 8 (Atkin's root), each candidate checked
+    by squaring; Tonelli-Shanks at p = 1 mod 8, where a non-residue shows
+    itself when the inner loop reaches i = m."""
     a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
+    if a == 0 or p == 2:
+        return a
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
+        r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        # i = 2av^2 is a square root of -1 when a is a square
+        v = pow(2 * a, (p - 5) // 8, p)
+        i = 2 * a * v * v % p
+        r = a * v * (i - 1) % p
+    else:
+        return _tonelli_shanks(a, p)
+    return r if r * r % p == a else None
+
+
+def _tonelli_shanks(a: int, p: int) -> int | None:
+    # p - 1 = q * 2^s with q odd; w = a^((q-1)/2) gives r = a^((q+1)/2), t = a^q
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    w = pow(a, (q - 1) // 2, p)
+    r = a * w % p
+    t = r * w % p
+    # The least non-residue z is an odd prime (2 is a square at p = 1 mod 8).
+    # For an odd prime z reciprocity gives (z/p) = (p/z), a power mod z: a
+    # cheap filter before Euler's criterion mod p.  An odd composite z it
+    # rejects is never the least non-residue.
+    z = 3
+    while pow(p % z, (z - 1) // 2, z) != z - 1 or pow(z, (p - 1) // 2, p) != p - 1:
+        z += 2
+    m, c = s, pow(z, q, p)
     while t != 1:
         i, tt = 0, t
         while tt != 1:
             tt = tt * tt % p
             i += 1
+            if i == m:
+                return None
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
@@ -200,7 +233,7 @@ class ImagQuadField:
         if self.d not in CLASS_NUMBER_ONE_DS:
             raise UsageError(f"d={self.d} is not in the class-number-1 whitelist")
 
-    @property
+    @cached_property
     def disc(self) -> int:
         return -4 * self.d if self.d % 4 in (1, 2) else -self.d
 
@@ -239,8 +272,8 @@ def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int] | None:
     t = sqrt_mod(-absD, p)
     if (t + absD) % 2:
         t = p - t
-    a = 2 * p
-    while t * t > 4 * p:
+    a, bound = 2 * p, math.isqrt(4 * p)
+    while t > bound:
         a, t = t, a % t
     b2, r = divmod(4 * p - t * t, absD)
     b = math.isqrt(b2)

@@ -143,6 +143,7 @@ def cmd_alpha(args) -> int:
             print("{:<12}".format(name) + "".join(f"{v:>10.3f}" for v in vals))
     print(f"# curves: {','.join(CM_CURVE_BY_D[d] for d in ds)}"
           f"  ell_bound={args.ell_bound} p_bound={args.p_bound}"
+          "  difference=alpha_tilde-alpha(alpha_tilde_estimates_-alpha)"
           + ("  WARNING=truncation_guard" if flagged else ""))
     if args.per_ell:
         for c in cols:

@@ -49,6 +49,8 @@ def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
 # Exactly one pair passes:
 # - d = 7 ... 163: the orbit is (+-t, b), d does not divide t (else d | 4p)
 #   and (-1/d) = -1, so one sign has the Legendre symbol (t/d) the rule asks for.
+#   For a prime d = 3 mod 4 the field's character chi_{-d} is that symbol, so
+#   the rule reads (t/d) from the field's chi table of period d.
 # - e3: for 4p = L^2 + 3M^2 the orbit is (+-L, M), (+-(L - 3M)/2, (L + M)/2)
 #   and (+-(L + 3M)/2, |L - M|/2); 3 does not divide L, so exactly one b' is
 #   divisible by 3 (27 | 4p - t'^2), and then t' = 2 or 1 mod 3 tells the
@@ -62,8 +64,8 @@ _TRACE_RULES = {
     "e1": lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6),
     "e3": lambda p, t, b: t % 3 == 2 and b % 3 == 0,
     "e8000": lambda p, t, b: t % 16 in _E8000_TRACE[p % 16],
-    "e7": lambda p, t, b: arith.kronecker(t, 7) == 1,
-    **{f"e{d}": lambda p, t, b, d=d: arith.kronecker(t, d) == -1 for d in (11, 19, 43, 67, 163)},
+    "e7": lambda p, t, b, chi=arith.field_for(7).chi: chi(t) == 1,
+    **{f"e{d}": lambda p, t, b, chi=arith.field_for(d).chi: chi(t) == -1 for d in (11, 19, 43, 67, 163)},
 }
 
 

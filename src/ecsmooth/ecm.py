@@ -75,7 +75,7 @@ class CatalogCurve:
     point: tuple[int, int] | None  # rational affine point, if one is published
     cm_d: int | None  # d of the CM field, None for non-CM
 
-    @property
+    @functools.cached_property
     def cm_field(self) -> arith.ImagQuadField | None:
         return arith.field_for(self.cm_d) if self.cm_d is not None else None
 

@@ -191,6 +191,11 @@ class AlphaReport:
 
     @property
     def difference(self) -> float:
+        """alpha_tilde - alpha, the row of the paper's table.  By sigma_k's
+        rearrangement identity sum_l (3/(l-1) - 4 E[val_l]) log l = alpha, and
+        alpha_tilde sums the opposite terms (4 avg - 3/(l-1)) log l, so
+        alpha_tilde estimates -alpha: the row compares quantities of opposite
+        sign."""
         return self.alpha_tilde - self.alpha
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -86,11 +87,29 @@ class TestPrimes:
         for c in (1, 0, -7, 561, 41041, 2**32 + 1):
             assert not arith.is_prime(c)
 
+    def test_is_prime_above_deterministic_range(self):
+        # 40 seeded rounds, memoized on n; is_prime stays a plain function
+        # so that the benchmark's tracer can wrap it
+        assert inspect.isfunction(arith.is_prime)
+        for _ in range(2):
+            assert arith.is_prime(2**127 - 1) and arith.is_prime(2**89 - 1)
+            assert not arith.is_prime((2**61 - 1) * (2**89 - 1))
+            assert not arith.is_prime((2**89 - 1) ** 2)
+
     @given(st.integers(2, 10**5))
     @settings(max_examples=200)
     def test_is_prime_vs_trial_division(self, n):
         trial = all(n % d for d in range(2, math.isqrt(n) + 1))
         assert arith.is_prime(n) == trial
+
+
+def _check_sqrt_mod(a, p):
+    r = arith.sqrt_mod(a, p)
+    residue = p == 2 or pow(a, (p - 1) // 2, p) != p - 1  # Euler's criterion
+    if residue:
+        assert r is not None and 0 <= r < p and r * r % p == a % p, (a, p)
+    else:
+        assert r is None, (a, p)
 
 
 class TestSqrtMod:
@@ -102,6 +121,26 @@ class TestSqrtMod:
             assert pow(a, (p - 1) // 2, p) == p - 1
         else:
             assert r * r % p == a
+
+    def test_every_prime_below_20000(self):
+        # every class of p mod 8, each with its own square-root method
+        primes = arith.prime_sieve(2 * 10**4)
+        assert {p % 8 for p in primes} == {1, 2, 3, 5, 7}
+        for p in primes:
+            for a in range(min(p, 60)):
+                _check_sqrt_mod(a, p)
+            assert arith.sqrt_mod(p, p) == 0 and arith.sqrt_mod(-p, p) == 0
+
+    def test_primes_near_2_61(self):
+        by_class = {}
+        n = 2**61
+        while len(by_class) < 4 or min(map(len, by_class.values())) < 3:
+            n += 1
+            if arith.is_prime(n) and len(by_class.setdefault(n % 8, [])) < 3:
+                by_class[n % 8].append(n)
+        for p in (q for qs in by_class.values() for q in qs):
+            for a in [0, 1, 2, 3, 5, 7, p - 1, p - 7] + [pow(3, k, p) * 12345 % p for k in range(1, 20)]:
+                _check_sqrt_mod(a, p)
 
 
 class TestImagQuadField:

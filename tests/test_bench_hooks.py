@@ -164,3 +164,23 @@ def test_child_check_job(tmp_path, capsys):
     assert res["checked"] == 2 * (2 + 4)
     cats = [ecm.catalog_curve(name).curve for name in spec["curves"]]
     assert res["orders"] == sum(E.has_good_reduction(p) for E in cats for p in arith.prime_sieve(3000))
+
+
+@pytest.mark.parametrize("name", ["e7", "e11"])
+def test_one_cm_order_call_per_order(name, tmp_path, monkeypatch):
+    # the traced race-cold run checks that cmcount.cm_order calls equal the
+    # orders produced, so every CM order goes through one cm_order call
+    calls = []
+    cm_order = cmcount.cm_order
+
+    def counted(cat, p):
+        calls.append(p)
+        return cm_order(cat, p)
+
+    monkeypatch.setattr(cmcount, "cm_order", counted)
+    cat = ecm.catalog_curve(name)
+    primes, _ = census.OrderCache(tmp_path, workers=1).table(cat, 3 * 10**5)
+    assert len(calls) == len(primes) and calls == primes.tolist()
+    calls.clear()
+    assert len(census.OrderCache(tmp_path, workers=1).table(cat, 3 * 10**5)[0]) == len(primes)
+    assert calls == []

@@ -125,6 +125,13 @@ class TestCmOrder:
         with pytest.raises(UsageError):
             cmcount.cm_order(ecm.catalog_curve("e37"), 101)
 
+    @pytest.mark.parametrize("d", (7, 11, 19, 43, 67, 163))
+    def test_legendre_rule_reads_the_chi_table(self, d):
+        # the trace rules of e7 ... e163 read (t/d) from the field's chi table,
+        # at traces t' of either sign
+        K = arith.field_for(d)
+        assert [K.chi(t) for t in range(-d, d)] == [arith.kronecker(t, d) for t in range(-d, d)]
+
     def test_hasse_membership(self):
         for p in (101, 103, 1009):
             n = cmcount.cm_order(E11, p)
