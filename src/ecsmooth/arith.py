@@ -267,8 +267,16 @@ def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int] | None:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{K.d}))")
     if K.chi(p) == -1:
         return None
-    # Cornacchia on 4p: a root t of t^2 = disc (mod 4p), then a partial
-    # Euclid on (2p, t) down to t^2 <= 4p
+    return _cornacchia_split(p, K)
+
+
+def _cornacchia_split(p: int, K: ImagQuadField) -> tuple[int, int]:
+    """cornacchia's (t, b) for a prime p already known to split in K, without
+    the ramification and chi(p) checks, which cmcount.cm_order makes once per
+    prime before it asks for the orbit.  Cornacchia on 4p: a root t of
+    t^2 = disc (mod 4p), then a partial Euclid on (2p, t) down to
+    t^2 <= 4p."""
+    absD = -K.disc
     t = sqrt_mod(-absD, p)
     if (t + absD) % 2:
         t = p - t

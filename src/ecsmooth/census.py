@@ -5,7 +5,9 @@ order cache that lets the long sweeps resume and be shared between
 experiments.
 
 Friability is strict everywhere: n counts as y-friable iff P+(n) < y, and
-every serialized output carries the convention marker.
+every serialized output carries the convention marker.  A curve-order table
+carries P+(|E(F_p)|) beside every order, so a friability count on it is one
+comparison at any y.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from .errors import CacheError, CapacityError, DomainError, EcsmoothError, Usage
 PSI_BUDGET = 10**9
 CONVENTION = "Pplus_strict"
 CACHE_SEGMENT = 1 << 17
-MASK_CHUNK = 1 << 15  # orders per step of the array friability test
+PSI_SEGMENT = 1 << 18  # integers per step of psi_counts: an int32 segment fits in L2
 # Part of every cache file name: bump it whenever an order algorithm's
-# output may change, so that files from the old code are never read.
-ORDER_VERSION = 1
+# output or the file layout may change, so that files from the old code are
+# never read.
+ORDER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ class FriabilityTester:
     it returns a bool, on an int64 array the boolean mask.  Each call
     divides out the primes below min(y, isqrt(max n) + 1) and accepts n iff
     what is left is below y: an n <= N with no prime factor <= sqrt(N) is 1
-    or a prime, so no verdict needs a prime above sqrt(N)."""
+    or a prime, so no verdict needs a prime above sqrt(N).  The division is
+    the kernel of largest_prime_factor, exact for every int64 n >= 1.  The
+    curve-order counts do not call it: they compare the table's P+ column."""
 
     y: int
 
@@ -52,33 +57,69 @@ class FriabilityTester:
             raise UsageError(f"friability bound y={self.y} must be >= 2")
 
     def __call__(self, n: int | np.ndarray) -> bool | np.ndarray:
-        # Divide out the primes in ascending order, one chunk of ns at a time
-        # so that the temporaries stay small.  Once the primes below p are
-        # divided out, a remainder below p^2 is 1 or a prime, so its verdict
-        # is final and it leaves the working set; compacting only every 8th
-        # prime keeps the compaction cheaper than the passes it saves.
         ns = n if isinstance(n, np.ndarray) else np.array([n], dtype=np.int64)
-        if ns.min(initial=1) < 1:
-            raise UsageError(f"friability test needs n >= 1, got {ns.min()}")
-        primes = _friability_primes(self.y, int(ns.max(initial=1)))
-        out = np.empty(ns.size, dtype=bool)
-        for lo in range(0, ns.size, MASK_CHUNK):
-            verdict = out[lo : lo + MASK_CHUNK]
-            live = ns[lo : lo + MASK_CHUNK].astype(np.int64)
-            pos = np.arange(live.size)
-            for i, p in enumerate(primes):
-                if i % 8 == 0:
-                    verdict[pos] = live < self.y
-                    keep = np.flatnonzero(live >= p * p)
-                    pos, live = pos[keep], live[keep]
-                if not live.size:
-                    break
-                idx = np.flatnonzero(live % p == 0)
-                while idx.size:
-                    live[idx] //= p
-                    idx = idx[live[idx] % p == 0]
-            verdict[pos] = live < self.y
+        _check_positive(ns, "friability test")
+        out = _largest_factor_left(ns, _friability_primes(self.y, int(ns.max(initial=1)))) < self.y
         return out if ns is n else bool(out[0])
+
+
+def _check_positive(ns: np.ndarray, what: str) -> None:
+    if ns.min(initial=1) < 1:
+        raise UsageError(f"{what} needs n >= 1, got {ns.min()}")
+
+
+def largest_prime_factor(ns: np.ndarray) -> np.ndarray:
+    """P+(n), int64, for every n of an int64 array of n >= 1, with
+    P+(1) = 1: the primes <= isqrt(max n) divided out, after which what is
+    left of each n is 1 or its largest prime factor.  Those primes come
+    from arith.prime_sieve, under its guards."""
+    _check_positive(ns, "largest_prime_factor")
+    return _largest_factor_left(ns, arith.primes_below(math.isqrt(int(ns.max(initial=1))) + 1))
+
+
+def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> np.ndarray:
+    """For every n of ns (all >= 1), int64: the part m of n free of the
+    ascending primes if m > 1, else the largest of them dividing n (1 for
+    n = 1).  With every prime <= isqrt(max ns) this is P+(n).  With the
+    primes below min(y, isqrt(max ns) + 1) it is below y iff P+(n) < y.
+
+    Each n runs in uint32 when max ns < 2^32 (every cached order: x <= 2^31
+    gives n <= x + 1 + 2 sqrt x), else in uint64.  An odd p divides n iff
+    n * p^-1 mod 2^k <= (2^k - 1) // p, and then that product is n / p
+    (Granlund & Montgomery, "Division by invariant integers using
+    multiplication", PLDI 1994); p = 2 goes with the lowest set bit.  Once
+    the primes below p are divided out, an n left below p^2 is 1 or a prime:
+    it leaves the working set, checked every 8th prime so that compacting
+    costs less than the passes it saves."""
+    k = 32 if int(ns.max(initial=1)) < 1 << 32 else 64
+    dt = np.uint32 if k == 32 else np.uint64
+    live = ns.astype(dt)
+    top = np.ones(ns.size, dt)  # the largest prime divided out so far
+    out = np.empty(ns.size, dt)
+    pos = np.arange(ns.size)
+    for i, p in enumerate(primes):
+        if i % 8 == 0:
+            done = live < p * p
+            out[pos[done]] = np.maximum(top[done], live[done])
+            keep = np.flatnonzero(~done)
+            pos, live, top = pos[keep], live[keep], top[keep]
+            if not live.size:
+                break
+        if p == 2:
+            low = live & (~live + dt(1))  # 2^v for v = v_2(n)
+            top[low > 1] = 2
+            live >>= np.bitwise_count(low - dt(1)).astype(dt)
+            continue
+        inv, lim = dt(pow(p, -1, 1 << k)), dt(((1 << k) - 1) // p)
+        idx = np.flatnonzero(live * inv <= lim)
+        top[idx] = p
+        while idx.size:
+            live[idx] *= inv
+            idx = idx[live[idx] * inv <= lim]
+    # what is left above 1 has only prime factors above the last of the
+    # primes, so it exceeds every prime divided out
+    out[pos] = np.maximum(top, live)
+    return out.astype(np.int64)
 
 
 def _friability_primes(y: int, n: int) -> list[int]:
@@ -89,10 +130,11 @@ def _friability_primes(y: int, n: int) -> list[int]:
 
 
 def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
-    """The integers n in [lo, hi), int64, each divided by the full power of
-    every prime in primes: one strided division by p along the multiples of
-    each power p^k < hi, so that an n with v_p(n) = v is divided v times."""
-    rem = np.arange(lo, hi, dtype=np.int64)
+    """The integers n in [lo, hi), int32 (every caller keeps hi <= PSI_BUDGET
+    + 1 < 2^31), each divided by the full power of every prime in primes: one
+    strided division by p along the multiples of each power p^k < hi, so
+    that an n with v_p(n) = v is divided v times."""
+    rem = np.arange(lo, hi, dtype=np.int32)
     for p in primes:
         q = p
         while q < hi:
@@ -122,10 +164,10 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     todo = sorted(set(checkpoints))
     counts: dict[int, int] = {}
     total = 0
-    seg = 1 << 20
-    for lo in range(1, x + 1, seg):
-        friable = _divide_out(lo, min(lo + seg, x + 1), primes) < y
-        while todo and todo[0] < lo + seg:
+    for lo in range(1, x + 1, PSI_SEGMENT):
+        hi = min(lo + PSI_SEGMENT, x + 1)
+        friable = _divide_out(lo, hi, primes) < y
+        while todo and todo[0] < hi:
             c = todo.pop(0)
             counts[c] = total + int(np.count_nonzero(friable[: c + 1 - lo]))
         total += int(np.count_nonzero(friable))
@@ -138,10 +180,11 @@ def psi_exact(x: int, y: int) -> int:
     return psi_counts([x], y)[0]
 
 
-def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
-    |E(F_p)|, one cmcount.order call per prime.  An order that fails names
-    the curve, the range and the prime."""
+def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned int64 arrays of the good primes p in [lo, hi), their orders
+    |E(F_p)| and the largest prime factors P+(|E(F_p)|): one cmcount.order
+    call per prime, then one largest_prime_factor call on the orders.  An
+    order that fails names the curve, the range and the prime."""
     primes = arith.prime_sieve(hi - 1, lo) if hi > 2 else []
     primes = [p for p in primes if E.curve.has_good_reduction(p)]
     orders = []
@@ -151,26 +194,26 @@ def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
         except EcsmoothError as exc:
             exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
             raise
-    return np.array(primes, dtype=np.int64), np.array(orders, dtype=np.int64)
+    orders = np.array(orders, dtype=np.int64)
+    return np.array(primes, dtype=np.int64), orders, largest_prime_factor(orders)
 
 
-def sweep(primes: np.ndarray, orders: np.ndarray, checkpoints: list[int], hit) -> list[int]:
-    """#{i : primes[i] <= c and hit(orders)[i]} at each ascending checkpoint
-    c, from the ascending primes, their aligned orders and one boolean mask
-    hit(orders)."""
-    hits = primes[hit(orders)]
-    return np.searchsorted(hits, checkpoints, side="right").tolist()
+def sweep(primes: np.ndarray, hits: np.ndarray, checkpoints: list[int]) -> list[int]:
+    """#{i : primes[i] <= c and hits[i]} at each ascending checkpoint c, from
+    the ascending primes and an aligned boolean mask."""
+    return np.searchsorted(primes[hits], checkpoints, side="right").tolist()
 
 
-# The counts below take a (primes, orders) table, as from order_table or
-# OrderCache.table, that holds every good prime up to at least x.
+# The counts below take a (primes, orders, pplus) table, as from order_table
+# or OrderCache.table, that holds every good prime up to at least x.  Each
+# friability test is pplus < y.
 
 
 def psi_E(table, x: int, y: int) -> int:
-    """#{p <= x good : P+(|E(F_p)|) < y}, testing only the orders of the p <= x."""
-    primes, orders = table
+    """#{p <= x good : P+(|E(F_p)|) < y}."""
+    primes, _, pplus = table
     n = int(np.searchsorted(primes, x, side="right"))
-    return sweep(primes[:n], orders[:n], [x], FriabilityTester(y))[0]
+    return int(np.count_nonzero(pplus[:n] < y))
 
 
 def psi_E_z(table, x: int, y: int, z: int) -> int:
@@ -182,10 +225,9 @@ def psi_E_z(table, x: int, y: int, z: int) -> int:
         raise CapacityError(f"psi_E_z sieve guard: x={x}")
     if x < 2:
         return 0
-    primes, orders = table
-    below = primes < min(y, x + 1)
+    primes, _, pplus = table
     hit = np.zeros(x + 1, dtype=bool)
-    for p in primes[below][FriabilityTester(z)(orders[below])].tolist():
+    for p in primes[(primes < min(y, x + 1)) & (pplus < z)].tolist():
         hit[p::p] = True
     friable = _divide_out(1, x + 1, _friability_primes(y, x)) < y
     return int(np.count_nonzero(hit[1:] & friable))
@@ -195,7 +237,8 @@ def pi_E_d(table, x: int, d: int) -> int:
     """#{p <= x good : d divides |E(F_p)|}."""
     if d < 1:
         raise UsageError(f"d={d} must be >= 1")
-    return sweep(*table, [x], lambda n: n % d == 0)[0]
+    primes, orders, _ = table
+    return sweep(primes, orders % d == 0, [x])[0]
 
 
 class SeriesKind(enum.Enum):
@@ -256,12 +299,11 @@ def race(
     E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], table1, table2
 ) -> CensusSeries:
     """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from each
-    curve's (primes, orders) table up to max(checkpoints): one sweep per
-    curve."""
+    curve's (primes, orders, pplus) table up to max(checkpoints): one sweep
+    per curve."""
     checkpoints = sorted(set(checkpoints))
-    tester = FriabilityTester(y)
-    c1 = sweep(*table1, checkpoints, tester)
-    c2 = sweep(*table2, checkpoints, tester)
+    c1 = sweep(table1[0], table1[2] < y, checkpoints)
+    c2 = sweep(table2[0], table2[2] < y, checkpoints)
     rows = [(x, a - b) for x, a, b in zip(checkpoints, c1, c2)]
     return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, rows)
 
@@ -355,40 +397,54 @@ def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
 
 
 def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
-    """(p, |E(F_p)|) rows, int64, for the good primes in [seg_lo, seg_hi)."""
+    """(p, |E(F_p)|, P+(|E(F_p)|)) rows, int64, for the good primes in
+    [seg_lo, seg_hi)."""
     return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
 
 
 def _load_segment(path: Path) -> np.ndarray:
-    """A cache file's int64 rows: the covered range (lo, hi), then the
-    (p, |E(F_p)|) rows.  Rejects a file whose shape or dtype is wrong, whose
-    p do not ascend inside [lo, hi), or with an order outside the Hasse
-    interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)]."""
+    """A cache file's int64 rows: the covered range (lo, hi, 0), then the
+    (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects a file whose shape or dtype is
+    wrong, whose p do not ascend inside [lo, hi), with an order outside the
+    Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
+    with a P+ entry m that is below 1, above its order n or no divisor of n.
+    The rows are a read-only mapping of the file, whose pages leave the
+    process's memory as soon as the array is let go."""
     try:
-        seg = np.load(path, allow_pickle=False)
+        seg = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 2:
+    if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 3:
         raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
-    (lo, hi), p, n = seg[0], seg[1:, 0], seg[1:, 1]
+    (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if lo != int(path.name.split(".")[-2]) or not lo < hi <= lo + CACHE_SEGMENT:
         raise CacheError(f"cache file {path} covers [{lo}, {hi})")
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
-    r = np.sqrt(4.0 * p).astype(np.int64)
-    r -= r * r > 4 * p  # floor(2 sqrt p) where the float root rounded up
-    outside = np.flatnonzero((n < p + 1 - r) | (n > p + 1 + r))
+    # |t| <= floor(2 sqrt p) iff t^2 <= 4p for the trace t = p + 1 - n; t^2
+    # fits in int64 once |t| <= p, since p < hi <= lo + CACHE_SEGMENT and
+    # OrderCache.table opens files only for lo <= SIEVE_LIMIT
+    t = p + 1 - n
+    outside = np.flatnonzero((np.abs(t) > p) | (t * t > 4 * p))
     if outside.size:
         i = outside[0]
+        r = math.isqrt(4 * int(p[i]))
         raise CacheError(f"cache file {path}: order {n[i]} of p = {p[i]} is outside the Hasse "
-                         f"interval [{p[i] + 1 - r[i]}, {p[i] + 1 + r[i]}]")
+                         f"interval [{p[i] + 1 - r}, {p[i] + 1 + r}]")
+    # an m above its order n >= 1 (Hasse) leaves n mod m = n != 0
+    bad = np.flatnonzero((m < 1) | (n % np.clip(m, 1, None) != 0))
+    if bad.size:
+        i = bad[0]
+        raise CacheError(f"cache file {path}: P+ = {m[i]} of the order {n[i]} of p = {p[i]} "
+                         "does not divide it")
     return seg
 
 
 class OrderCache:
     """One int64 .npy file per (curve, segment of CACHE_SEGMENT integers),
-    named with ORDER_VERSION: a header row (lo, hi) with the covered range,
-    then (p, |E(F_p)|) rows in ascending p.  The partial last segment is
+    named with ORDER_VERSION: a header row (lo, hi, 0) with the covered
+    range, then (p, |E(F_p)|, P+(|E(F_p)|)) rows in ascending p, P+ computed
+    where the order is.  The partial last segment is
     persisted too; a run whose x + 1 <= hi only loads the file, and a run
     that needs more computes only [hi, x + 1) and replaces the file with the
     stored rows and the new ones.  Files are bit-exact reproducible."""
@@ -400,9 +456,10 @@ class OrderCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
 
-    def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """Aligned int64 arrays of the good primes p <= x and their orders,
-        computing and persisting any segment no file covers."""
+    def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Aligned int64 arrays of the good primes p <= x, their orders and
+        the orders' P+, computing and persisting any segment no file
+        covers."""
         if x > arith.SIEVE_LIMIT:
             # up front: prime_sieve would refuse only the last segment, after
             # every segment below it had been computed
@@ -414,20 +471,31 @@ class OrderCache:
             hi = min(lo + CACHE_SEGMENT, x + 1)
             path = _cache_path(self.cache_dir, cat.name, lo)
             # no file is a file covering [lo, lo); a stored tail is extended
-            seg = _load_segment(path) if path.exists() else np.array([[lo, lo]], np.int64)
+            seg = _load_segment(path) if path.exists() else np.array([[lo, lo, 0]], np.int64)
             parts[lo] = seg[1:]
             if seg[0, 1] < hi:
                 todo.append((lo, int(seg[0, 1]), hi, path))
-        for (lo, _, hi, path), new in zip(todo, self._compute(cat.name, todo)):
-            parts[lo] = np.vstack((parts[lo], new))
-            self._write(path, np.vstack(([lo, hi], parts[lo])))
-        rows = np.concatenate([np.empty((0, 2), np.int64)] + [parts[lo] for lo in los])
-        rows = rows[: np.searchsorted(rows[:, 0], x, side="right")]
-        return rows[:, 0], rows[:, 1]
+        computed = self._compute(cat.name, todo)
+        for lo, _, hi, path in todo:
+            # popped, so that each computed part is let go once written
+            seg = np.vstack(([lo, hi, 0], parts[lo], computed.pop(0)))
+            self._write(path, seg)
+            parts[lo] = seg[1:]
+        # one column per row of cols, filled part by part and each part (a
+        # file mapping, or rows just computed) let go once copied, so that
+        # the parts and the table are never all held
+        cols = np.empty((3, sum(len(part) for part in parts.values())), np.int64)
+        at = 0
+        for lo in los:
+            part = parts.pop(lo)
+            cols[:, at : at + len(part)] = part.T
+            at += len(part)
+        n = np.searchsorted(cols[0], x, side="right")
+        return cols[0, :n], cols[1, :n], cols[2, :n]
 
     def orders(self, cat: CatalogCurve, x: int) -> dict[int, int]:
         """All good-prime orders for p <= x as a p -> n mapping."""
-        primes, orders = self.table(cat, x)
+        primes, orders, _ = self.table(cat, x)
         return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo):

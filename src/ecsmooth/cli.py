@@ -205,10 +205,10 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
-        tester = census.FriabilityTester(args.y)  # before any order is computed
-        primes, orders = _cache_table(cache, cat, budget)
+        census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
+        primes, _, pplus = _cache_table(cache, cat, budget)
         cps = _checkpoints(budget)
-        rows = list(zip(cps, census.sweep(primes, orders, cps, tester)))
+        rows = list(zip(cps, census.sweep(primes, pplus < args.y, cps)))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
         )
@@ -251,7 +251,8 @@ def _check_curve_budget(budget: int) -> None:
 
 
 def _cache_table(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int):
-    """The cache's (primes, orders) arrays for the good primes p <= budget."""
+    """The cache's (primes, orders, pplus) arrays for the good primes
+    p <= budget."""
     _check_curve_budget(budget)
     return cache.table(cat, budget)
 

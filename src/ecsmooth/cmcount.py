@@ -22,8 +22,8 @@ from .errors import BadReductionError, UsageError
 
 def _orbit(p: int, K: ImagQuadField) -> list[tuple[int, int]]:
     """The pairs (t', b'), t' of either sign, of the unit multiples of
-    Cornacchia's element of norm p, for a split prime p."""
-    t, b = arith.cornacchia(p, K)
+    Cornacchia's element of norm p, for a split prime p (not checked)."""
+    t, b = arith._cornacchia_split(p, K)
     pairs = [(t, b)]
     if K.d == 1:
         pairs.append((2 * b, t // 2))

@@ -179,7 +179,7 @@ def test_one_cm_order_call_per_order(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cmcount, "cm_order", counted)
     cat = ecm.catalog_curve(name)
-    primes, _ = census.OrderCache(tmp_path, workers=1).table(cat, 3 * 10**5)
+    primes = census.OrderCache(tmp_path, workers=1).table(cat, 3 * 10**5)[0]
     assert len(calls) == len(primes) and calls == primes.tolist()
     calls.clear()
     assert len(census.OrderCache(tmp_path, workers=1).table(cat, 3 * 10**5)[0]) == len(primes)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import tracemalloc
 from concurrent.futures import Future
@@ -17,12 +18,13 @@ CM_CURVES = [cat for cat in ecm.curve_catalog() if cat.cm_field is not None]
 
 
 def largest_prime_factor(n):
-    lpf, p = 0, 2
+    """P+(n) by trial division, with P+(1) = 1: the scalar reference."""
+    lpf, p = 1, 2
     while p * p <= n:
         while n % p == 0:
             lpf, n = p, n // p
         p += 1
-    return max(lpf, n) if n > 1 else lpf
+    return max(lpf, n)
 
 
 def good_primes(cat, x):
@@ -30,10 +32,12 @@ def good_primes(cat, x):
 
 
 def naive_table(cat, x):
-    """The (primes, orders) table of the good primes p <= x, with the orders
-    from naive point counts."""
+    """The (primes, orders, pplus) table of the good primes p <= x, with the
+    orders from naive point counts and their P+ from trial division."""
     ps = good_primes(cat, x)
-    return np.array(ps, np.int64), np.array([curve.naive_count(cat.curve, p) for p in ps], np.int64)
+    ns = [curve.naive_count(cat.curve, p) for p in ps]
+    return (np.array(ps, np.int64), np.array(ns, np.int64),
+            np.array([largest_prime_factor(n) for n in ns], np.int64))
 
 
 class TestFriabilityTester:
@@ -77,12 +81,28 @@ class TestFriabilityTester:
         assert mask.dtype == bool
         assert mask.tolist() == [n == 1 or largest_prime_factor(n) < y for n in ns]
 
-    def test_mask_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(census, "MASK_CHUNK", 7)
+    def test_mask_over_a_range(self):
         ns = np.arange(1, 3000, dtype=np.int64)
         for y in (2, 5, 60):
             want = [n == 1 or largest_prime_factor(n) < y for n in ns.tolist()]
             assert census.FriabilityTester(y)(ns).tolist() == want
+
+    def test_is_pplus_below_y(self):
+        # the tester's primes stop at min(y, isqrt(max n) + 1), the kernel's
+        # at isqrt(max n); both verdicts agree at every y
+        rng = np.random.default_rng(7)
+        ns = np.concatenate((np.arange(1, 5000), rng.integers(1, 2**33, 300), [2**32 - 1, 2**32 + 1]))
+        pplus = census.largest_prime_factor(ns)
+        for y in (2, 3, 128, 10**4, int(ns.max()) + 1):
+            assert (census.FriabilityTester(y)(ns) == (pplus < y)).all(), y
+
+    def test_exact_on_int64(self):
+        # uint64 arithmetic, n up to just below 2^63
+        ns = np.array([2**60 * 7, 3**39, 7**22, 2**62 + 1, 2**63 - 1])
+        assert census.FriabilityTester(8)(ns).tolist() == [True, True, True, False, False]
+        assert census.FriabilityTester(7)(7**22) is False
+        assert census.FriabilityTester(5)(2**62) and not census.FriabilityTester(5)(5 * 2**60)
+        assert census.FriabilityTester(6)(5 * 2**60)
 
     def test_scalar_returns_bool(self):
         assert census.FriabilityTester(7)(12) is True
@@ -99,6 +119,69 @@ class TestFriabilityTester:
             tracemalloc.stop()
         assert mask.all()
         assert peak < 1 << 20, peak
+
+
+SQRT_PRIMES = arith.prime_sieve(1 << 20)  # every prime <= sqrt(2^40)
+
+
+def trial_pplus(n):
+    """P+(n), P+(1) = 1, by trial division by the primes <= sqrt(n)."""
+    top = 1
+    for p in SQRT_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            top = p
+            while n % p == 0:
+                n //= p
+    return max(top, n)
+
+
+class TestLargestPrimeFactor:
+    def check(self, ns):
+        got = census.largest_prime_factor(np.array(ns, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [trial_pplus(n) for n in ns]
+
+    @given(st.lists(st.integers(1, 2**40), min_size=1, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_trial_division(self, ns):
+        self.check(ns)
+
+    def test_small_range(self):
+        self.check(list(range(1, 20000)))
+
+    def test_edge_cases(self):
+        # 1, powers of 2, primes, and the squares of the primes with their
+        # neighbours and the products of adjacent primes, on either side of
+        # every step at which an n below p^2 leaves the working set
+        ps = arith.prime_sieve(2000)
+        ns = [1] + [2**k for k in range(41)] + ps
+        for p, q in zip(ps, ps[1:]):
+            ns += [p * p - 1, p * p, p * p + 1, p * q, p * q * q, p * p * q]
+        self.check(ns)
+        # alone, each n is divided by the primes up to its own square root
+        for n in [1, 2, 3, 4, 2**40] + [m for p in ps[:60] for m in (p * p - 1, p * p, p * p + 1)]:
+            self.check([n])
+
+    def test_around_two_to_32(self):
+        # uint32 arithmetic up to 2^32 - 1, uint64 from 2^32 on
+        below = [2**32 - k for k in range(1, 40)]
+        above = [2**32 + k for k in range(40)]
+        self.check(below)
+        self.check(above)
+        self.check(below + above)
+        self.check(below + [2**32])
+
+    def test_largest_order_at_sieve_limit(self):
+        x = arith.SIEVE_LIMIT
+        top = x + 1 + math.isqrt(4 * x)  # above every order of a p <= x
+        self.check([top - k for k in range(60)] + [2**31 - 1, 2**31])
+
+    def test_empty_and_bad(self):
+        assert census.largest_prime_factor(np.array([], np.int64)).tolist() == []
+        with pytest.raises(UsageError):
+            census.largest_prime_factor(np.array([3, 0]))
 
 
 class TestPsiExact:
@@ -159,9 +242,18 @@ class TestDivideOut:
             want = [divided_out(n, primes) for n in range(lo, hi)]
             assert census._divide_out(lo, hi, primes).tolist() == want, (lo, hi, y)
 
+    def test_int32_up_to_the_psi_budget(self):
+        hi = census.PSI_BUDGET + 1
+        rem = census._divide_out(hi - 3000, hi, arith.primes_below(100))
+        assert rem.dtype == np.int32
+        want = [divided_out(n, arith.primes_below(100)) for n in range(hi - 3000, hi)]
+        assert rem.tolist() == want
+        # a bound y above 2^31 compares as an integer, not wrapped to int32
+        assert (rem < 2**31 + 11).all() and not (rem >= 2**32 + 5).any()
+
 
 class TestPsiCounts:
-    SEG = 1 << 20  # psi_counts' segment length
+    SEG = census.PSI_SEGMENT  # psi_counts' segment length
     CPS = [10, 999, 1000, 1001, 70_000, SEG, SEG + 1, SEG + 2]
 
     @pytest.fixture(scope="class")
@@ -226,10 +318,10 @@ class TestSweep:
         "hit", [census.FriabilityTester(32), lambda n: n % 8 == 0], ids=["friable", "divisible"]
     )
     def test_matches_per_checkpoint_brute(self, hit):
-        table = naive_table(E7, 3000)
-        pairs = list(zip(*(a.tolist() for a in table)))
+        primes, orders, _ = naive_table(E7, 3000)
+        pairs = list(zip(primes.tolist(), orders.tolist()))
         brute = [sum(1 for p, n in pairs if p <= x and hit(n)) for x in self.CHECKPOINTS]
-        assert census.sweep(*table, self.CHECKPOINTS, hit) == brute
+        assert census.sweep(primes, hit(orders), self.CHECKPOINTS) == brute
 
     def test_one_order_per_prime(self, monkeypatch):
         calls = []
@@ -240,10 +332,11 @@ class TestSweep:
 
         monkeypatch.setattr(cmcount, "order", order)
         primes = good_primes(E7, 1000)
-        ps, ns = census.order_table(E7, 0, 1001)
+        ps, ns, pplus = census.order_table(E7, 0, 1001)
         assert calls == primes
         assert ps.tolist() == primes and ns.tolist() == [p + 1 for p in primes]
-        assert census.sweep(ps, ns, [10, 100, 1000], lambda n: n > 0) == [
+        assert pplus.tolist() == [largest_prime_factor(p + 1) for p in primes]
+        assert census.sweep(ps, ns > 0, [10, 100, 1000]) == [
             sum(1 for p in primes if p <= c) for c in (10, 100, 1000)
         ]
 
@@ -264,7 +357,7 @@ class TestPsiEZ:
             cat = ecm.catalog_curve(name)
             table = naive_table(cat, x)
             hitting = [
-                p for p, n in zip(*(a.tolist() for a in table)) if largest_prime_factor(n) < z
+                p for p, n in zip(*(a.tolist() for a in table[:2])) if largest_prime_factor(n) < z
             ]
             brute = sum(
                 1
@@ -272,6 +365,11 @@ class TestPsiEZ:
                 if largest_prime_factor(n) < y and any(n % p == 0 for p in hitting)
             )
             assert census.psi_E_z(table, x, y, z) == brute, (name, x, y, z)
+
+    def test_y_above_two_to_31(self):
+        table = naive_table(E11, 400)
+        got = census.psi_E_z(table, 400, 2**31 + 11, 30)
+        assert got == census.psi_E_z(table, 400, 401, 30) > 0
 
     def test_subset_of_psi(self):
         assert census.psi_E_z(naive_table(E7, 500), 500, 20, 10) <= census.psi_exact(500, 20)
@@ -592,20 +690,23 @@ class TestOrderCache:
         # what the segment held when it was cut from the full prime table
         cat = ecm.catalog_curve(name)
         want = [
-            [p, cmcount.order(cat, p)]
+            [p, n, largest_prime_factor(n)]
             for p in arith.prime_sieve(hi)
             if lo <= p < hi and cat.curve.has_good_reduction(p)
+            for n in [cmcount.order(cat, p)]
         ]
         seg = census._compute_segment(name, lo, hi)
         assert seg.dtype == np.int64 and seg.tolist() == want
 
     def test_segment_is_half_open(self):
-        assert [p for p, _ in census._compute_segment("e7", 90, 101).tolist()] == [97]
-        assert census._compute_segment("e7", 0, 2).shape == (0, 2)
+        assert [p for p, _, _ in census._compute_segment("e7", 90, 101).tolist()] == [97]
+        assert census._compute_segment("e7", 0, 2).shape == (0, 3)
 
-    # SHA-256 of every file the cache writes for these tables: the nine CM
-    # curves to 3 * 10^5 (two full segments and a persisted tail each), e37 to
-    # 3 * 10^4 (naive counts up to p = 2000, BSGS above)
+    # SHA-256 of every file the cache wrote for these tables in the two-column
+    # layout of ORDER_VERSION 1, which the (p, |E(F_p)|) columns of each file
+    # saved alone reproduce: the nine CM curves to 3 * 10^5 (two full segments
+    # and a persisted tail each), e37 to 3 * 10^4 (naive counts up to
+    # p = 2000, BSGS above)
     DIGESTS = {
         "e1.v1.0000000000.npy": "471547c81355d1de7c7f5b6a5f509e69835e5f573d0c4c3437134816f287f5fc",
         "e1.v1.0000131072.npy": "342a9499bc2fbc90f6e11731faa6550065c114cd62e93c07313a89f38788f783",
@@ -638,11 +739,21 @@ class TestOrderCache:
     }
 
     def test_files_match_recorded_digests(self, tmp_path):
+        from test_acceptance import _largest_prime_factors
+
         cache = census.OrderCache(tmp_path)
         for cat in CM_CURVES:
             cache.table(cat, 3 * 10**5)
         cache.table(ecm.catalog_curve("e37"), 3 * 10**4)
-        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        lpf = _largest_prime_factors(3 * 10**5 + 1 + math.isqrt(12 * 10**5))
+        got = {}
+        for f in tmp_path.iterdir():
+            seg = np.load(f)
+            assert seg[0, 2] == 0 and seg[1:, 2].tolist() == lpf[seg[1:, 1]].tolist(), f.name
+            two = io.BytesIO()
+            np.save(two, seg[:, :2])
+            v1_name = f.name.replace(f".v{census.ORDER_VERSION}.", ".v1.")
+            got[v1_name] = hashlib.sha256(two.getvalue()).hexdigest()
         assert got == self.DIGESTS
 
     def test_write_leaves_foreign_tmp(self, tmp_path):
@@ -650,7 +761,7 @@ class TestOrderCache:
         path = census._cache_path(tmp_path, "e7", 0)
         foreign = path.with_suffix(".tmp")  # another writer's file in flight
         foreign.write_bytes(b"13 10\n")
-        seg = np.array([[0, 14], [11, 12], [13, 12]], dtype=np.int64)
+        seg = np.array([[0, 14, 0], [11, 12, 3], [13, 12, 3]], dtype=np.int64)
         cache._write(path, seg)
         assert foreign.read_bytes() == b"13 10\n"
         assert census._load_segment(path).tolist() == seg.tolist()
@@ -680,16 +791,17 @@ class TestOrderCache:
         monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
         cache = census.OrderCache(tmp_path, workers=64)
         seg = census.CACHE_SEGMENT
-        ps, _ = cache.table(E7, seg + 200)
+        ps = cache.table(E7, seg + 200)[0]
         assert sizes == [2] and ps.tolist() == good_primes(E7, seg + 200)
         cache.table(E7, seg + 400)  # one segment due runs without a pool
         assert sizes == [2]
 
     def test_table_matches_orders(self, tmp_path):
         cache = census.OrderCache(tmp_path)
-        ps, ns = cache.table(E7, 3000)
+        ps, ns, pplus = cache.table(E7, 3000)
         assert ps.tolist() == good_primes(E7, 3000)
         assert dict(zip(ps.tolist(), ns.tolist())) == cache.orders(E7, 3000)
+        assert pplus.tolist() == [largest_prime_factor(n) for n in ns.tolist()]
 
     def test_tail_cover(self, tmp_path, tmp_path_factory, monkeypatch):
         fake_orders(monkeypatch)
@@ -702,20 +814,21 @@ class TestOrderCache:
             return census._load_segment(head)[0].tolist()
 
         cache.table(E7, 3000)
-        assert calls == [(0, 3001)] and covered() == [0, 3001]
-        ps, ns = cache.table(E7, 2000)  # a smaller x only loads the tail
+        assert calls == [(0, 3001)] and covered() == [0, 3001, 0]
+        ps, ns, pplus = cache.table(E7, 2000)  # a smaller x only loads the tail
         assert calls == [(0, 3001)]
         assert ps.tolist() == good_primes(E7, 2000)
         assert ns.tolist() == [p + 1 for p in ps.tolist()]
+        assert pplus.tolist() == [largest_prime_factor(p + 1) for p in ps.tolist()]
         cache.table(E7, 5000)  # a larger x computes only past the stored tail
-        assert calls[1:] == [(3001, 5001)] and covered() == [0, 5001]
+        assert calls[1:] == [(3001, 5001)] and covered() == [0, 5001, 0]
         fresh = tmp_path_factory.mktemp("fresh")
         census.OrderCache(fresh).table(E7, 5000)  # the extended file equals a fresh one
         assert head.read_bytes() == census._cache_path(fresh, "e7", 0).read_bytes()
-        ps, _ = cache.table(E7, seg + 50)  # a full segment supersedes the tail
-        assert calls[3:] == [(5001, seg), (seg, seg + 51)] and covered() == [0, seg]
+        ps = cache.table(E7, seg + 50)[0]  # a full segment supersedes the tail
+        assert calls[3:] == [(5001, seg), (seg, seg + 51)] and covered() == [0, seg, 0]
         assert ps.tolist() == good_primes(E7, seg + 50)
-        ps, _ = cache.table(E7, 4000)
+        ps = cache.table(E7, 4000)[0]
         assert len(calls) == 5 and ps.tolist() == good_primes(E7, 4000)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             head.name, census._cache_path(tmp_path, "e7", seg).name
@@ -730,11 +843,14 @@ class TestOrderCache:
         monkeypatch.setattr(census, "ORDER_VERSION", version)
         old_text = tmp_path / "e7.0000000000.orders"  # the format before .npy segments
         old_text.write_text("corrupt\n")
+        v1 = tmp_path / "e7.v1.0000000000.npy"  # two columns, no P+
+        np.save(v1, np.array([[0, 3001], [11, 0]], np.int64))
+        v1_bytes = v1.read_bytes()
         calls = spy_segments(monkeypatch)
         census.OrderCache(tmp_path).table(E7, 3000)
         assert calls == [(0, 3001)]
         assert foreign.exists() and census._cache_path(tmp_path, "e7", 0) != foreign
-        assert old_text.read_text() == "corrupt\n"
+        assert old_text.read_text() == "corrupt\n" and v1.read_bytes() == v1_bytes
 
     @pytest.mark.parametrize(
         "corrupt, what",
@@ -745,6 +861,10 @@ class TestOrderCache:
             (lambda s: s.__setitem__((-1, 0), s[0, 1]), "ascending"),
             (lambda s: s.__setitem__((0, 0), 5), "covers"),
             (lambda s: s.__setitem__((0, 1), census.CACHE_SEGMENT + 1), "covers"),
+            (lambda s: s.__setitem__((9, 2), 0), r"P\+ = 0 "),
+            (lambda s: s.__setitem__((9, 2), -s[9, 2]), r"P\+ = -"),
+            (lambda s: s.__setitem__((9, 2), 2 * s[9, 1]), r"P\+ .* does not divide"),
+            (lambda s: s.__setitem__((-1, 2), s[-1, 1] - 1), r"P\+ .* does not divide"),
         ],
     )
     def test_implausible_file_rejected(self, tmp_path, corrupt, what):
@@ -766,6 +886,7 @@ class TestOrderCache:
         r = [math.isqrt(4 * p) for p in seg[1:, 0].tolist()]
         seg[1::2, 1] = seg[1::2, 0] + 1 + r[::2]
         seg[2::2, 1] = seg[2::2, 0] + 1 - r[1::2]
+        seg[1:, 2] = [largest_prime_factor(n) for n in seg[1:, 1].tolist()]
         np.save(path, seg)
         assert census._load_segment(path).tolist() == seg.tolist()
 
@@ -774,12 +895,13 @@ class TestOrderCache:
         [
             lambda s: np.save(s[0], s[1].astype(np.float64)),
             lambda s: np.save(s[0], s[1][:, :1]),
+            lambda s: np.save(s[0], s[1][:, :2]),
             lambda s: np.save(s[0], s[1].ravel()),
             lambda s: np.save(s[0], s[1][:0]),
             lambda s: s[0].write_bytes(s[0].read_bytes()[:-5]),
             lambda s: s[0].write_bytes(b"2 3\n3 4\n"),
         ],
-        ids=["float", "one-column", "flat", "empty", "truncated", "text"],
+        ids=["float", "one-column", "two-column", "flat", "empty", "truncated", "text"],
     )
     def test_malformed_file_rejected(self, tmp_path, payload):
         cache = census.OrderCache(tmp_path)

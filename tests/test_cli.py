@@ -390,6 +390,38 @@ class TestCensusCommand:
         for kind in (["psi_e", "--curve", "e7"], ["gamma_tilde", "--curve", "e11"]):
             assert run(["census", *kind, "--y", "64", "--budget", "5000", *cache], capsys)[0] == 0
 
+    def test_warm_counts_read_pplus_from_the_cache(self, tmp_path, capsys, monkeypatch):
+        # after a cold race, every order and every P+ the warm race, psi_e
+        # and gamma_tilde --out need is in the cache: none of them makes an
+        # order, runs the P+ kernel or tests friability, and each
+        # reproduces its cold output byte for byte
+        cache = ["--budget", "300000", "--cache-dir", str(tmp_path / "cache")]
+
+        def census_runs(tag):
+            out = {}
+            for name, argv in (
+                ("race", ["--race", "e7-e11"]),
+                ("psi_e", ["psi_e", "--curve", "e7"]),
+                ("gamma", ["gamma_tilde", "--curve", "e11", "--y", "10000"]),
+            ):
+                base = tmp_path / f"{name}_{tag}"
+                code, stdout, _ = run(["census", *argv, *cache, "--out", str(base)], capsys)
+                files = [base.with_suffix(ext).read_bytes() for ext in (".csv", ".json")]
+                out[name] = (code, stdout.replace(str(base), name), files)
+            return out
+
+        cold = census_runs("cold")
+
+        def refuse(*args):
+            raise AssertionError(f"warm census computed {args}")
+
+        monkeypatch.setattr(cmcount, "cm_order", refuse)
+        monkeypatch.setattr(census, "largest_prime_factor", refuse)
+        monkeypatch.setattr(census, "_largest_factor_left", refuse)
+        monkeypatch.setattr(census.FriabilityTester, "__call__", refuse)
+        assert census_runs("warm") == cold
+        assert [code for code, _, _ in cold.values()] == [cli.EXIT_OK] * 3
+
     @pytest.mark.parametrize(
         "command",
         [["--race", "e7-e11"], ["psi_e", "--curve", "e7"], ["gamma_tilde", "--curve", "e11"]],

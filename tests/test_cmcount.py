@@ -121,6 +121,20 @@ class TestCmOrder:
         with pytest.raises(BadReductionError):
             cmcount.cm_order(E7, 7)
 
+    def test_chi_checked_once_per_prime(self, monkeypatch):
+        # cm_order checks good reduction and chi(p) itself and takes a split
+        # prime's (t, b) from the private split-prime step: arith.cornacchia,
+        # whose contract repeats both checks, is never called
+        def refuse(p, K):
+            raise AssertionError(f"cornacchia({p}) called from cm_order")
+
+        for cat in (E7, E11, E8000, ecm.catalog_curve("e1"), ecm.catalog_curve("e3")):
+            primes = [p for p in arith.prime_sieve(3000) if cat.curve.has_good_reduction(p)]
+            want = [cmcount.cm_order(cat, p) for p in primes]
+            with monkeypatch.context() as m:
+                m.setattr(arith, "cornacchia", refuse)
+                assert [cmcount.cm_order(cat, p) for p in primes] == want, cat.name
+
     def test_non_cm_rejected(self):
         with pytest.raises(UsageError):
             cmcount.cm_order(ecm.catalog_curve("e37"), 101)
