@@ -192,6 +192,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r if r * r % p == a else None
 
 
+# Odd primes below 2^8, where _tonelli_shanks looks for its non-residue first.
+# Below 2 * 10^7 the least non-residue of a prime p = 1 mod 8 is at most 53
+# (at p = 9,257,329).
+_NON_RESIDUE_PRIMES = tuple(z for z in range(3, 256, 2) if all(z % f for f in range(3, math.isqrt(z) + 1, 2)))
+
+
 def _tonelli_shanks(a: int, p: int) -> int | None:
     # p - 1 = q * 2^s with q odd; w = a^((q-1)/2) gives r = a^((q+1)/2), t = a^q
     q, s = p - 1, 0
@@ -201,13 +207,17 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
     w = pow(a, (q - 1) // 2, p)
     r = a * w % p
     t = r * w % p
-    # The least non-residue z is an odd prime (2 is a square at p = 1 mod 8).
-    # For an odd prime z reciprocity gives (z/p) = (p/z), a power mod z: a
-    # cheap filter before Euler's criterion mod p.  An odd composite z it
-    # rejects is never the least non-residue.
-    z = 3
-    while pow(p % z, (z - 1) // 2, z) != z - 1 or pow(z, (p - 1) // 2, p) != p - 1:
+    # The least non-residue z is an odd prime (2 is a square at p = 1 mod 8),
+    # and for an odd prime z reciprocity gives (z/p) = (p/z) at p = 1 mod 4:
+    # a power mod z decides it, with no power mod p.  Past _NON_RESIDUE_PRIMES
+    # the search goes on over odd z, each checked by Euler's criterion mod p.
+    for z in _NON_RESIDUE_PRIMES:
+        if pow(p % z, (z - 1) // 2, z) == z - 1:
+            break
+    else:
         z += 2
+        while pow(p % z, (z - 1) // 2, z) != z - 1 or pow(z, (p - 1) // 2, p) != p - 1:
+            z += 2
     m, c = s, pow(z, q, p)
     while t != 1:
         i, tt = 0, t

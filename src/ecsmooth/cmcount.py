@@ -44,13 +44,15 @@ def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
     return cands
 
 
-# The trace rule of each CM catalog curve at a split prime p, on one pair
-# (t', b') of the orbit, written (t, b) (Rubin & Silverberg, op. cit.).
-# Exactly one pair passes:
+# The trace rule of each CM catalog curve at a split prime p picks the trace
+# t' of |E(F_p)| = p + 1 - t' from the orbit of Cornacchia's (t, b) (Rubin &
+# Silverberg, op. cit.), and raises ArithmeticError naming the curve and p
+# unless exactly one pair passes:
 # - d = 7 ... 163: the orbit is (+-t, b), d does not divide t (else d | 4p)
-#   and (-1/d) = -1, so one sign has the Legendre symbol (t/d) the rule asks for.
-#   For a prime d = 3 mod 4 the field's character chi_{-d} is that symbol, so
-#   the rule reads (t/d) from the field's chi table of period d.
+#   and (-1/d) = -1, so chi(-t) = -chi(t) and exactly one sign has the
+#   Legendre symbol (t'/d) the curve asks for, +1 for e7 and -1 for the
+#   others.  For a prime d = 3 mod 4 the field's character chi_{-d} is that
+#   symbol, so the rule reads chi(t) once from the field's table of period d.
 # - e3: for 4p = L^2 + 3M^2 the orbit is (+-L, M), (+-(L - 3M)/2, (L + M)/2)
 #   and (+-(L + 3M)/2, |L - M|/2); 3 does not divide L, so exactly one b' is
 #   divisible by 3 (27 | 4p - t'^2), and then t' = 2 or 1 mod 3 tells the
@@ -59,20 +61,47 @@ def candidate_orders(p: int, K: ImagQuadField) -> set[int]:
 #   odd; t' = 2a with a odd and a = 1 mod 4 iff 4 | b, i.e. t' = 2 or 6 mod 8.
 # - e8000: t' = 2 mod 4, and -t' falls outside the classes mod 16 allowed for
 #   p mod 16 (t' = 2 mod 8 at 1, 6 mod 8 at 9, 14 mod 16 at 3, 10 mod 16 at 11).
+def _chi_sign(name: str, s: int):
+    """The rule of a curve whose orbit is (+-t, b): t' = t if chi(t) = s,
+    else -t."""
+
+    def rule(p: int, K: ImagQuadField) -> int:
+        t = arith._cornacchia_split(p, K)[0]
+        c = K.chi(t)
+        if c == 0:
+            raise ArithmeticError(f"no orbit pair of {name} passes its trace rule at p={p}")
+        return t if c == s else -t
+
+    return rule
+
+
+def _orbit_filter(name: str, passes):
+    """The rule of a curve with extra units: the t' of the one orbit pair
+    (t', b') that `passes(p, t', b')`."""
+
+    def rule(p: int, K: ImagQuadField) -> int:
+        picked = [t for t, b in _orbit(p, K) if passes(p, t, b)]
+        if len(picked) != 1:
+            raise ArithmeticError(f"{len(picked)} orbit pairs of {name} pass its trace rule at p={p}")
+        return picked[0]
+
+    return rule
+
+
 _E8000_TRACE = {1: (2, 10), 9: (6, 14), 3: (14,), 11: (10,)}  # p mod 16 -> t mod 16
 _TRACE_RULES = {
-    "e1": lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6),
-    "e3": lambda p, t, b: t % 3 == 2 and b % 3 == 0,
-    "e8000": lambda p, t, b: t % 16 in _E8000_TRACE[p % 16],
-    "e7": lambda p, t, b, chi=arith.field_for(7).chi: chi(t) == 1,
-    **{f"e{d}": lambda p, t, b, chi=arith.field_for(d).chi: chi(t) == -1 for d in (11, 19, 43, 67, 163)},
+    "e1": _orbit_filter("e1", lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6)),
+    "e3": _orbit_filter("e3", lambda p, t, b: t % 3 == 2 and b % 3 == 0),
+    "e8000": _orbit_filter("e8000", lambda p, t, b: t % 16 in _E8000_TRACE[p % 16]),
+    "e7": _chi_sign("e7", 1),
+    **{f"e{d}": _chi_sign(f"e{d}", -1) for d in (11, 19, 43, 67, 163)},
 }
 
 
 def cm_order(cat: CatalogCurve, p: int) -> int:
     """|E(F_p)| for a CM catalog curve: p + 1 at an inert prime, otherwise
-    p + 1 - t' for the one orbit pair (t', b') that passes the curve's trace
-    rule."""
+    p + 1 - t' for the trace t' that the curve's trace rule picks from the
+    orbit."""
     K = cat.cm_field
     if K is None:
         raise UsageError(f"{cat.name} is not a CM curve")
@@ -84,11 +113,7 @@ def cm_order(cat: CatalogCurve, p: int) -> int:
         raise BadReductionError(f"p={p} ramifies in the CM field of {cat.name}")
     if chi == -1:
         return p + 1
-    rule = _TRACE_RULES[cat.name]
-    picked = [p + 1 - t for t, b in _orbit(p, K) if rule(p, t, b)]
-    if len(picked) != 1:
-        raise ArithmeticError(f"{len(picked)} orbit pairs of {cat.name} pass its trace rule at p={p}")
-    return picked[0]
+    return p + 1 - _TRACE_RULES[cat.name](p, K)
 
 
 def order(cat: CatalogCurve, p: int) -> int:

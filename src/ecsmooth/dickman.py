@@ -72,23 +72,36 @@ class RhoTable:
     def _build(self, last: int) -> None:
         """Run the recurrence from the last built node up to node `last`.
         Node k reads only nodes k - n .. k - 1, so the grid does not depend
-        on how the build is split."""
+        on how the build is split.  The loop runs on Python floats, one unit
+        at a time: the unit's nodes and the n behind them are copied into
+        lists and written back, because indexing numpy scalars costs more
+        than the arithmetic."""
         n = self._per_unit
         h = 1.0 / n
-        v, panel, dv = self._v, self._panel, self._dv
+        half, c = 0.5 * h, h * h / 12.0
         window = self._window
-        for k in range(self._built + 1, last + 1):
-            u = k * h
-            dv[k] = -v[k - n] / u
-            # corrected trapezoid, solved for the (linear) unknown v[k]:
-            # u v[k] = window - panel[k-n] + h/2 (v[k-1]+v[k]) + h^2/12 (dv[k-1]-dv[k])
-            rest = (window - panel[k - n]) + 0.5 * h * v[k - 1] + h * h / 12.0 * (dv[k - 1] - dv[k])
-            v[k] = rest / (u - 0.5 * h)
-            panel[k] = 0.5 * h * (v[k - 1] + v[k]) + h * h / 12.0 * (dv[k - 1] - dv[k])
-            window = window - panel[k - n] + panel[k]
-            if k % n == 0:
+        k = self._built + 1
+        while k <= last:
+            end = min(last, -(-k // n) * n)  # the unit's end: the next multiple of n
+            base = k - n
+            v, panel, dv = (a[base : end + 1].tolist() for a in (self._v, self._panel, self._dv))
+            v_prev, dv_prev = v[n - 1], dv[n - 1]
+            for i in range(n, end - base + 1):
+                u = (base + i) * h
+                dv_i = dv[i] = -v[i - n] / u
+                # corrected trapezoid, solved for the (linear) unknown v[k]:
+                # u v[k] = window - panel[k-n] + h/2 (v[k-1]+v[k]) + h^2/12 (dv[k-1]-dv[k])
+                slide = window - panel[i - n]
+                corr = c * (dv_prev - dv_i)
+                v_i = v[i] = (slide + half * v_prev + corr) / (u - half)
+                panel_i = panel[i] = half * (v_prev + v_i) + corr
+                window = slide + panel_i
+                v_prev, dv_prev = v_i, dv_i
+            if end % n == 0:
                 # exact refresh kills accumulated rounding in the sliding sum
-                window = math.fsum(panel[k - n + 1 : k + 1])
+                window = math.fsum(panel[-n:])
+            self._v[k : end + 1], self._panel[k : end + 1], self._dv[k : end + 1] = v[n:], panel[n:], dv[n:]
+            k = end + 1
         self._window = window
         self._built = max(self._built, last)
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,39 @@ class TestSqrtMod:
         for p in (q for qs in by_class.values() for q in qs):
             for a in [0, 1, 2, 3, 5, 7, p - 1, p - 7] + [pow(3, k, p) * 12345 % p for k in range(1, 20)]:
                 _check_sqrt_mod(a, p)
+
+
+    def test_one_mod_8_field_discriminants(self):
+        # Tonelli-Shanks: a = -|D| is what Cornacchia asks for in each field
+        rng = random.Random(8)
+        discs = [arith.field_for(d).disc for d in arith.CLASS_NUMBER_ONE_DS]
+        for p in arith.prime_sieve(2 * 10**5):
+            if p % 8 == 1:
+                for a in discs + [rng.randrange(p) for _ in range(4)]:
+                    _check_sqrt_mod(a, p)
+
+    @pytest.mark.parametrize("p, z", [(3818929, 47), (9257329, 53)])
+    def test_least_non_residue_records(self, p, z):
+        # the least non-residue of these primes = 1 mod 8 is larger than at
+        # any smaller such prime
+        assert p % 8 == 1 and arith.is_prime(p)
+        assert min(w for w in range(2, z + 1) if pow(w, (p - 1) // 2, p) == p - 1) == z
+        rng = random.Random(p)
+        for a in [arith.field_for(d).disc for d in arith.CLASS_NUMBER_ONE_DS] + [rng.randrange(p) for _ in range(50)]:
+            _check_sqrt_mod(a, p)
+
+    @pytest.mark.parametrize("tried", [(3,), (3, 5, 7)])
+    def test_search_past_the_prime_tuple(self, tried, monkeypatch):
+        # a prime whose least non-residue is not in the tuple is served by
+        # the Euler-checked search that follows it
+        monkeypatch.setattr(arith, "_NON_RESIDUE_PRIMES", tried)
+        primes = [p for p in arith.prime_sieve(2 * 10**4) if p % 8 == 1] + [3818929, 9257329]
+        past = 0
+        for p in primes:
+            past += all(pow(z, (p - 1) // 2, p) == 1 for z in tried)
+            for a in range(60):
+                _check_sqrt_mod(a, p)
+        assert past > 10
 
 
 class TestImagQuadField:

@@ -173,6 +173,91 @@ class TestClosedForm:
                 cmcount.cm_order(cat, p)
 
 
+# The orbit-filter formulation of the trace rules, kept as the reference for
+# cm_order: every curve filters the whole orbit of Cornacchia's pair, and the
+# Legendre symbol (t/d) of e7 ... e163 comes from arith.kronecker, not from
+# the field's chi table.
+_REFERENCE_RULES = {
+    "e1": lambda p, t, b: t % 8 == (2 if b % 4 == 0 else 6),
+    "e3": lambda p, t, b: t % 3 == 2 and b % 3 == 0,
+    "e8000": lambda p, t, b: t % 16 in {1: (2, 10), 9: (6, 14), 3: (14,), 11: (10,)}[p % 16],
+    "e7": lambda p, t, b: arith.kronecker(t, 7) == 1,
+    **{f"e{d}": lambda p, t, b, d=d: arith.kronecker(t, d) == -1 for d in (11, 19, 43, 67, 163)},
+}
+
+
+def _reference_order(cat, p):
+    K = cat.cm_field
+    if K.chi(p) == -1:
+        return p + 1
+    rule = _REFERENCE_RULES[cat.name]
+    picked = [p + 1 - t for t, b in cmcount._orbit(p, K) if rule(p, t, b)]
+    assert len(picked) == 1, (cat.name, p, picked)
+    return picked[0]
+
+
+def _split_primes_by_class(cat, lo, per_class):
+    """`per_class` seeded split good primes above lo in every class mod 8
+    that splits in the curve's field."""
+    K = cat.cm_field
+    classes = {c for c in (1, 3, 5, 7) if any(K.chi(c + 8 * j) == 1 for j in range(-K.disc))}
+    rng, found = random.Random(f"{cat.name} {lo}"), {c: [] for c in classes}
+    while min(map(len, found.values())) < per_class:
+        p = rng.randrange(lo, lo + 2**24) | 1
+        if p % 8 in classes and len(found[p % 8]) < per_class and arith.is_prime(p) and K.chi(p) == 1:
+            found[p % 8].append(p)
+    return [p for ps in found.values() for p in ps]
+
+
+def _first_split_prime(cat, lo):
+    return next(p for p in range(lo, 2 * lo) if arith.is_prime(p) and cat.cm_field.chi(p) == 1)
+
+
+class TestTraceRules:
+    @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
+    def test_matches_orbit_filter_small(self, cat):
+        for p in arith.prime_sieve(2 * 10**4):
+            if cat.curve.has_good_reduction(p):
+                assert cmcount.cm_order(cat, p) == _reference_order(cat, p), p
+
+    @pytest.mark.parametrize("lo", (2**31, 2**40))
+    @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
+    def test_matches_orbit_filter_large(self, cat, lo):
+        for p in _split_primes_by_class(cat, lo, 3):
+            assert cmcount.cm_order(cat, p) == _reference_order(cat, p), p
+
+    @pytest.mark.parametrize("name", ("e7", "e11", "e163"))
+    def test_chi_rule_with_no_passing_sign_raises(self, name, monkeypatch):
+        # t divisible by d: chi(t) = 0, so neither t nor -t passes
+        cat = ecm.catalog_curve(name)
+        d, split = cat.cm_field.d, arith._cornacchia_split
+        p = _first_split_prime(cat, 10**4)
+        monkeypatch.setattr(arith, "_cornacchia_split", lambda q, K: (d * split(q, K)[0], split(q, K)[1]))
+        with pytest.raises(ArithmeticError, match=rf"no orbit pair of {name} passes its trace rule at p={p}$"):
+            cmcount.cm_order(cat, p)
+
+    @pytest.mark.parametrize("name", ("e1", "e3", "e8000"))
+    def test_orbit_rule_needs_exactly_one_pair(self, name, monkeypatch):
+        cat = ecm.catalog_curve(name)
+        p = _first_split_prime(cat, 10**4)
+        t_true, orbit = p + 1 - curve.naive_count(cat.curve, p), cmcount._orbit
+        monkeypatch.setattr(cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if t != t_true])
+        with pytest.raises(ArithmeticError, match=rf"^0 orbit pairs of {name} pass its trace rule at p={p}$"):
+            cmcount.cm_order(cat, p)
+        monkeypatch.setattr(cmcount, "_orbit", lambda q, K: 2 * orbit(q, K))
+        with pytest.raises(ArithmeticError, match=rf"^2 orbit pairs of {name} pass its trace rule at p={p}$"):
+            cmcount.cm_order(cat, p)
+
+    def test_chi_rule_does_not_walk_the_orbit(self, monkeypatch):
+        def refuse(p, K):
+            raise AssertionError(f"_orbit({p}) called")
+
+        primes = [p for p in arith.prime_sieve(3000) if E11.curve.has_good_reduction(p)]
+        want = [cmcount.cm_order(E11, p) for p in primes]
+        monkeypatch.setattr(cmcount, "_orbit", refuse)
+        assert [cmcount.cm_order(E11, p) for p in primes] == want
+
+
 class TestOrderFn:
     def test_deterministic(self):
         # only the non-CM path draws random points, from a generator seeded by p

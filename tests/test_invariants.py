@@ -32,7 +32,6 @@ def expect(label, fn, owner, attr, fake):
 
 e7 = ecm.catalog_curve("e7")
 p = next(q for q in range(10**4, 10**5) if arith.is_prime(q) and e7.cm_field.chi(q) == 1)
-true_order = curve.naive_count(e7.curve, p)
 
 
 def raise_bad_divisor(*args):
@@ -41,9 +40,17 @@ def raise_bad_divisor(*args):
 
 expect("hasse", lambda: cmcount.candidate_orders(p, e7.cm_field),
        curve, "hasse_interval", lambda q: (0, 0))
-orbit = cmcount._orbit
+# e7 reads one chi(t) of Cornacchia's t: a t divisible by 7 passes neither sign
+split = arith._cornacchia_split
 expect("eliminated", lambda: cmcount.cm_order(e7, p),
-       cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if q + 1 - t != true_order])
+       arith, "_cornacchia_split", lambda q, K: (7 * split(q, K)[0], split(q, K)[1]))
+# e8000 walks its orbit: without the true pair none passes
+e8000 = ecm.catalog_curve("e8000")
+p8 = next(q for q in range(10**4, 10**5) if arith.is_prime(q) and e8000.cm_field.chi(q) == 1)
+true_order8 = curve.naive_count(e8000.curve, p8)
+orbit = cmcount._orbit
+expect("eliminated_orbit", lambda: cmcount.cm_order(e8000, p8),
+       cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if q + 1 - t != true_order8])
 expect("ecm_divisor", lambda: ecm.ecm_one_curve(35, ecm.catalog_curve("e8000"), 1.5, 1.2),
        curve, "ec_scalar_mul", raise_bad_divisor)
 expect("split_factor", lambda: ecm.split_step(101, 2, 1, 1.5, 1.5, seed=1),
@@ -62,6 +69,7 @@ def test_invariants_raise_under_O():
         "debug": "False",
         "hasse": "ArithmeticError",
         "eliminated": "ArithmeticError",
+        "eliminated_orbit": "ArithmeticError",
         "ecm_divisor": "ArithmeticError",
         "split_factor": "ArithmeticError",
     }
