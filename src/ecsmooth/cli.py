@@ -74,7 +74,7 @@ def cmd_ecm(args) -> int:
     out = ecm.ecm_one_curve(args.n, cat, args.u, args.v, exact_m=args.exact_m)
     dt = time.perf_counter() - t0
     b, c = ecm.EcmParams(args.u, args.v).bounds(args.n)
-    ops = sum(e for _, e in ecm.stage1_exponent_plan(c, args.n))
+    ops = args.n.bit_length() - 1 if args.exact_m else sum(e for _, e in ecm.stage1_exponent_plan(c, args.n))
     if out.ok:
         print(f"Factor({out.factor})  B={b} C={c} scalar_steps={ops} time={dt:.3f}s")
         return EXIT_OK

@@ -6,10 +6,13 @@ There is one group law: affine chord-and-tangent on a short model
 y^2 = x^3 + Ax + B mod n (sw_add), serving ECM and BSGS alike.  Every
 inversion goes through arith.inverse_or_divisor: a failed inversion is
 exactly the event that surfaces a factor of a composite modulus.
-ec_scalar_mul returns what the affine double-and-add chain of sw_add steps
-returns, but evaluates that chain in Jacobian coordinates with a single
-inversion at the end; only when that inversion fails does it replay the
-affine chain, which then returns None or raises the same DivisorFound.
+_jacobian_chain evaluates the affine double-and-add chain of sw_add steps
+in Jacobian coordinates with no inversion.  ec_scalar_mul finishes it with
+one inversion of Z and returns what the affine chain returns; only when
+that inversion fails does it replay the affine chain, which then returns
+None or raises the same DivisorFound.  ec_scalar_mul_rescaled, which ECM
+stage 1 runs, makes no inversion: for a unit Z it moves to the isomorphic
+model A <- Z^4 A, on which the chain's point is (X, Y).
 Curves are stored in long Weierstrass form; short_model and short_point
 carry a curve and its points over.
 
@@ -163,22 +166,57 @@ def ec_scalar_mul(n: int, A: int, k: int, P):
     affine sw_add chain over the same bits of k: the point, None, or
     DivisorFound at its first failed inversion.
 
-    The chain runs in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), adding
-    the affine P by mixed addition, so it makes one inversion, of Z at the
-    end.  Every affine step that would fail mod a prime p of n (2y = 0,
-    R = -P or R = P mod p) makes Z = 0 mod p, and Z stays 0 mod p from then
-    on; so a unit Z means that no affine step failed and both chains reach
-    the same point.  Otherwise the affine chain is replayed."""
+    The chain runs in Jacobian coordinates (_jacobian_chain), so it makes
+    one inversion, of Z at the end.  Every affine step that would fail mod a
+    prime p of n (2y = 0, R = -P or R = P mod p) makes Z = 0 mod p, and Z
+    stays 0 mod p from then on; so a unit Z means that no affine step failed
+    and both chains reach the same point.  Otherwise the affine chain is
+    replayed."""
     if k < 0:
         raise UsageError("scalar must be nonnegative")
     if k == 0 or P is None:
         return None
+    X, Y, Z = _jacobian_chain(n, A, k, P)
+    inv, _ = arith.inverse_or_divisor(Z, n)
+    if inv is None:
+        return _affine_scalar_mul(n, A, k, P)
+    inv2 = inv * inv % n
+    return X * inv2 % n, Y * inv2 * inv % n
+
+
+def ec_scalar_mul_rescaled(n: int, A: int, k: int, P):
+    """(A', [k]P) with no inversion: [k]P on y^2 = x^3 + A'x + B' mod n, an
+    isomorphic model of y^2 = x^3 + Ax + B, with P on the latter.
+
+    When the Jacobian chain ends at (X : Y : Z) with Z a unit mod n,
+    x -> Z^2 x, y -> Z^3 y is an isomorphism onto A' = Z^4 A, B' = Z^6 B
+    that takes (X : Y : Z) to the affine (X, Y).  Otherwise A' = A and [k]P
+    is the outcome of the affine chain on this model: the point, None, or
+    the DivisorFound of its first failed inversion.  The isomorphism
+    multiplies every chord and tangent denominator by a unit, so each
+    affine step fails with the same gcd on every model of the sequence."""
+    if k < 0:
+        raise UsageError("scalar must be nonnegative")
+    if k == 0 or P is None:
+        return A, None
+    X, Y, Z = _jacobian_chain(n, A, k, P)
+    if math.gcd(Z, n) != 1:
+        return A, _affine_scalar_mul(n, A, k, P)
+    ZZ = Z * Z % n
+    return A * ZZ % n * ZZ % n, (X, Y)
+
+
+def _jacobian_chain(n: int, A: int, k: int, P) -> tuple[int, int, int]:
+    """(X : Y : Z) with (X/Z^2, Y/Z^3) = [k]P for k >= 1 and an affine P,
+    by the double-and-add of ec_scalar_mul, adding P by mixed addition; no
+    inversion.  S, V and HHH are left unreduced: each enters only sums and
+    one product before the next reduction mod n."""
     x, y = P
     X, Y, Z = x, y, 1  # the leading bit of k: R = P
     for bit in bin(k)[3:]:
         # R = 2R, with Z3 = 2YZ
         YY = Y * Y % n
-        S = 4 * X * YY % n
+        S = 4 * X * YY
         ZZ = Z * Z % n
         M = (3 * X * X + A * ZZ * ZZ) % n
         Z = 2 * Y * Z % n
@@ -190,16 +228,12 @@ def ec_scalar_mul(n: int, A: int, k: int, P):
             H = (x * ZZ - X) % n
             r = (y * ZZ * Z - Y) % n
             HH = H * H % n
-            HHH = H * HH % n
-            V = X * HH % n
+            HHH = H * HH
+            V = X * HH
             X = (r * r - HHH - 2 * V) % n
             Y = (r * (V - X) - Y * HHH) % n
             Z = Z * H % n
-    inv, _ = arith.inverse_or_divisor(Z, n)
-    if inv is None:
-        return _affine_scalar_mul(n, A, k, P)
-    inv2 = inv * inv % n
-    return X * inv2 % n, Y * inv2 * inv % n
+    return X, Y, Z
 
 
 def _affine_scalar_mul(n: int, A: int, k: int, P):

@@ -6,13 +6,15 @@ C-friable integer below the Hasse bound N + 2 sqrt(N) + 1 divides M'.  The
 factorial exponent is still available behind a flag for tiny N so the
 equivalence is testable.
 
-Stage 1 runs on the short model of the catalog curve mod N: the catalog
-point is carried over by curve.short_point, and curve.ec_scalar_mul
-multiplies it by each prime l of the plan, e_l times, in plan order.  Each
-scalar costs one inversion (the chain runs in Jacobian coordinates); when
-that inversion fails, the affine chain is replayed and surfaces the factor
-at its first failed inversion.  The affine chain can surface p at a step
-where the running point is P mod p, although [l]P is not O mod p, so which
+Stage 1 runs on a short model of the catalog curve mod N: the catalog
+point is carried over by curve.short_point and multiplied by each prime l
+of the plan, e_l times, in plan order, by curve.ec_scalar_mul_rescaled.
+That makes no inversion: after a scalar whose Jacobian Z is a unit mod N,
+stage 1 goes on from the affine (X, Y) on the isomorphic model A <- Z^4 A;
+otherwise it replays that scalar on the affine chain of the current model,
+which surfaces a factor at the same step, with the same gcd, as the affine
+chain on the first model.  The affine chain can surface p at a step where
+the running point is P mod p, although [l]P is not O mod p, so which
 factors are found depends on the addition chain: NAF, windows or merged
 scalars would change the outcomes.
 """
@@ -166,7 +168,7 @@ def ecm_one_curve(
     P = curve.short_point(cat.curve, n, cat.point)
     try:
         for s in _stage1_scalars(C, n, exact_m):
-            P = curve.ec_scalar_mul(n, A, s, P)
+            A, P = curve.ec_scalar_mul_rescaled(n, A, s, P)
             if P is None:
                 # [M']P = O mod every prime of n at once: nothing to separate
                 return EcmOutcome()

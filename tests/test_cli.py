@@ -101,6 +101,24 @@ class TestEcmCommand:
         assert f"torsion point of order {order}" in err
 
 
+    @pytest.mark.parametrize("exact_m, steps", [(False, 76), (True, 19)])
+    def test_scalar_steps_are_the_stage1_scalars(self, exact_m, steps, capsys):
+        # the plan's 76 prime powers, or 19 = N.bit_length() - 1 times 31!
+        n, flag = 1000009, ["--exact-m"] if exact_m else []
+        _, c = ecm.EcmParams(2.0, 2.0).bounds(n)
+        assert c == 31 and len(ecm._stage1_scalars(c, n, exact_m)) == steps
+        code, out, _ = run(["ecm", str(n), "-u", "2", "-v", "2", *flag], capsys)
+        assert code == cli.EXIT_OK and out.startswith(f"Factor(293)  B=1000 C=31 scalar_steps={steps} ")
+
+    def test_exact_m_above_its_limit_after_a_shortcut(self, capsys):
+        # the gcd shortcut settles N before stage 1 would refuse M = C!, so
+        # the command reports the factor as ecm_one_curve does
+        n = 2 * (ecm.EXACT_M_LIMIT + 1)
+        assert ecm.ecm_one_curve(n, ecm.catalog_curve("e8000"), 2.0, 2.0, exact_m=True).factor == 2
+        code, out, _ = run(["ecm", str(n), "-u", "2", "-v", "2", "--exact-m"], capsys)
+        assert code == cli.EXIT_OK and out.startswith(f"Factor(2)  B=")
+        assert f" scalar_steps={n.bit_length() - 1} " in out
+
     @pytest.mark.parametrize("n", ["1", "0", "-35"])
     def test_n_below_two(self, n, capsys):
         code, out, err = run(["ecm", n], capsys)

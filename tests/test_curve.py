@@ -251,6 +251,32 @@ class TestJacobianChain:
         with pytest.raises(UsageError):
             curve.ec_scalar_mul(101, 0, -1, (1, 1))
 
+    def test_rescaled_is_the_point_on_an_isomorphic_model(self):
+        # ec_scalar_mul_rescaled returns ec_scalar_mul's outcome on the same
+        # model, or (Z^4 A, (Z^2 x, Z^3 y)) for a unit Z
+        cases = scalar_mul_cases(lambda rng: math.prod(rng.sample(self.PRIMES, 2)), 1500, seed=18)
+        cases += scalar_mul_cases(lambda rng: 10**9 + 7, 50, seed=20)
+        moved = 0
+        for n, A, k, P in cases:
+            try:
+                want = curve.ec_scalar_mul(n, A, k, P)
+            except DivisorFound as d:
+                with pytest.raises(DivisorFound) as exc:
+                    curve.ec_scalar_mul_rescaled(n, A, k, P)
+                assert exc.value.g == d.g, (n, A, k, P)
+                continue
+            A2, R = curve.ec_scalar_mul_rescaled(n, A, k, P)
+            if R == want:
+                assert A2 == A or want is not None, (n, A, k, P)
+                continue
+            (x, y), (X, Y) = want, R
+            if math.gcd(X * y, n) == 1:
+                Z = Y * x * pow(X * y, -1, n) % n
+                assert (Z * Z * x - X) % n == 0 and (Z**3 * y - Y) % n == 0 and A2 == A * Z**4 % n
+                moved += 1
+        assert moved > 500
+        assert curve.ec_scalar_mul_rescaled(101, 7, 0, (1, 1)) == (7, None)
+
 
 class TestNaiveCount:
     def test_hasse_membership(self):

@@ -1,14 +1,19 @@
+import collections
+import itertools
 import json
 import math
 import random
 from pathlib import Path
 
 import pytest
+from test_curve import Failed, affine_mul
 
 from ecsmooth import arith, curve, ecm
-from ecsmooth.errors import UsageError
+from ecsmooth.errors import DivisorFound, UsageError
 
 CORPUS = Path(__file__).with_name("data") / "ecm_corpus.json"
+# the catalog curves whose point has infinite order: the ones ECM can run on
+ECM_CURVES = [c for c in ecm.curve_catalog() if c.point is not None and ecm._torsion_order(c.curve, c.point) is None]
 
 
 def naive_friable(n, C):
@@ -163,6 +168,127 @@ class TestEcmOneCurve:
                     assert ecm.ecm_one_curve(n, cat, 1.5, 1.2).factor == 3, (cat.name, n)
                     checked += 1
         assert checked > 1000
+
+
+def next_prime(n):
+    while not arith.is_prime(n):
+        n += 1
+    return n
+
+
+def affine_stage1(n, cat, u, v, exact_m):
+    """Stage 1 as one affine chain per scalar on the short model of the
+    catalog curve, with no change of model: the factor, or None for Fail."""
+    _, C = ecm.EcmParams(u, v).bounds(n)
+    A, _ = curve.short_model(cat.curve, n)
+    P = curve.short_point(cat.curve, n, cat.point)
+    for s in ecm._stage1_scalars(C, n, exact_m):
+        try:
+            P = affine_mul(n, A, s, P, set())
+        except Failed as f:
+            return f.g if f.g < n else None
+        if P is None:
+            return None
+    return None
+
+
+class TestStage1Model:
+    """Stage 1 moves to the model y^2 = x^3 + Z^4 A x + Z^6 B after every
+    scalar whose Z is a unit, and replays a scalar on the affine chain
+    otherwise; its outcomes must be those of the affine chain throughout."""
+
+    @staticmethod
+    def seeded_cases(count):
+        """(cat, n) for seeded n = pq, 5 < p, q < 2^16 of 3 to 16 bits, prime
+        to the curve's discriminant, cycling through ECM_CURVES."""
+        by_bits = collections.defaultdict(list)
+        for p in arith.prime_sieve(1 << 16, 7):
+            by_bits[p.bit_length()].append(p)
+        rng, cases = random.Random(24), []
+        while len(cases) < count:
+            cat = ECM_CURVES[len(cases) % len(ECM_CURVES)]
+            p, q = (rng.choice(by_bits[rng.randint(3, 16)]) for _ in range(2))
+            if p != q and math.gcd(p * q, cat.curve.disc) == 1:
+                cases.append((cat, p * q))
+        return cases
+
+    def test_matches_affine_chain_per_scalar(self, monkeypatch):
+        replay, start = curve._affine_scalar_mul, {}
+        seen = collections.Counter()  # (model rescaled, replay outcome)
+
+        def spy(n, A, k, P):
+            rescaled = A != start["A"]
+            try:
+                R = replay(n, A, k, P)
+            except DivisorFound:
+                seen[rescaled, "divisor"] += 1
+                raise
+            seen[rescaled, "O" if R is None else "point"] += 1
+            return R
+
+        monkeypatch.setattr(curve, "_affine_scalar_mul", spy)
+        # the seeded sample in plan order; every pair below 2^7 with M = C!,
+        # where a scalar's chain can pass O mod N before its last addition
+        small = arith.prime_sieve(1 << 7, 7)
+        cases = [(cat, n, False) for cat, n in self.seeded_cases(1000)]
+        cases += [(cat, p * q, True) for cat in ECM_CURVES for p, q in itertools.combinations(small, 2)
+                  if math.gcd(p * q, cat.curve.disc) == 1]
+        found = 0
+        for cat, n, exact_m in cases:
+            start["A"] = curve.short_model(cat.curve, n)[0]
+            got = ecm.ecm_one_curve(n, cat, 2.0, 2.0, exact_m=exact_m).factor
+            assert got == affine_stage1(n, cat, 2.0, 2.0, exact_m), (cat.name, n, exact_m)
+            found += got is not None
+        assert 0.3 * len(cases) < found < 0.9 * len(cases)
+        # failed inversions on a rescaled model, and replays that went
+        # through O mod N and then added P, so stage 1 went on from a point
+        assert seen[True, "divisor"] > 100 and seen[True, "point"] + seen[False, "point"] > 10
+
+    @pytest.mark.parametrize("name, p, q", [("e8000", 151, 271), ("e8000", 751, 953), ("e19", 173, 619),
+                                            ("e43", 137, 257), ("e37", 577, 683)])
+    def test_goes_on_after_a_replay_returns_a_point(self, name, p, q, monkeypatch):
+        # a scalar's chain passes O mod N, then adds P: stage 1 goes on from
+        # that point, and a later scalar of M = C! surfaces a factor
+        replay, points = curve._affine_scalar_mul, []
+
+        def spy(*args):
+            R = replay(*args)
+            points.append(R is not None)
+            return R
+
+        monkeypatch.setattr(curve, "_affine_scalar_mul", spy)
+        cat = ecm.catalog_curve(name)
+        factor = ecm.ecm_one_curve(p * q, cat, 2.0, 2.0, exact_m=True).factor
+        assert factor in (p, q) and factor == affine_stage1(p * q, cat, 2.0, 2.0, True)
+        assert any(points)
+
+    def test_rescaled_model_holds_the_point(self, monkeypatch):
+        # B <- Z^6 B beside A <- Z^4 A: every point stage 1 carries lies on
+        # y^2 = x^3 + Ax + B for the A it is handed with
+        chain, model = curve._jacobian_chain, {"unit Z": 0}
+
+        def spy(n, A, k, P):
+            assert A == model["A"]
+            (x, y), B = P, model["B"]
+            assert (y * y - x * x * x - A * x - B) % n == 0
+            X, Y, Z = chain(n, A, k, P)
+            if math.gcd(Z, n) == 1:
+                ZZ = Z * Z % n
+                A, B = A * ZZ * ZZ % n, B * ZZ * ZZ * ZZ % n
+                assert (Y * Y - X * X * X - A * X - B) % n == 0
+                model["A"], model["B"] = A, B
+                model["unit Z"] += 1
+            return X, Y, Z
+
+        monkeypatch.setattr(curve, "_jacobian_chain", spy)
+        rng = random.Random(79)
+        for cat in ECM_CURVES:
+            p = next_prime(rng.randrange(1 << 38, 1 << 39))
+            n = p * next_prime(-(-(1 << 78) // p))
+            assert n.bit_length() == 79
+            model["A"], model["B"] = curve.short_model(cat.curve, n)
+            ecm.ecm_one_curve(n, cat, 4.0, 3.0)
+        assert model["unit Z"] > 100 * len(ECM_CURVES)
 
 
 class TestSplitStep:

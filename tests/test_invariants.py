@@ -51,8 +51,9 @@ true_order8 = curve.naive_count(e8000.curve, p8)
 orbit = cmcount._orbit
 expect("eliminated_orbit", lambda: cmcount.cm_order(e8000, p8),
        cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if q + 1 - t != true_order8])
+# stage 1 surfaces a divisor by replaying one scalar on the affine chain
 expect("ecm_divisor", lambda: ecm.ecm_one_curve(35, ecm.catalog_curve("e8000"), 1.5, 1.2),
-       curve, "ec_scalar_mul", raise_bad_divisor)
+       curve, "_affine_scalar_mul", raise_bad_divisor)
 expect("split_factor", lambda: ecm.split_step(101, 2, 1, 1.5, 1.5, seed=1),
        ecm, "ecm_one_curve", lambda *args, **kwargs: EcmOutcome(1))
 """
