@@ -21,7 +21,7 @@ from .errors import CapacityError, DomainError, RamifiedPrimeError, UsageError
 CLASS_NUMBER_ONE_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 SIEVE_LIMIT = 1 << 31  # capacity guard for prime_sieve
-PRIME_LIST_LIMIT = 10**8  # integers in one prime_sieve window: its list costs ~2.5 MB per 10^6
+PRIME_LIST_LIMIT = 10**8  # integers in one prime window: ~2.5 MB per 10^6 as a list, ~0.6 MB as an array
 _SEGMENT = 1 << 20
 
 
@@ -131,9 +131,15 @@ def prime_factors(n: int) -> list[int]:
 
 
 def prime_sieve(limit: int, start: int = 2) -> list[int]:
-    """All primes p with start <= p <= limit, ascending (segmented
-    Eratosthenes over [start, limit] only).  The window [max(start, 2),
-    limit] may hold at most PRIME_LIST_LIMIT integers."""
+    """All primes p with start <= p <= limit, ascending, as a list: the
+    list form of prime_array, under the same guards."""
+    return prime_array(limit, start).tolist()
+
+
+def prime_array(limit: int, start: int = 2) -> np.ndarray:
+    """All primes p with start <= p <= limit as an ascending int64 array
+    (segmented Eratosthenes over [start, limit] only).  The window
+    [max(start, 2), limit] may hold at most PRIME_LIST_LIMIT integers."""
     if limit < 2:
         raise DomainError(f"prime_sieve needs limit >= 2, got {limit}")
     if limit > SIEVE_LIMIT:
@@ -145,13 +151,13 @@ def prime_sieve(limit: int, start: int = 2) -> list[int]:
     return _sieve(limit, start)
 
 
-def _sieve(limit: int, start: int) -> list[int]:
+def _sieve(limit: int, start: int) -> np.ndarray:
     """Each segment of [start, limit] is crossed off from p^2 on by every
     prime p <= sqrt(limit).  Those base primes come from the same sieve on
     sqrt(limit); each survives in its own segment, since p < p^2."""
     root = math.isqrt(limit)
-    base = _sieve(root, 2) if root >= 2 else []
-    primes = []
+    base = _sieve(root, 2).tolist() if root >= 2 else []
+    segments = []
     lo = max(start, 2)
     while lo <= limit:
         hi = min(lo + _SEGMENT - 1, limit)
@@ -159,9 +165,13 @@ def _sieve(limit: int, start: int) -> list[int]:
         for p in base:
             first = max(p * p, -(-lo // p) * p)
             seg[first - lo :: p] = False
-        primes.extend((np.nonzero(seg)[0] + lo).tolist())
+        primes = np.flatnonzero(seg).astype(np.int64, copy=False)
+        primes += lo
+        segments.append(primes)
         lo = hi + 1
-    return primes
+    if len(segments) == 1:
+        return segments[0]  # no copy: a window of one segment is the common case
+    return np.concatenate(segments or [np.empty(0, dtype=np.int64)])
 
 
 def primes_below(y: int) -> list[int]:

@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +26,7 @@ EULER_GAMMA = 0.57721566490153286061
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
 _ELL_GUARD = 10**5
-_TABLE_CELLS = 1 << 22  # entries of the ell-by-n table in _mean_vals
+_TABLE_CELLS = 1 << 13  # entries of every block of terms, and cells of every tile of _mean_vals's table
 
 
 class TruncationWarning(UserWarning):
@@ -38,26 +39,60 @@ def l_one(K: ImagQuadField) -> float:
     return 2.0 * math.pi / (K.unit_count * math.sqrt(-K.disc))
 
 
+@lru_cache(maxsize=None)
+def _chi_period(K: ImagQuadField) -> np.ndarray:
+    """The field's chi table over one period as int64, made once per field."""
+    table = np.array(K._chi_table, dtype=np.int64)
+    table.setflags(write=False)  # shared by every caller of this cache
+    return table
+
+
 def _chi(K: ImagQuadField, n: np.ndarray) -> np.ndarray:
     """chi(n) elementwise, from the field's table over one period."""
-    return np.array(K._chi_table, dtype=np.int64)[n % -K.disc]
+    return _chi_period(K)[n % -K.disc]
+
+
+def _block_fsum(term, size: int) -> float:
+    """math.fsum of the terms term(lo, hi) over consecutive blocks [lo, hi)
+    of range(size), each at most _TABLE_CELLS long, so that no temporary
+    grows with size.  Every block's terms go as one list into the one fsum,
+    which rounds the exact sum of all the terms: the result does not depend
+    on the blocking."""
+    blocks = (term(lo, min(lo + _TABLE_CELLS, size)).tolist() for lo in range(0, size, _TABLE_CELLS))
+    return math.fsum(chain.from_iterable(blocks))
+
+
+def _prime_fsum(term, ell_bound: int) -> float:
+    """_block_fsum of term(ell, log ell) over the primes ell <= ell_bound."""
+    ells, logs = _primes_and_logs(ell_bound)
+    return _block_fsum(lambda lo, hi: term(ells[lo:hi], logs[lo:hi]), ells.size)
 
 
 def l_one_series(K: ImagQuadField, terms: int = 10**6) -> float:
     """Cross-check: truncated character sum sum_{n<=terms} chi(n)/n."""
-    n = np.arange(1, terms + 1, dtype=np.int64)
-    return math.fsum(_chi(K, n) / n)
+    if terms < 1:
+        raise UsageError(f"l_one_series needs terms >= 1, got {terms}")
+
+    def term(lo, hi):
+        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        return _chi(K, n) / n
+
+    return _block_fsum(term, terms)
 
 
 @lru_cache(maxsize=4)
 def _primes_and_logs(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes <= limit as int64 and their logarithms; math.log, so that
-    every term is the same float as in a scalar loop."""
-    primes = arith.prime_sieve(limit)
-    arrays = np.array(primes, dtype=np.int64), np.fromiter(map(math.log, primes), float, len(primes))
-    for a in arrays:
+    """The primes <= limit as int64, from arith.prime_array, and their
+    logarithms.  The logs are taken with math.log, so that every term is the
+    same float as in a scalar loop, one block of _TABLE_CELLS primes at a
+    time: no list of all the primes is made.  The pair is read-only."""
+    primes = arith.prime_array(limit)
+    logs = np.empty(primes.size)
+    for lo in range(0, primes.size, _TABLE_CELLS):
+        logs[lo : lo + _TABLE_CELLS] = list(map(math.log, primes[lo : lo + _TABLE_CELLS].tolist()))
+    for a in (primes, logs):
         a.setflags(write=False)  # shared by every caller of this cache
-    return arrays
+    return primes, logs
 
 
 def _check_ell_bound(ell_bound: int) -> None:
@@ -74,10 +109,13 @@ def gamma_k(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
     """Truncated prime sum for L'(1,chi)/L(1,chi):
     -sum_l log l (chi(l)/(l-1) + |chi(l)|(1-chi(l))/(l^2-1))."""
     _check_ell_bound(ell_bound)
-    ell, lg = _primes_and_logs(ell_bound)
-    c = _chi(K, ell)
-    t = c / (ell - 1) + np.where(c == -1, 2.0 / (ell * ell - 1), 0.0)
-    return -math.fsum(lg * t)
+
+    def term(ell, lg):
+        c = _chi(K, ell)
+        t = c / (ell - 1) + np.where(c == -1, 2.0 / (ell * ell - 1), 0.0)
+        return lg * t
+
+    return -_prime_fsum(term, ell_bound)
 
 
 def sigma_k(
@@ -95,14 +133,17 @@ def sigma_k(
     sum_l (3/(l-1) - 4 E[val_l]) log l = gamma_K - Sigma_K holds term by term.
     """
     _check_ell_bound(ell_bound)
-    ell, lg = _primes_and_logs(ell_bound)
-    c = _chi(K, ell)
-    sq = (ell - 1) * (ell - 1)
-    t = np.where(all_primes | (c == 1), (3 + c) / sq, 0.0)
-    l2 = ell * ell - 1
-    inert = (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
-    t += np.select([c == -1, c == 0], [inert, ell / sq], 0.0)
-    return math.fsum(lg * t)
+
+    def term(ell, lg):
+        c = _chi(K, ell)
+        sq = (ell - 1) * (ell - 1)
+        t = np.where(all_primes | (c == 1), (3 + c) / sq, 0.0)
+        l2 = ell * ell - 1
+        inert = (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
+        t += np.select([c == -1, c == 0], [inert, ell / sq], 0.0)
+        return lg * t
+
+    return _prime_fsum(term, ell_bound)
 
 
 def alpha_cm(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
@@ -126,20 +167,25 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
 
 
 def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """The mean of val_ell(n) over the orders n, for each ell: the (ell, n)
-    pairs with ell | n, divided again while still divisible.  The ell-by-n
-    divisibility table is taken in blocks of at most _TABLE_CELLS entries."""
+    """The mean of val_ell(n) over the orders n >= 1, for each ell: the
+    (ell, n) pairs with ell | n, divided again while still divisible.  The
+    ell-by-n divisibility table is taken in tiles of at most _TABLE_CELLS
+    cells, a block of orders by a block of ells, so that no temporary grows
+    with the number of orders; only the result grows with the ells."""
     total = np.zeros(ells.size, dtype=np.int64)
-    step = max(1, _TABLE_CELLS // max(orders.size, 1))
-    for lo in range(0, ells.size, step):
-        block = ells[lo : lo + step]
-        li, ni = np.nonzero(orders % block[:, None] == 0)
-        n = orders[ni]
-        while li.size:
-            total[lo : lo + block.size] += np.bincount(li, minlength=block.size)
-            n //= block[li]
-            keep = n % block[li] == 0
-            li, n = li[keep], n[keep]
+    width = min(max(orders.size, 1), _TABLE_CELLS)
+    step = _TABLE_CELLS // width
+    for start in range(0, orders.size, width):
+        chunk = orders[start : start + width]
+        for lo in range(0, ells.size, step):
+            block = ells[lo : lo + step]
+            li, ni = np.nonzero(chunk % block[:, None] == 0)
+            n = chunk[ni]
+            while li.size:
+                total[lo : lo + block.size] += np.bincount(li, minlength=block.size)
+                n //= block[li]
+                keep = n % block[li] == 0
+                li, n = li[keep], n[keep]
     return total / orders.size
 
 
@@ -154,13 +200,18 @@ def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUN
     orders = np.asarray(orders, dtype=np.int64)
     if not orders.size:
         raise DomainError("alpha-tilde needs at least one order")
-    ell, lg = _primes_and_logs(ell_bound)
-    avg = _mean_vals(orders, ell)
-    if E.cm_field is not None:
-        t = 4.0 * avg - 3.0 / (ell - 1)
-    else:
-        t = avg - 1.0 / (ell - 1)
-    return math.fsum(t * lg)
+    if orders.min() < 1:
+        raise DomainError(f"alpha-tilde needs orders >= 1, got {orders.min()}")
+
+    def term(ell, lg):
+        avg = _mean_vals(orders, ell)
+        if E.cm_field is not None:
+            t = 4.0 * avg - 3.0 / (ell - 1)
+        else:
+            t = avg - 1.0 / (ell - 1)
+        return t * lg
+
+    return _prime_fsum(term, ell_bound)
 
 
 def w_noncm(d: int, m_guard: int = 1) -> float:

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import math
-import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from ecsmooth import arith, census, cmcount, curve, ecm, lfunc
 from ecsmooth.errors import AmbiguityError, CacheError, CapacityError, DomainError, UsageError
+
+from conftest import traced_peak
 
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
@@ -111,12 +112,7 @@ class TestFriabilityTester:
         # every order of e7 to 10^4 is below 10^4 + 202, so a call needs only
         # the primes <= 100, not the 664,579 primes below y
         orders = census.order_table(E7, 0, 10**4 + 1)[1]
-        tracemalloc.start()
-        try:
-            mask = census.FriabilityTester(10**7)(orders)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        mask, peak = traced_peak(lambda: census.FriabilityTester(10**7)(orders))
         assert mask.all()
         assert peak < 1 << 20, peak
 
@@ -474,12 +470,7 @@ class TestPsiK:
     def test_memory_independent_of_x(self):
         K = arith.field_for(163)
         K.chi(1)  # the chi table belongs to the field, not to this call
-        tracemalloc.start()
-        try:
-            census.psi_K(10**7, K)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: census.psi_K(10**7, K))
         assert peak < 1 << 20, peak
 
     def test_friable_brute(self):

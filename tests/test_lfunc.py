@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from ecsmooth import arith, census, curve, ecm, lfunc
 from ecsmooth.errors import DomainError, UsageError
 
+from conftest import traced_peak
+
+CATALOG = ecm.curve_catalog()  # the nine CM curves, one per field, and the non-CM e37
+
 
 def val(n, ell):
     """val_ell(n) by repeated division."""
@@ -46,6 +50,21 @@ def sigma_k_loop(K, ell_bound, all_primes):
     return math.fsum(terms)
 
 
+def alpha_empirical_loop(E, orders, ell_bound):
+    """The scalar reference for lfunc.alpha_empirical."""
+    terms = []
+    for ell in arith.prime_sieve(ell_bound):
+        avg = sum(val(n, ell) for n in orders) / len(orders)
+        t = 4.0 * avg - 3.0 / (ell - 1) if E.cm_field is not None else avg - 1.0 / (ell - 1)
+        terms.append(t * math.log(ell))
+    return math.fsum(terms)
+
+
+def l_one_series_loop(K, terms):
+    """The scalar reference for lfunc.l_one_series."""
+    return math.fsum(K.chi(n) / n for n in range(1, terms + 1))
+
+
 class TestLOne:
     def test_closed_forms(self):
         # L(1, chi_{-7}) = pi / sqrt(7); L(1, chi_{-4}) = pi / 4
@@ -56,6 +75,11 @@ class TestLOne:
         for d in (1, 7, 163):
             K = arith.field_for(d)
             assert lfunc.l_one_series(K, 10**5) == pytest.approx(lfunc.l_one(K), abs=2e-3)
+
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_series_needs_a_term(self, terms):
+        with pytest.raises(UsageError, match=f"got {terms}"):
+            lfunc.l_one_series(arith.field_for(7), terms)
 
 
 class TestGammaSigma:
@@ -94,6 +118,75 @@ class TestGammaSigma:
             assert lfunc.gamma_k(K, 10**4) == gamma_k_loop(K, 10**4)
             for all_primes in (False, True):
                 assert lfunc.sigma_k(K, 10**4, all_primes) == sigma_k_loop(K, 10**4, all_primes)
+
+    @pytest.mark.parametrize("d", [7, 163])
+    def test_several_blocks(self, d):
+        # the 17,984 primes <= 2*10^5 span three blocks of _TABLE_CELLS
+        K = arith.field_for(d)
+        assert lfunc._primes_and_logs(2 * 10**5)[0].size > 2 * lfunc._TABLE_CELLS
+        assert lfunc.gamma_k(K, 2 * 10**5) == gamma_k_loop(K, 2 * 10**5)
+        for all_primes in (False, True):
+            assert lfunc.sigma_k(K, 2 * 10**5, all_primes) == sigma_k_loop(K, 2 * 10**5, all_primes)
+
+
+class TestBlockEdges:
+    """Blocks of 7 terms: every sum still equals its scalar reference
+    exactly, since math.fsum is exactly rounded whatever the grouping."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_blocks(self, monkeypatch):
+        monkeypatch.setattr(lfunc, "_TABLE_CELLS", 7)
+        lfunc._primes_and_logs.cache_clear()  # so that the logs, too, are taken 7 at a time
+        yield
+        lfunc._primes_and_logs.cache_clear()
+
+    @pytest.mark.parametrize("E", [c for c in CATALOG if c.cm_field is not None], ids=lambda c: c.name)
+    def test_field_sums(self, E):
+        K, L = E.cm_field, 10**4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", lfunc.TruncationWarning)
+            assert lfunc.gamma_k(K, L) == gamma_k_loop(K, L)
+            for all_primes in (False, True):
+                assert lfunc.sigma_k(K, L, all_primes) == sigma_k_loop(K, L, all_primes)
+        assert lfunc.l_one_series(K, L) == l_one_series_loop(K, L)
+
+    @pytest.mark.parametrize("E", CATALOG, ids=lambda c: c.name)
+    def test_alpha_empirical(self, E):
+        orders = census.order_table(E, 0, 100)[1].tolist()
+        assert lfunc.alpha_empirical(E, orders, 10**4) == alpha_empirical_loop(E, orders, 10**4)
+
+
+class TestMemory:
+    """Every temporary of a sum is one block of _TABLE_CELLS terms, whatever
+    the number of primes, terms or orders."""
+
+    def test_primes_and_logs(self):
+        # the pair it keeps is 1.26 MB: 78,498 int64 primes and their logs
+        lfunc._primes_and_logs.cache_clear()
+        (primes, logs), peak = traced_peak(lambda: lfunc._primes_and_logs(10**6))
+        assert primes.size == logs.size == 78498
+        assert peak < 2.5 * 2**20, peak
+
+    @pytest.mark.parametrize("fn", [lfunc.gamma_k, lfunc.sigma_k], ids=["gamma_k", "sigma_k"])
+    def test_prime_sums(self, fn):
+        K = arith.field_for(7)
+        warm = fn(K, 10**6)
+        value, peak = traced_peak(lambda: fn(K, 10**6))
+        assert value == warm
+        assert peak < 2**20, peak
+
+    def test_mean_vals(self):
+        orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
+        ells = lfunc._primes_and_logs(10**4)[0]
+        assert orders.size == 10**4 and ells.size == 1229
+        _, peak = traced_peak(lambda: lfunc._mean_vals(orders, ells))
+        assert peak < 2**20, peak
+
+    def test_l_one_series(self):
+        K = arith.field_for(7)
+        value, peak = traced_peak(lambda: lfunc.l_one_series(K, 10**6))
+        assert value == pytest.approx(lfunc.l_one(K), abs=1e-3)
+        assert peak < 2**20, peak
 
 
 class TestRearrangementIdentity:
@@ -154,6 +247,12 @@ class TestAlphaEmpirical:
         with pytest.raises(DomainError):
             lfunc.alpha_empirical(ecm.catalog_curve("e7"), [8], ell_bound=1)
 
+    @pytest.mark.parametrize("orders", [[12, 0], [12, -8]], ids=["zero", "negative"])
+    def test_order_below_one_rejected(self, orders):
+        # an order of 0 is divisible by every ell forever
+        with pytest.raises(DomainError, match=f"got {orders[1]}"):
+            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders, ell_bound=100)
+
 
 class TestMeanVals:
     @settings(max_examples=60, deadline=None)
@@ -167,12 +266,14 @@ class TestMeanVals:
         assert got.tolist() == want
 
     def test_blocks(self, monkeypatch):
-        # a table of more than _TABLE_CELLS entries is split into ell blocks
+        # a table of more than _TABLE_CELLS entries is split into tiles: blocks
+        # of 7 orders by one ell, or of all 299 orders by 2 or 3 ells
         orders = np.arange(1, 300, dtype=np.int64)
         ells = np.array(arith.prime_sieve(50), np.int64)
         whole = lfunc._mean_vals(orders, ells)
-        monkeypatch.setattr(lfunc, "_TABLE_CELLS", 2 * orders.size)
-        assert lfunc._mean_vals(orders, ells).tolist() == whole.tolist()
+        for cells in (7, 2 * orders.size, 1000):
+            monkeypatch.setattr(lfunc, "_TABLE_CELLS", cells)
+            assert lfunc._mean_vals(orders, ells).tolist() == whole.tolist(), cells
 
 
 class TestWNonCm:
