@@ -59,7 +59,7 @@ class FriabilityTester:
     def __call__(self, n: int | np.ndarray) -> bool | np.ndarray:
         ns = n if isinstance(n, np.ndarray) else np.array([n], dtype=np.int64)
         _check_positive(ns, "friability test")
-        out = _largest_factor_left(ns, _friability_primes(self.y, int(ns.max(initial=1)))) < self.y
+        out = _largest_factor_left(ns, _friability_primes(self.y, int(ns.max(initial=1))))[0] < self.y
         return out if ns is n else bool(out[0])
 
 
@@ -74,14 +74,17 @@ def largest_prime_factor(ns: np.ndarray) -> np.ndarray:
     left of each n is 1 or its largest prime factor.  Those primes come
     from arith.prime_sieve, under its guards."""
     _check_positive(ns, "largest_prime_factor")
-    return _largest_factor_left(ns, arith.primes_below(math.isqrt(int(ns.max(initial=1))) + 1))
+    return _largest_factor_left(ns, arith.primes_below(math.isqrt(int(ns.max(initial=1))) + 1))[0]
 
 
-def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> np.ndarray:
-    """For every n of ns (all >= 1), int64: the part m of n free of the
-    ascending primes if m > 1, else the largest of them dividing n (1 for
-    n = 1).  With every prime <= isqrt(max ns) this is P+(n).  With the
-    primes below min(y, isqrt(max ns) + 1) it is below y iff P+(n) < y.
+def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pass that divides every n of ns (all >= 1) by the ascending
+    primes.  First, for every n, int64: the part m of n free of the primes
+    if m > 1, else the largest of them dividing n (1 for n = 1).  With every
+    prime <= isqrt(max ns) this is P+(n).  With the primes below min(y,
+    isqrt(max ns) + 1) it is below y iff P+(n) < y.  Second, per prime p,
+    int64: its divisions, sum v_p(n) over the n still in the working set
+    when p comes.  Third, every m, unsigned (1 or a prime if n left early).
 
     Each n runs in uint32 when max ns < 2^32 (every cached order: x <= 2^31
     gives n <= x + 1 + 2 sqrt x), else in uint64.  An odd p divides n iff
@@ -95,12 +98,14 @@ def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> np.ndarray:
     dt = np.uint32 if k == 32 else np.uint64
     live = ns.astype(dt)
     top = np.ones(ns.size, dt)  # the largest prime divided out so far
-    out = np.empty(ns.size, dt)
-    pos = np.arange(ns.size)
+    out = np.empty(ns.size, dt)  # top of each n that left the working set
+    left = np.empty(ns.size, dt)  # m of each n that left the working set
+    divisions = np.zeros(len(primes), np.int64)
+    pos = np.arange(ns.size, dtype=dt)  # dt holds every index: 2^32 int64 n fill 32 GiB
     for i, p in enumerate(primes):
         if i % 8 == 0:
             done = live < p * p
-            out[pos[done]] = np.maximum(top[done], live[done])
+            out[pos[done]], left[pos[done]] = top[done], live[done]
             keep = np.flatnonzero(~done)
             pos, live, top = pos[keep], live[keep], top[keep]
             if not live.size:
@@ -108,18 +113,21 @@ def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> np.ndarray:
         if p == 2:
             low = live & (~live + dt(1))  # 2^v for v = v_2(n)
             top[low > 1] = 2
-            live >>= np.bitwise_count(low - dt(1)).astype(dt)
+            v = np.bitwise_count(low - dt(1)).astype(dt)
+            divisions[i] = v.sum()
+            live >>= v
             continue
         inv, lim = dt(pow(p, -1, 1 << k)), dt(((1 << k) - 1) // p)
         idx = np.flatnonzero(live * inv <= lim)
         top[idx] = p
         while idx.size:
+            divisions[i] += idx.size
             live[idx] *= inv
             idx = idx[live[idx] * inv <= lim]
-    # what is left above 1 has only prime factors above the last of the
-    # primes, so it exceeds every prime divided out
-    out[pos] = np.maximum(top, live)
-    return out.astype(np.int64)
+    out[pos], left[pos] = top, live
+    # an m above 1 has only prime factors above the last of the primes, so
+    # it exceeds every prime divided out
+    return np.maximum(out, left, out=out).astype(np.int64), divisions, left
 
 
 def _friability_primes(y: int, n: int) -> list[int]:

@@ -37,9 +37,11 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"--config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--config {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     cfg = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -121,6 +123,11 @@ def cmd_alpha(args) -> int:
                                ("--per-ell", args.per_ell, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    for d in ds:
+        E = ecm.catalog_curve(CM_CURVE_BY_D[d])
+        # a curve has few bad primes, so the search stops at once
+        if not any(arith.is_prime(p) and E.curve.has_good_reduction(p) for p in range(2, args.p_bound + 1)):
+            raise UsageError(f"--p-bound {args.p_bound} leaves {E.name} with no good prime")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cols = _alpha_columns(ds, args.ell_bound, args.p_bound, args.per_ell)

@@ -237,6 +237,9 @@ def split_step(
 
 
 def auto_uv(q: int) -> float:
-    """The L_q(1/3) parameter preset u = v = 3^(1/3) (log q / log log q)^(1/3)."""
+    """The L_q(1/3) parameter preset u = v = 3^(1/3) (log q / log log q)^(1/3),
+    defined for q >= 3, where log log q > 0."""
+    if q < 3:
+        raise UsageError(f"--auto needs q >= 3 (log log q > 0), got q={q}")
     lq = math.log(q)
     return 3 ** (1 / 3) * (lq / math.log(lq)) ** (1 / 3)

@@ -26,7 +26,7 @@ EULER_GAMMA = 0.57721566490153286061
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
 _ELL_GUARD = 10**5
-_TABLE_CELLS = 1 << 13  # entries of every block of terms, and cells of every tile of _mean_vals's table
+_TABLE_CELLS = 1 << 13  # entries of every block of terms, and orders of every block of _mean_vals
 
 
 class TruncationWarning(UserWarning):
@@ -167,26 +167,22 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
 
 
 def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """The mean of val_ell(n) over the orders n >= 1, for each ell: the
-    (ell, n) pairs with ell | n, divided again while still divisible.  The
-    ell-by-n divisibility table is taken in tiles of at most _TABLE_CELLS
-    cells, a block of orders by a block of ells, so that no temporary grows
-    with the number of orders; only the result grows with the ells."""
-    total = np.zeros(ells.size, dtype=np.int64)
-    width = min(max(orders.size, 1), _TABLE_CELLS)
-    step = _TABLE_CELLS // width
-    for start in range(0, orders.size, width):
-        chunk = orders[start : start + width]
-        for lo in range(0, ells.size, step):
-            block = ells[lo : lo + step]
-            li, ni = np.nonzero(chunk % block[:, None] == 0)
-            n = chunk[ni]
-            while li.size:
-                total[lo : lo + block.size] += np.bincount(li, minlength=block.size)
-                n //= block[li]
-                keep = n % block[li] == 0
-                li, n = li[keep], n[keep]
-    return total / orders.size
+    """The mean of val_ell(n) over the orders n >= 1, for each prime ell,
+    from census's division pass over blocks of at most _TABLE_CELLS orders
+    by the primes below min(max ell + 1, isqrt(max n) + 1).  sum_n
+    val_ell(n) is ell's divisions plus the number of parts m equal to ell:
+    a divided ell counts while n is in the working set, and an n that left
+    as the prime ell is m = ell; an ell above isqrt(max n) divides n at most
+    once, and only when m = ell.  No temporary grows with the number of
+    orders; the counts, one per integer up to max ell, grow with the ells."""
+    top = int(ells.max(initial=1))
+    primes = census._friability_primes(top + 1, int(orders.max(initial=1)))
+    total = np.zeros(top + 1, dtype=np.int64)
+    for lo in range(0, orders.size, _TABLE_CELLS):
+        _, divisions, left = census._largest_factor_left(orders[lo : lo + _TABLE_CELLS], primes)
+        total[primes] += divisions
+        total += np.bincount(left[left <= top].astype(np.intp), minlength=top + 1)
+    return total[ells] / orders.size
 
 
 def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import io
 import math
@@ -178,6 +179,100 @@ class TestLargestPrimeFactor:
         assert census.largest_prime_factor(np.array([], np.int64)).tolist() == []
         with pytest.raises(UsageError):
             census.largest_prime_factor(np.array([3, 0]))
+
+
+def trial_factor(n):
+    """{p: v_p(n)} by trial division by the primes <= sqrt(n)."""
+    vals = collections.Counter()
+    for p in SQRT_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            vals[p], n = vals[p] + 1, n // p
+    if n > 1:
+        vals[n] += 1
+    return vals
+
+
+# n = a 2^i 3^j < 2^32: powers of 2 and 3 go through the lowest-set-bit step
+# and the repeated division by one prime
+SMOOTH_PART = st.tuples(st.integers(1, 1000), st.integers(0, 12), st.integers(0, 6)).map(
+    lambda t: t[0] * 2 ** t[1] * 3 ** t[2]
+)
+
+
+class TestDivisionPass:
+    """census._largest_factor_left's counts: sum_n v_p(n) = divisions[p] +
+    #{n : m = p} for every prime p it divides by and, when those are all the
+    primes <= isqrt(max n), for every prime above, where m is 1 or a prime."""
+
+    def check(self, ns, primes):
+        """The pass of ns by primes against trial division: its first array,
+        its division counts and its m's."""
+        first, divisions, left = census._largest_factor_left(np.array(ns, np.int64), primes)
+        assert divisions.dtype == np.int64 and divisions.size == len(primes)
+        left = left.tolist()
+        prod = math.prod(primes)
+        want = collections.Counter()
+        for n, m in zip(ns, left):
+            # m is n without its part made of the primes: m left the working
+            # set as 1 or a prime, or it is free of the primes
+            assert n % m == 0 and (arith.is_prime(m) or math.gcd(m, prod) == 1)
+            rest = n // m
+            while (g := math.gcd(rest, prod)) > 1:
+                rest //= g
+            assert rest == 1
+            want += trial_factor(n)
+        got = collections.Counter(left)
+        for p, d in zip(primes, divisions.tolist()):
+            got[p] += d
+        assert all(want[p] == got[p] for p in primes)
+        return first, want, got
+
+    def check_full(self, ns):
+        primes = arith.primes_below(math.isqrt(max(ns)) + 1)
+        first, want, got = self.check(ns, primes)
+        assert first.tolist() == census.largest_prime_factor(np.array(ns, np.int64)).tolist()
+        # above the last prime divided out, v_l(n) <= 1 and l | n iff m = l
+        last = primes[-1] if primes else 1
+        assert {p: v for p, v in want.items() if p > last} == {p: v for p, v in got.items() if p > last}
+
+    def check_truncated(self, ns, y):
+        primes = census._friability_primes(y, max(ns))
+        first, _, _ = self.check(ns, primes)
+        pplus = census.largest_prime_factor(np.array(ns, np.int64))
+        assert ((first < y) == (pplus < y)).all()
+
+    @given(st.lists(st.one_of(st.integers(1, 2**32 - 1), SMOOTH_PART), min_size=1, max_size=12),
+           st.integers(2, 3000))
+    @settings(max_examples=25, deadline=None)
+    def test_uint32_path(self, ns, y):
+        self.check_full(ns)
+        self.check_truncated(ns, y)
+
+    @given(st.lists(st.one_of(st.integers(1, 2**34), SMOOTH_PART), min_size=0, max_size=12),
+           st.integers(2**32, 2**34), st.integers(2, 3000))
+    @settings(max_examples=25, deadline=None)
+    def test_uint64_path(self, ns, big, y):
+        self.check_full(ns + [big])
+        self.check_truncated(ns + [big], y)
+
+    def test_edge_cases(self):
+        # powers of 2, and the squares of the primes with their neighbours
+        # and the products of adjacent primes, on either side of every step
+        # at which an n below p^2 leaves the working set
+        ps = arith.prime_sieve(400)
+        ns = [1] + [2**k for k in range(32)] + ps
+        for p, q in zip(ps, ps[1:]):
+            ns += [p * p - 1, p * p, p * p + 1, p * q, p * q * q, p * p * q]
+        for tail in ([], [2**33 * 3]):
+            self.check_full(ns + tail)
+            for y in (2, 3, 100, 401):
+                self.check_truncated(ns + tail, y)
+
+    def test_empty(self):
+        first, divisions, left = census._largest_factor_left(np.array([], np.int64), [2, 3])
+        assert first.size == left.size == 0 and divisions.tolist() == [0, 0]
 
 
 class TestPsiExact:

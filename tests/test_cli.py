@@ -54,6 +54,28 @@ class TestTopLevel:
         assert code == cli.EXIT_USAGE and out == ""
         assert err.startswith(f"usage error: {argv[-2]} must be >= ")
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["split", "2", "1", "1", "--auto"], "--auto needs q >= 3"),
+            (["alpha", "--all", "--p-bound", "2"], "--p-bound 2 leaves e1 with no good prime"),
+            (["alpha", "-d", "1", "--p-bound", "2"], "--p-bound 2 leaves e1 with no good prime"),
+            (["alpha", "-d", "2", "--p-bound", "2"], "--p-bound 2 leaves e8000 with no good prime"),
+        ],
+        ids=["split-auto-q2", "alpha-all", "alpha-d1", "alpha-d2"],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, named):
+        # these once raised TypeError (a complex u) or DomainError after the
+        # prime sums: a traceback or exit 1
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"computed {args}")
+
+        monkeypatch.setattr(lfunc, "alpha_report", refuse)
+        monkeypatch.setattr(ecm, "split_step", refuse)
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: {named}")
+
     def test_readme_command_lines_parse(self):
         readme = (ROOT / "README.md").read_text()
         blocks = readme.split("```sh\n")[1:]
@@ -264,6 +286,13 @@ class TestAlphaCommand:
     def test_unknown_d(self, capsys):
         code, _, _ = run(["alpha", "-d", "5"], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("d", ["7", "3"])
+    def test_p_bound_two_with_a_good_prime(self, capsys, d):
+        # e7 and e3 have good reduction at 2, so --p-bound 2 still has one order
+        code, out, _ = run(["alpha", "-d", d, "--p-bound", "2", "--csv"], capsys)
+        assert code == cli.EXIT_OK
+        assert out.startswith(f"row,d={d}\nalpha_tilde,")
 
     def test_csv_shape(self, capsys):
         code, out, _ = run(
@@ -660,6 +689,13 @@ class TestConfigFile:
         code, _, err = run(["--config", str(tmp_path / "absent"), "census", "psi"], capsys)
         assert code == cli.EXIT_USAGE
         assert "--config" in err and "absent" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xffy = 10\n")
+        code, out, err = run(["--config", str(cfg), "census", "psi"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: --config {cfg}: not UTF-8")
 
     def test_config_bad_value(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

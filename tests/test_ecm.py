@@ -323,3 +323,9 @@ class TestAutoUV:
         lq = math.log(1 << 30)
         assert u == pytest.approx(3 ** (1 / 3) * (lq / math.log(lq)) ** (1 / 3))
         assert 2.5 < u < 3.0
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_log_log_q_not_positive(self, q):
+        # log log 2 < 0 once made u complex
+        with pytest.raises(UsageError, match=f"got q={q}"):
+            ecm.auto_uv(q)

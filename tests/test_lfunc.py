@@ -259,11 +259,18 @@ class TestMeanVals:
     @given(
         st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
         st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 997]), min_size=1, max_size=7),
+        # uint32 orders, and ells above isqrt(max n) that only the parts m
+        # left by the division pass can count
+        st.tuples(
+            st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=40),
+            st.lists(st.sampled_from(arith.prime_sieve(10**4)), min_size=1, max_size=7),
+        ),
     )
-    def test_against_repeated_division(self, orders, ells):
-        got = lfunc._mean_vals(np.array(orders, np.int64), np.array(ells, np.int64))
-        want = [math.fsum(val(n, ell) for n in orders) / len(orders) for ell in ells]
-        assert got.tolist() == want
+    def test_against_repeated_division(self, orders, ells, small):
+        for orders, ells in ((orders, ells), small):
+            got = lfunc._mean_vals(np.array(orders, np.int64), np.array(ells, np.int64))
+            want = [math.fsum(val(n, ell) for n in orders) / len(orders) for ell in ells]
+            assert got.tolist() == want
 
     def test_blocks(self, monkeypatch):
         # a table of more than _TABLE_CELLS entries is split into tiles: blocks
