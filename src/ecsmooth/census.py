@@ -93,7 +93,8 @@ def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> tuple[np.ndarray,
     multiplication", PLDI 1994); p = 2 goes with the lowest set bit.  Once
     the primes below p are divided out, an n left below p^2 is 1 or a prime:
     it leaves the working set, checked every 8th prime so that compacting
-    costs less than the passes it saves."""
+    costs less than the passes it saves, and not at p = 2, where only
+    n <= 3 could leave."""
     k = 32 if int(ns.max(initial=1)) < 1 << 32 else 64
     dt = np.uint32 if k == 32 else np.uint64
     live = ns.astype(dt)
@@ -103,11 +104,14 @@ def _largest_factor_left(ns: np.ndarray, primes: list[int]) -> tuple[np.ndarray,
     divisions = np.zeros(len(primes), np.int64)
     pos = np.arange(ns.size, dtype=dt)  # dt holds every index: 2^32 int64 n fill 32 GiB
     for i, p in enumerate(primes):
-        if i % 8 == 0:
-            done = live < p * p
+        if i % 8 == 0 and p > 2:
+            keep = live >= p * p
+            done = ~keep
             out[pos[done]], left[pos[done]] = top[done], live[done]
-            keep = np.flatnonzero(~done)
-            pos, live, top = pos[keep], live[keep], top[keep]
+            # one array at a time, so that no old copy outlives its new one
+            pos = pos[keep]
+            live = live[keep]
+            top = top[keep]
             if not live.size:
                 break
         if p == 2:
@@ -214,7 +218,9 @@ def sweep(primes: np.ndarray, hits: np.ndarray, checkpoints: list[int]) -> list[
 
 # The counts below take a (primes, orders, pplus) table, as from order_table
 # or OrderCache.table, that holds every good prime up to at least x.  Each
-# friability test is pplus < y.
+# friability test is pplus < y.  The CLI instead sums sweep over the
+# segments of OrderCache.segments: a segment below a checkpoint adds all its
+# hits, one above it adds none.
 
 
 def psi_E(table, x: int, y: int) -> int:
@@ -370,7 +376,7 @@ def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:
     """gamma-tilde in ideal-count mode:
     ((psi_K(x,y)/psi_K(x,inf)) / rho(u) - 1) / (log(u+1)/log y)."""
     check_gamma_tilde_bounds(x, y)
-    return _gamma_tilde(psi_K_friable(x, y, K), psi_K(x, K), x, y)
+    return gamma_tilde_counts(psi_K_friable(x, y, K), psi_K(x, K), x, y)
 
 
 def gamma_tilde_curve(table, x: int, y: int) -> float:
@@ -378,7 +384,7 @@ def gamma_tilde_curve(table, x: int, y: int) -> float:
     ratio."""
     check_gamma_tilde_bounds(x, y)
     total = int(np.searchsorted(table[0], x, side="right"))
-    return _gamma_tilde(psi_E(table, x, y), total, x, y)
+    return gamma_tilde_counts(psi_E(table, x, y), total, x, y)
 
 
 def check_gamma_tilde_bounds(x: int, y: int) -> None:
@@ -387,7 +393,9 @@ def check_gamma_tilde_bounds(x: int, y: int) -> None:
         raise UsageError("gamma_tilde needs 2 <= y <= x")
 
 
-def _gamma_tilde(friable: int, total: int, x: int, y: int) -> float:
+def gamma_tilde_counts(friable: int, total: int, x: int, y: int) -> float:
+    """gamma-tilde at (x, y) from the counts of its ratio friable/total:
+    ((friable/total) / rho(u) - 1) / (log(u+1)/log y) with u = log x/log y."""
     if total == 0:
         raise DomainError("empty census, cannot form the ratio")
     u = math.log(x) / math.log(y)
@@ -410,23 +418,32 @@ def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
     return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
 
 
-def _load_segment(path: Path) -> np.ndarray:
-    """A cache file's int64 rows: the covered range (lo, hi, 0), then the
-    (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects a file whose shape or dtype is
-    wrong, whose p do not ascend inside [lo, hi), with an order outside the
-    Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
-    with a P+ entry m that is below 1, above its order n or no divisor of n.
-    The rows are a read-only mapping of the file, whose pages leave the
-    process's memory as soon as the array is let go."""
+def _open_segment(path: Path) -> np.ndarray:
+    """A cache file as a read-only mapping of its int64 rows, whose pages
+    leave the process's memory as soon as the array is let go.  Rejects a
+    file whose shape or dtype is wrong or whose header row (lo, hi, 0) does
+    not name a range [lo, hi) inside the segment of its file name; the other
+    rows are not read."""
     try:
         seg = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
     if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 3:
         raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
-    (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
+    lo, hi, _ = seg[0]
     if lo != int(path.name.split(".")[-2]) or not lo < hi <= lo + CACHE_SEGMENT:
         raise CacheError(f"cache file {path} covers [{lo}, {hi})")
+    return seg
+
+
+def _load_segment(path: Path) -> np.ndarray:
+    """A cache file's int64 rows, as from _open_segment: the covered range
+    (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects also a
+    file whose p do not ascend inside [lo, hi), with an order outside the
+    Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
+    with a P+ entry m that is below 1, above its order n or no divisor of n."""
+    seg = _open_segment(path)
+    (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
     # |t| <= floor(2 sqrt p) iff t^2 <= 4p for the trace t = p + 1 - n; t^2
@@ -452,10 +469,15 @@ class OrderCache:
     """One int64 .npy file per (curve, segment of CACHE_SEGMENT integers),
     named with ORDER_VERSION: a header row (lo, hi, 0) with the covered
     range, then (p, |E(F_p)|, P+(|E(F_p)|)) rows in ascending p, P+ computed
-    where the order is.  The partial last segment is
-    persisted too; a run whose x + 1 <= hi only loads the file, and a run
-    that needs more computes only [hi, x + 1) and replaces the file with the
-    stored rows and the new ones.  Files are bit-exact reproducible."""
+    where the order is.  The partial last segment is persisted too; a run
+    whose x + 1 <= hi only loads the file, and a run that needs more
+    computes only [hi, x + 1) and replaces the file with the stored rows and
+    the new ones.  A call's files are renamed into place only once every
+    segment it computes has succeeded.  Files are bit-exact reproducible.
+
+    segments() streams the table one segment at a time, which is how every
+    curve-order count of the CLI reads it; table() joins the stream into
+    whole arrays for library callers."""
 
     def __init__(self, cache_dir: str | os.PathLike, workers: int = 1):
         if workers < 1:
@@ -464,60 +486,81 @@ class OrderCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
 
-    def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Aligned int64 arrays of the good primes p <= x, their orders and
-        the orders' P+, computing and persisting any segment no file
-        covers."""
+    def segments(self, cat: CatalogCurve, x: int):
+        """Aligned int64 (primes, orders, pplus) views of one cache file at a
+        time, in ascending p, for the good primes p <= x: the orders and
+        their P+.  Every segment no file covers is computed and persisted
+        before the first is yielded."""
         if x > arith.SIEVE_LIMIT:
             # up front: prime_sieve would refuse only the last segment, after
             # every segment below it had been computed
             raise CapacityError(f"order table to x={x} exceeds the sieve limit {arith.SIEVE_LIMIT}")
-        los = range(0, x + 1, CACHE_SEGMENT)
-        parts: dict[int, np.ndarray] = {}
+        paths = {lo: _cache_path(self.cache_dir, cat.name, lo) for lo in range(0, x + 1, CACHE_SEGMENT)}
         todo = []
-        for lo in los:
+        for lo, path in paths.items():
             hi = min(lo + CACHE_SEGMENT, x + 1)
-            path = _cache_path(self.cache_dir, cat.name, lo)
             # no file is a file covering [lo, lo); a stored tail is extended
-            seg = _load_segment(path) if path.exists() else np.array([[lo, lo, 0]], np.int64)
-            parts[lo] = seg[1:]
-            if seg[0, 1] < hi:
-                todo.append((lo, int(seg[0, 1]), hi, path))
-        computed = self._compute(cat.name, todo)
-        for lo, _, hi, path in todo:
-            # popped, so that each computed part is let go once written
-            seg = np.vstack(([lo, hi, 0], parts[lo], computed.pop(0)))
-            self._write(path, seg)
-            parts[lo] = seg[1:]
-        # one column per row of cols, filled part by part and each part (a
-        # file mapping, or rows just computed) let go once copied, so that
-        # the parts and the table are never all held
-        cols = np.empty((3, sum(len(part) for part in parts.values())), np.int64)
-        at = 0
-        for lo in los:
-            part = parts.pop(lo)
-            cols[:, at : at + len(part)] = part.T
-            at += len(part)
-        n = np.searchsorted(cols[0], x, side="right")
-        return cols[0, :n], cols[1, :n], cols[2, :n]
+            start = int(_open_segment(path)[0, 1]) if path.exists() else lo
+            if start < hi:
+                todo.append((lo, start, hi, path))
+        self._compute(cat.name, todo)
+        for path in paths.values():
+            rows = _load_segment(path)[1:]
+            rows = rows[: np.searchsorted(rows[:, 0], x, side="right")]
+            yield rows[:, 0], rows[:, 1], rows[:, 2]
+
+    def table(self, cat: CatalogCurve, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Aligned int64 arrays of the good primes p <= x, their orders and
+        the orders' P+: the segments() stream joined."""
+        parts = list(self.segments(cat, x)) or [(np.empty(0, np.int64),) * 3]
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def orders(self, cat: CatalogCurve, x: int) -> dict[int, int]:
         """All good-prime orders for p <= x as a p -> n mapping."""
         primes, orders, _ = self.table(cat, x)
         return dict(zip(primes.tolist(), orders.tolist()))
 
-    def _compute(self, curve_name: str, todo):
+    def _compute(self, curve_name: str, todo) -> None:
+        """Persist every (lo, start, hi, path) of todo: the file's stored rows
+        of [lo, start), then the rows computed for [start, hi).  Each result
+        is taken in order, staged through _write under a private name next
+        to its path and let go.  Once all have succeeded the staged files
+        are renamed onto their paths; if one fails they are removed, and
+        every stored file is left as it was."""
+        staged = []
+        try:
+            # the results first, so that zip runs them to their end and the pool closes
+            for rows, (lo, start, hi, path) in zip(self._results(curve_name, todo), todo):
+                stored = _load_segment(path)[1:] if start > lo else rows[:0]
+                tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+                staged.append((tmp, path))
+                self._write(tmp, np.vstack(([lo, hi, 0], stored, rows)))
+        except BaseException:
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
+            raise
+        for tmp, path in staged:
+            tmp.replace(path)
+
+    def _results(self, curve_name: str, todo):
+        """The rows _compute_segment makes for each [start, hi) of todo, in
+        order: inline for one worker or one segment, else from a pool whose
+        every future is let go once its rows are taken."""
         if self.workers == 1 or len(todo) <= 1:
-            return [_compute_segment(curve_name, start, hi) for _, start, hi, _ in todo]
+            yield from (_compute_segment(curve_name, start, hi) for _, start, hi, _ in todo)
+            return
         # the fork start method forks all max_workers at the first submit
         with ProcessPoolExecutor(max_workers=min(self.workers, len(todo))) as pool:
             futs = [pool.submit(_compute_segment, curve_name, start, hi) for _, start, hi, _ in todo]
-            return [f.result() for f in futs]
+            futs.reverse()
+            try:
+                while futs:
+                    yield futs.pop().result()
+            finally:
+                for fut in futs:
+                    fut.cancel()
 
     def _write(self, path: Path, seg: np.ndarray) -> None:
-        # a private temporary name per writer, so that concurrent writers of
-        # one segment never interleave; the last rename wins with a whole file
-        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        with tmp.open("xb") as fh:
+        # a new file, never one another writer has opened
+        with path.open("xb") as fh:
             np.save(fh, seg)
-        tmp.replace(path)

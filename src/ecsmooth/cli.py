@@ -195,9 +195,10 @@ def cmd_census(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
         census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
-        t1 = _cache_table(cache, e1, budget)
-        t2 = _cache_table(cache, e2, budget)
-        series = census.race(e1, e2, args.y, _checkpoints(budget), t1, t2)
+        cps = _checkpoints(budget)
+        c1, c2 = (_curve_counts(cache, e, budget, [(x, args.y) for x in cps]) for e in (e1, e2))
+        rows = [(x, a - b) for x, a, b in zip(cps, c1, c2)]
+        series = census.CensusSeries(census.SeriesKind.RACE, {"e1": e1.name, "e2": e2.name, "y": args.y}, rows)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:
@@ -213,9 +214,8 @@ def cmd_census(args) -> int:
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
         census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
-        primes, _, pplus = _cache_table(cache, cat, budget)
         cps = _checkpoints(budget)
-        rows = list(zip(cps, census.sweep(primes, pplus < args.y, cps)))
+        rows = list(zip(cps, _curve_counts(cache, cat, budget, [(x, args.y) for x in cps])))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
         )
@@ -226,21 +226,26 @@ def cmd_census(args) -> int:
             _check_curve_budget(budget)
         # before any count or cache file: every y of the --out series lies in [2, y]
         census.check_gamma_tilde_bounds(budget, args.y)
+        u = math.log(budget) / math.log(args.y)
+        # convergence at fixed u: y_x = x^(1/u) at every checkpoint below the budget
+        points = [(x, max(2, round(x ** (1 / u)))) for x in _checkpoints(budget)[:-1]] if args.out else []
+        points.append((budget, args.y))
         if args.d is not None:
             K = arith.field_for(args.d)
             gamma = lambda x, y: census.gamma_tilde_field(K, x, y)
             label, params = f"d={args.d}", {"d": args.d}
         else:
             cat = ecm.catalog_curve(args.curve)
-            table = _cache_table(cache, cat, budget)
-            gamma = lambda x, y: census.gamma_tilde_curve(table, x, y)
+            # every good p counts at y = inf: the totals of the ratios
+            counts = _curve_counts(cache, cat, budget, points + [(x, math.inf) for x, _ in points])
+            friable = dict(zip(points, counts))
+            total = dict(zip((x for x, _ in points), counts[len(points) :]))
+            gamma = lambda x, y: census.gamma_tilde_counts(friable[x, y], total[x], x, y)
             label, params = f"curve={args.curve}", {"curve": cat.name}
         val = gamma(budget, args.y)
-        u = math.log(budget) / math.log(args.y)
         print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {val:.6f}")
         if args.out:
-            # convergence at fixed u: y_x = x^(1/u) at every checkpoint below the budget
-            rows = [(x, gamma(x, max(2, round(x ** (1 / u))))) for x in _checkpoints(budget)[:-1]]
+            rows = [(x, gamma(x, y)) for x, y in points[:-1]]
             if args.d is not None:
                 # the conjectured limit in ideal-count mode, recorded and not checked
                 params["reference"] = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
@@ -257,11 +262,20 @@ def _check_curve_budget(budget: int) -> None:
         raise UsageError(f"--budget must be >= 2 for a curve-order census, got {budget}")
 
 
-def _cache_table(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int):
-    """The cache's (primes, orders, pplus) arrays for the good primes
-    p <= budget."""
+def _curve_counts(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int, points) -> list[int]:
+    """#{good p <= x : P+(|E(F_p)|) < y} for every (x, y) of points, each
+    x <= budget: one census.sweep per segment of the cache to budget and per
+    y, added up, so that one segment is held at a time."""
     _check_curve_budget(budget)
-    return cache.table(cat, budget)
+    by_y: dict[float, list[int]] = {}
+    for i, (_, y) in enumerate(points):
+        by_y.setdefault(y, []).append(i)
+    counts = [0] * len(points)
+    for primes, _, pplus in cache.segments(cat, budget):
+        for y, idx in by_y.items():
+            for i, c in zip(idx, census.sweep(primes, pplus < y, [points[i][0] for i in idx])):
+                counts[i] += c
+    return counts
 
 
 def _checkpoints(budget: int) -> list[int]:

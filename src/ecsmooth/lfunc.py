@@ -7,6 +7,7 @@ averaged valuations of |E(F_p)|, and the generic-curve divisibility weight.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -174,15 +175,20 @@ def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
     a divided ell counts while n is in the working set, and an n that left
     as the prime ell is m = ell; an ell above isqrt(max n) divides n at most
     once, and only when m = ell.  No temporary grows with the number of
-    orders; the counts, one per integer up to max ell, grow with the ells."""
+    orders; the counts, one per integer in [min ell, max ell], grow with the
+    span of the ells."""
     top = int(ells.max(initial=1))
+    base = int(ells.min(initial=top))
     primes = census._friability_primes(top + 1, int(orders.max(initial=1)))
-    total = np.zeros(top + 1, dtype=np.int64)
+    first = bisect.bisect_left(primes, base)
+    at = [p - base for p in primes[first:]]
+    total = np.zeros(top + 1 - base, dtype=np.int64)
     for lo in range(0, orders.size, _TABLE_CELLS):
         _, divisions, left = census._largest_factor_left(orders[lo : lo + _TABLE_CELLS], primes)
-        total[primes] += divisions
-        total += np.bincount(left[left <= top].astype(np.intp), minlength=top + 1)
-    return total[ells] / orders.size
+        total[at] += divisions[first:]
+        m = left - left.dtype.type(base)  # an m below base wraps past top - base
+        total += np.bincount(m[m <= top - base].astype(np.intp), minlength=top + 1 - base)
+    return total[ells - base] / orders.size
 
 
 def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsmooth import arith, census, cmcount, curve, ecm, lfunc
+from ecsmooth import arith, census, cli, cmcount, curve, ecm, lfunc
 from ecsmooth.errors import AmbiguityError, CacheError, CapacityError, DomainError, UsageError
 
 from conftest import traced_peak
@@ -700,11 +700,11 @@ class TestGammaTilde:
         val = census.gamma_tilde_curve(table, 2000, 100)
         assert math.isfinite(val)
         friable = census.psi_E(table, 2000, 100)
-        assert val == census._gamma_tilde(friable, len(good_primes(E7, 2000)), 2000, 100)
+        assert val == census.gamma_tilde_counts(friable, len(good_primes(E7, 2000)), 2000, 100)
 
     def test_underflow(self):
         with pytest.raises(DomainError):
-            census._gamma_tilde(1, 100, 2**60, 2)
+            census.gamma_tilde_counts(1, 100, 2**60, 2)
 
     @pytest.mark.parametrize("x, y", [(10**4, 1), (10**4, 10**4 + 1), (1, 2)])
     def test_bad_y_before_counting(self, monkeypatch, x, y):
@@ -1008,3 +1008,74 @@ class TestOrderCache:
             cache.table(E7, seg + 200)
         assert str(err.value) == f"e7 segment [{seg}, {seg + 201}), p = {p}: no unique candidate"
         assert not list(tmp_path.iterdir())
+
+
+class TestSegmentStream:
+    """The CLI's curve-order counts sum per-segment sweeps over
+    OrderCache.segments; OrderCache.table is that stream joined."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cli_counts_equal_table_counts(self, tmp_path, tmp_path_factory, workers):
+        seg = census.CACHE_SEGMENT
+        x, y, gt_y = 2 * seg + 5000, 128, 10**4  # three segments, the last a stored partial tail
+        cache = tmp_path / "cache"
+        census.OrderCache(cache).table(E7, x - 2000)  # a shorter tail, which the cold race extends
+        fresh = tmp_path_factory.mktemp("fresh")
+        t7, t11 = (census.OrderCache(fresh, workers=1).table(cat, x) for cat in (E7, E11))
+        cps = cli._checkpoints(x)
+        race = census.race(E7, E11, y, cps, t7, t11).rows
+        u = math.log(x) / math.log(gt_y)
+        points = [(c, max(2, round(c ** (1 / u)))) for c in cps[:-1]] + [(x, gt_y)]
+        want = {
+            "race": ((1 if any(v < 0 for _, v in race) else 0), race),
+            "psi_e": (0, list(zip(cps, census.sweep(t7[0], t7[2] < y, cps)))),
+            "gamma": (0, [(c, census.gamma_tilde_curve(t11, c, yc)) for c, yc in points]),
+        }
+        common = ["--budget", str(x), "--cache-dir", str(cache), "--workers", str(workers)]
+        for run in ("cold", "warm"):
+            for name, argv in (
+                ("race", ["--race", "e7-e11", "--y", str(y)]),
+                ("psi_e", ["psi_e", "--curve", "e7", "--y", str(y)]),
+                ("gamma", ["gamma_tilde", "--curve", "e11", "--y", str(gt_y)]),
+            ):
+                out = tmp_path / f"{name}_{run}"
+                code = cli.main(["census", *argv, *common, "--out", str(out)])
+                rows = census.CensusSeries.from_json(out.with_suffix(".json").read_text()).rows
+                assert (code, rows) == want[name], (run, name)
+        assert sorted(f.name for f in cache.iterdir()) == sorted(f.name for f in fresh.iterdir())
+        for f in fresh.iterdir():
+            assert (cache / f.name).read_bytes() == f.read_bytes(), f.name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", ["tail", "next"])
+    def test_failed_extension_keeps_the_stored_tail(self, tmp_path, monkeypatch, workers, failing):
+        seg = census.CACHE_SEGMENT
+        cache = census.OrderCache(tmp_path, workers=workers)
+        fake_orders(monkeypatch)
+        cache.table(E7, 3000)
+        head = census._cache_path(tmp_path, "e7", 0)
+        stored = head.read_bytes()
+        # a prime of the extension [3001, seg), or of the next segment
+        p = arith.prime_sieve(5000, 4000)[0] if failing == "tail" else arith.prime_sieve(seg + 200, seg)[0]
+        fake_orders(monkeypatch, fail_at=p)
+        with pytest.raises(AmbiguityError, match=f"p = {p}:"):
+            cache.table(E7, seg + 200)
+        assert head.read_bytes() == stored
+        assert [f.name for f in tmp_path.iterdir()] == [head.name]
+
+    def test_race_memory_does_not_grow_with_x(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        seg = census.CACHE_SEGMENT
+
+        def peaks(segments):
+            cache = tmp_path / f"cache{segments}"
+            argv = ["census", "--race", "e7-e11", "--budget", str(segments * seg - 1), "--workers", "1",
+                    "--cache-dir", str(cache), "--out", str(tmp_path / f"race{segments}")]
+            (cold, cold_peak), (warm, warm_peak) = (traced_peak(lambda: cli.main(argv)) for _ in "cw")
+            assert cold == warm and cold in (cli.EXIT_OK, cli.EXIT_NEGATIVE)
+            return cold_peak, warm_peak, max(f.stat().st_size for f in cache.iterdir())
+
+        cold2, warm2, _ = peaks(2)
+        cold8, warm8, one = peaks(8)
+        assert cold8 <= cold2 + one, (cold2, cold8, one)
+        assert warm8 <= warm2 + one, (warm2, warm8, one)

@@ -182,6 +182,16 @@ class TestMemory:
         _, peak = traced_peak(lambda: lfunc._mean_vals(orders, ells))
         assert peak < 2**20, peak
 
+    def test_mean_vals_counts_only_the_span_of_the_ells(self):
+        # one count per integer in [min ell, max ell], not in [0, max ell]:
+        # 0.4 MB here, where [0, max ell] would take 1.6 MB
+        orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
+        ells = np.array(arith.prime_sieve(2 * 10**5, 15 * 10**4), np.int64)
+        means, peak = traced_peak(lambda: lfunc._mean_vals(orders, ells))
+        # ell^2 > n: val_ell(n) is 1 or 0
+        assert means.tolist() == [np.count_nonzero(orders % ell == 0) / orders.size for ell in ells.tolist()]
+        assert peak < 2**20, peak
+
     def test_l_one_series(self):
         K = arith.field_for(7)
         value, peak = traced_peak(lambda: lfunc.l_one_series(K, 10**6))
