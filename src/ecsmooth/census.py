@@ -318,7 +318,15 @@ def race(
     checkpoints = sorted(set(checkpoints))
     c1 = sweep(table1[0], table1[2] < y, checkpoints)
     c2 = sweep(table2[0], table2[2] < y, checkpoints)
-    rows = [(x, a - b) for x, a, b in zip(checkpoints, c1, c2)]
+    return race_series(E1, E2, y, checkpoints, c1, c2)
+
+
+def race_series(
+    E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], counts1: list[int], counts2: list[int]
+) -> CensusSeries:
+    """The race series from psi_E1(x,y) and psi_E2(x,y) at each ascending
+    checkpoint x, however they were counted."""
+    rows = [(x, a - b) for x, a, b in zip(checkpoints, counts1, counts2)]
     return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, rows)
 
 
@@ -418,16 +426,18 @@ def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
     return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
 
 
-def _open_segment(path: Path) -> np.ndarray:
+def _open_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
     """A cache file as a read-only mapping of its int64 rows, whose pages
-    leave the process's memory as soon as the array is let go.  Rejects a
-    file whose shape or dtype is wrong or whose header row (lo, hi, 0) does
-    not name a range [lo, hi) inside the segment of its file name; the other
-    rows are not read."""
-    try:
-        seg = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+    leave the process's memory as soon as the array is let go; seg, if
+    given, is a mapping of the file opened earlier.  Rejects a file whose
+    shape or dtype is wrong or whose header row (lo, hi, 0) does not name a
+    range [lo, hi) inside the segment of its file name; the other rows are
+    not read."""
+    if seg is None:
+        try:
+            seg = np.load(path, mmap_mode="r", allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise CacheError(f"unreadable cache file {path}: {exc}") from exc
     if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 3:
         raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
     lo, hi, _ = seg[0]
@@ -436,13 +446,13 @@ def _open_segment(path: Path) -> np.ndarray:
     return seg
 
 
-def _load_segment(path: Path) -> np.ndarray:
+def _load_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
     """A cache file's int64 rows, as from _open_segment: the covered range
     (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects also a
     file whose p do not ascend inside [lo, hi), with an order outside the
     Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
     with a P+ entry m that is below 1, above its order n or no divisor of n."""
-    seg = _open_segment(path)
+    seg = _open_segment(path, seg)
     (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
@@ -471,9 +481,11 @@ class OrderCache:
     range, then (p, |E(F_p)|, P+(|E(F_p)|)) rows in ascending p, P+ computed
     where the order is.  The partial last segment is persisted too; a run
     whose x + 1 <= hi only loads the file, and a run that needs more
-    computes only [hi, x + 1) and replaces the file with the stored rows and
-    the new ones.  A call's files are renamed into place only once every
-    segment it computes has succeeded.  Files are bit-exact reproducible.
+    computes only [hi, x + 1) and replaces the file with the rows it read
+    before computing and the new ones.  A call's files are renamed into
+    place only once every segment it computes has succeeded.  Files are
+    bit-exact reproducible, and the last of two concurrent writers of a file
+    wins with a whole one.
 
     segments() streams the table one segment at a time, which is how every
     curve-order count of the CLI reads it; table() joins the stream into
@@ -490,22 +502,38 @@ class OrderCache:
         """Aligned int64 (primes, orders, pplus) views of one cache file at a
         time, in ascending p, for the good primes p <= x: the orders and
         their P+.  Every segment no file covers is computed and persisted
-        before the first is yielded."""
+        before the first is yielded, and every stored file is checked whole
+        before that work.  A file that another run has since replaced with
+        one covering less than x is refused."""
         if x > arith.SIEVE_LIMIT:
             # up front: prime_sieve would refuse only the last segment, after
             # every segment below it had been computed
             raise CapacityError(f"order table to x={x} exceeds the sieve limit {arith.SIEVE_LIMIT}")
         paths = {lo: _cache_path(self.cache_dir, cat.name, lo) for lo in range(0, x + 1, CACHE_SEGMENT)}
-        todo = []
+        todo, stored = [], []
         for lo, path in paths.items():
             hi = min(lo + CACHE_SEGMENT, x + 1)
             # no file is a file covering [lo, lo); a stored tail is extended
-            start = int(_open_segment(path)[0, 1]) if path.exists() else lo
-            if start < hi:
-                todo.append((lo, start, hi, path))
+            seg = _open_segment(path) if path.exists() else np.array([[lo, lo, 0]], np.int64)
+            start = int(seg[0, 1])
+            if start >= hi:
+                stored.append(path)
+            else:
+                # the tail's rows from this one read of the file, which
+                # another run may replace before they are extended
+                rows = _load_segment(path, seg)[1:] if start > lo else seg[1:]
+                todo.append((lo, start, hi, path, rows))
+        if todo:
+            # so that a corrupt file fails before any segment is computed
+            for path in stored:
+                _load_segment(path)
         self._compute(cat.name, todo)
-        for path in paths.values():
-            rows = _load_segment(path)[1:]
+        for lo, path in paths.items():
+            seg = _load_segment(path)
+            if seg[0, 1] < min(lo + CACHE_SEGMENT, x + 1):
+                raise CacheError(f"cache file {path} now covers [{lo}, {seg[0, 1]}), short of x={x}: "
+                                 "another run replaced it, run again")
+            rows = seg[1:]
             rows = rows[: np.searchsorted(rows[:, 0], x, side="right")]
             yield rows[:, 0], rows[:, 1], rows[:, 2]
 
@@ -521,17 +549,16 @@ class OrderCache:
         return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo) -> None:
-        """Persist every (lo, start, hi, path) of todo: the file's stored rows
-        of [lo, start), then the rows computed for [start, hi).  Each result
-        is taken in order, staged through _write under a private name next
-        to its path and let go.  Once all have succeeded the staged files
-        are renamed onto their paths; if one fails they are removed, and
-        every stored file is left as it was."""
+        """Persist every (lo, start, hi, path, stored) of todo: the stored
+        rows of [lo, start), then the rows computed for [start, hi).  Each
+        result is taken in order, staged through _write under a private name
+        next to its path and let go.  Once all have succeeded the staged
+        files are renamed onto their paths; if one fails they are removed,
+        and every stored file is left as it was."""
         staged = []
         try:
             # the results first, so that zip runs them to their end and the pool closes
-            for rows, (lo, start, hi, path) in zip(self._results(curve_name, todo), todo):
-                stored = _load_segment(path)[1:] if start > lo else rows[:0]
+            for rows, (lo, _, hi, path, stored) in zip(self._results(curve_name, todo), todo):
                 tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
                 staged.append((tmp, path))
                 self._write(tmp, np.vstack(([lo, hi, 0], stored, rows)))
@@ -547,11 +574,11 @@ class OrderCache:
         order: inline for one worker or one segment, else from a pool whose
         every future is let go once its rows are taken."""
         if self.workers == 1 or len(todo) <= 1:
-            yield from (_compute_segment(curve_name, start, hi) for _, start, hi, _ in todo)
+            yield from (_compute_segment(curve_name, start, hi) for _, start, hi, *_ in todo)
             return
         # the fork start method forks all max_workers at the first submit
         with ProcessPoolExecutor(max_workers=min(self.workers, len(todo))) as pool:
-            futs = [pool.submit(_compute_segment, curve_name, start, hi) for _, start, hi, _ in todo]
+            futs = [pool.submit(_compute_segment, curve_name, start, hi) for _, start, hi, *_ in todo]
             futs.reverse()
             try:
                 while futs:

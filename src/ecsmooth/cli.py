@@ -197,8 +197,7 @@ def cmd_census(args) -> int:
         census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
         cps = _checkpoints(budget)
         c1, c2 = (_curve_counts(cache, e, budget, [(x, args.y) for x in cps]) for e in (e1, e2))
-        rows = [(x, a - b) for x, a, b in zip(cps, c1, c2)]
-        series = census.CensusSeries(census.SeriesKind.RACE, {"e1": e1.name, "e2": e2.name, "y": args.y}, rows)
+        series = census.race_series(e1, e2, args.y, cps, c1, c2)
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:

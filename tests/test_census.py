@@ -1063,6 +1063,60 @@ class TestSegmentStream:
         assert head.read_bytes() == stored
         assert [f.name for f in tmp_path.iterdir()] == [head.name]
 
+    def test_tail_replaced_during_extension(self, tmp_path, tmp_path_factory, monkeypatch):
+        # another run extends the stored tail to 4000 while this one extends it to 5000
+        fake_orders(monkeypatch)
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, 3000)
+        head = census._cache_path(tmp_path, "e7", 0)
+        other, fresh = tmp_path_factory.mktemp("other"), tmp_path_factory.mktemp("fresh")
+        census.OrderCache(other).table(E7, 4000)
+        census.OrderCache(fresh).table(E7, 5000)
+        compute = census._compute_segment
+
+        def replaced(name, lo, hi):
+            census._cache_path(other, "e7", 0).replace(head)
+            return compute(name, lo, hi)
+
+        monkeypatch.setattr(census, "_compute_segment", replaced)
+        ps = cache.table(E7, 5000)[0]
+        assert ps.tolist() == good_primes(E7, 5000)
+        assert head.read_bytes() == census._cache_path(fresh, "e7", 0).read_bytes()
+
+    def test_file_shortened_before_streaming_is_refused(self, tmp_path, tmp_path_factory, monkeypatch):
+        # a run that read the header before this one wrote renames a shorter tail over its file
+        fake_orders(monkeypatch)
+        cache = census.OrderCache(tmp_path)
+        head = census._cache_path(tmp_path, "e7", 0)
+        stale = tmp_path_factory.mktemp("stale")
+        census.OrderCache(stale).table(E7, 4000)
+        compute = census.OrderCache._compute
+
+        def shortened(self, curve_name, todo):
+            compute(self, curve_name, todo)
+            census._cache_path(stale, "e7", 0).replace(head)
+
+        monkeypatch.setattr(census.OrderCache, "_compute", shortened)
+        with pytest.raises(CacheError, match=f"{head}.* covers \\[0, 4001\\), short of x=5000"):
+            cache.table(E7, 5000)
+        monkeypatch.undo()
+        fake_orders(monkeypatch)
+        assert cache.table(E7, 5000)[0].tolist() == good_primes(E7, 5000)  # a rerun extends it
+
+    def test_corrupt_stored_file_fails_before_any_compute(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        seg = census.CACHE_SEGMENT
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, seg + 3000)
+        head = census._cache_path(tmp_path, "e7", 0)
+        rows = np.load(head)
+        rows[9, 2] = 0
+        np.save(head, rows)
+        calls = spy_segments(monkeypatch)
+        with pytest.raises(CacheError, match=r"P\+ = 0 "):
+            cache.table(E7, seg + 5000)
+        assert calls == []
+
     def test_race_memory_does_not_grow_with_x(self, tmp_path, monkeypatch):
         fake_orders(monkeypatch)
         seg = census.CACHE_SEGMENT
