@@ -7,7 +7,10 @@ experiments.
 Friability is strict everywhere: n counts as y-friable iff P+(n) < y, and
 every serialized output carries the convention marker.  A curve-order table
 carries P+(|E(F_p)|) beside every order, so a friability count on it is one
-comparison at any y.
+comparison at any y.  Every curve-order count takes segments: an iterable of
+aligned int64 (primes, orders, pplus) arrays in ascending p, holding every
+good prime up to each x asked, and read once.  OrderCache.segments streams
+them; a whole table is [order_table(E, lo, hi)].
 """
 
 from __future__ import annotations
@@ -211,26 +214,27 @@ def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
 
 
 def sweep(primes: np.ndarray, hits: np.ndarray, checkpoints: list[int]) -> list[int]:
-    """#{i : primes[i] <= c and hits[i]} at each ascending checkpoint c, from
-    the ascending primes and an aligned boolean mask."""
+    """#{i : primes[i] <= c and hits[i]} at each checkpoint c, in any order,
+    from the ascending primes and an aligned boolean mask."""
     return np.searchsorted(primes[hits], checkpoints, side="right").tolist()
 
 
-# The counts below take a (primes, orders, pplus) table, as from order_table
-# or OrderCache.table, that holds every good prime up to at least x.  Each
-# friability test is pplus < y.  The CLI instead sums sweep over the
-# segments of OrderCache.segments: a segment below a checkpoint adds all its
-# hits, one above it adds none.
+def psi_E(segments, points: list[tuple[int, float]]) -> list[int]:
+    """#{good p <= x : P+(|E(F_p)|) < y} for every (x, y) of points, in any
+    order and y possibly math.inf: one sweep per segment and per distinct y,
+    added up, so that one segment is held at a time."""
+    by_y: dict[float, list[int]] = {}
+    for i, (_, y) in enumerate(points):
+        by_y.setdefault(y, []).append(i)
+    counts = [0] * len(points)
+    for primes, _, pplus in segments:
+        for y, idx in by_y.items():
+            for i, c in zip(idx, sweep(primes, pplus < y, [points[i][0] for i in idx])):
+                counts[i] += c
+    return counts
 
 
-def psi_E(table, x: int, y: int) -> int:
-    """#{p <= x good : P+(|E(F_p)|) < y}."""
-    primes, _, pplus = table
-    n = int(np.searchsorted(primes, x, side="right"))
-    return int(np.count_nonzero(pplus[:n] < y))
-
-
-def psi_E_z(table, x: int, y: int, z: int) -> int:
+def psi_E_z(segments, x: int, y: int, z: int) -> int:
     """#{n <= x : P+(n) < y and some good prime p | n has P+(|E(F_p)|) < z}.
     n = 1 never counts: it has no prime divisor (P-(1) = infinity)."""
     if not (2 <= z and 2 <= y):
@@ -239,20 +243,19 @@ def psi_E_z(table, x: int, y: int, z: int) -> int:
         raise CapacityError(f"psi_E_z sieve guard: x={x}")
     if x < 2:
         return 0
-    primes, _, pplus = table
     hit = np.zeros(x + 1, dtype=bool)
-    for p in primes[(primes < min(y, x + 1)) & (pplus < z)].tolist():
-        hit[p::p] = True
+    for primes, _, pplus in segments:
+        for p in primes[(primes < min(y, x + 1)) & (pplus < z)].tolist():
+            hit[p::p] = True
     friable = _divide_out(1, x + 1, _friability_primes(y, x)) < y
     return int(np.count_nonzero(hit[1:] & friable))
 
 
-def pi_E_d(table, x: int, d: int) -> int:
+def pi_E_d(segments, x: int, d: int) -> int:
     """#{p <= x good : d divides |E(F_p)|}."""
     if d < 1:
         raise UsageError(f"d={d} must be >= 1")
-    primes, orders, _ = table
-    return sweep(primes, orders % d == 0, [x])[0]
+    return sum(sweep(primes, orders % d == 0, [x])[0] for primes, orders, _ in segments)
 
 
 class SeriesKind(enum.Enum):
@@ -309,24 +312,13 @@ class CensusSeries:
         )
 
 
-def race(
-    E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], table1, table2
-) -> CensusSeries:
-    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the given checkpoints, from each
-    curve's (primes, orders, pplus) table up to max(checkpoints): one sweep
+def race(E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], segments1, segments2) -> CensusSeries:
+    """Pointwise psi_E1(x,y) - psi_E2(x,y) at the checkpoints, ascending and
+    each once, from each curve's segments up to max(checkpoints): one psi_E
     per curve."""
     checkpoints = sorted(set(checkpoints))
-    c1 = sweep(table1[0], table1[2] < y, checkpoints)
-    c2 = sweep(table2[0], table2[2] < y, checkpoints)
-    return race_series(E1, E2, y, checkpoints, c1, c2)
-
-
-def race_series(
-    E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], counts1: list[int], counts2: list[int]
-) -> CensusSeries:
-    """The race series from psi_E1(x,y) and psi_E2(x,y) at each ascending
-    checkpoint x, however they were counted."""
-    rows = [(x, a - b) for x, a, b in zip(checkpoints, counts1, counts2)]
+    c1, c2 = (psi_E(segments, [(x, y) for x in checkpoints]) for segments in (segments1, segments2))
+    rows = [(x, a - b) for x, a, b in zip(checkpoints, c1, c2)]
     return CensusSeries(SeriesKind.RACE, {"e1": E1.name, "e2": E2.name, "y": y}, rows)
 
 
@@ -387,12 +379,14 @@ def gamma_tilde_field(K: arith.ImagQuadField, x: int, y: int) -> float:
     return gamma_tilde_counts(psi_K_friable(x, y, K), psi_K(x, K), x, y)
 
 
-def gamma_tilde_curve(table, x: int, y: int) -> float:
-    """gamma-tilde in curve mode, with psi_E(x,y)/#good primes <= x as the
-    ratio."""
-    check_gamma_tilde_bounds(x, y)
-    total = int(np.searchsorted(table[0], x, side="right"))
-    return gamma_tilde_counts(psi_E(table, x, y), total, x, y)
+def gamma_tilde_curve(segments, points: list[tuple[int, int]]) -> list[float]:
+    """gamma-tilde in curve mode at every (x, y) of points, with
+    psi_E(x,y)/#good primes <= x as the ratio: every point checked, then one
+    psi_E pass, in which every good p counts at y = inf for the totals."""
+    for x, y in points:
+        check_gamma_tilde_bounds(x, y)
+    counts = psi_E(segments, points + [(x, math.inf) for x, _ in points])
+    return [gamma_tilde_counts(f, t, x, y) for (x, y), f, t in zip(points, counts, counts[len(points):])]
 
 
 def check_gamma_tilde_bounds(x: int, y: int) -> None:
@@ -458,7 +452,7 @@ def _load_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
     # |t| <= floor(2 sqrt p) iff t^2 <= 4p for the trace t = p + 1 - n; t^2
     # fits in int64 once |t| <= p, since p < hi <= lo + CACHE_SEGMENT and
-    # OrderCache.table opens files only for lo <= SIEVE_LIMIT
+    # OrderCache.segments opens files only for lo <= SIEVE_LIMIT
     t = p + 1 - n
     outside = np.flatnonzero((np.abs(t) > p) | (t * t > 4 * p))
     if outside.size:
@@ -488,8 +482,8 @@ class OrderCache:
     wins with a whole one.
 
     segments() streams the table one segment at a time, which is how every
-    curve-order count of the CLI reads it; table() joins the stream into
-    whole arrays for library callers."""
+    curve-order count reads it; table() joins the stream into whole
+    arrays."""
 
     def __init__(self, cache_dir: str | os.PathLike, workers: int = 1):
         if workers < 1:

@@ -195,9 +195,9 @@ def cmd_census(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
         census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
-        cps = _checkpoints(budget)
-        c1, c2 = (_curve_counts(cache, e, budget, [(x, args.y) for x in cps]) for e in (e1, e2))
-        series = census.race_series(e1, e2, args.y, cps, c1, c2)
+        _check_curve_budget(budget)
+        series = census.race(e1, e2, args.y, _checkpoints(budget),
+                             cache.segments(e1, budget), cache.segments(e2, budget))
         _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
         violations = sum(1 for _, v in series.rows if v < 0)
         if violations:
@@ -213,8 +213,9 @@ def cmd_census(args) -> int:
     if args.kind == "psi_e":
         cat = ecm.catalog_curve(args.curve)
         census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
+        _check_curve_budget(budget)
         cps = _checkpoints(budget)
-        rows = list(zip(cps, _curve_counts(cache, cat, budget, [(x, args.y) for x in cps])))
+        rows = list(zip(cps, census.psi_E(cache.segments(cat, budget), [(x, args.y) for x in cps])))
         series = census.CensusSeries(
             census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
         )
@@ -231,25 +232,20 @@ def cmd_census(args) -> int:
         points.append((budget, args.y))
         if args.d is not None:
             K = arith.field_for(args.d)
-            gamma = lambda x, y: census.gamma_tilde_field(K, x, y)
+            vals = [census.gamma_tilde_field(K, x, y) for x, y in points]
             label, params = f"d={args.d}", {"d": args.d}
         else:
             cat = ecm.catalog_curve(args.curve)
-            # every good p counts at y = inf: the totals of the ratios
-            counts = _curve_counts(cache, cat, budget, points + [(x, math.inf) for x, _ in points])
-            friable = dict(zip(points, counts))
-            total = dict(zip((x for x, _ in points), counts[len(points) :]))
-            gamma = lambda x, y: census.gamma_tilde_counts(friable[x, y], total[x], x, y)
+            vals = census.gamma_tilde_curve(cache.segments(cat, budget), points)
             label, params = f"curve={args.curve}", {"curve": cat.name}
-        val = gamma(budget, args.y)
-        print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {val:.6f}")
+        print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {vals[-1]:.6f}")
         if args.out:
-            rows = [(x, gamma(x, y)) for x, y in points[:-1]]
             if args.d is not None:
                 # the conjectured limit in ideal-count mode, recorded and not checked
                 params["reference"] = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
             series = census.CensusSeries(
-                census.SeriesKind.GAMMA_TILDE, {**params, "u": u, "y": args.y}, rows + [(budget, val)]
+                census.SeriesKind.GAMMA_TILDE, {**params, "u": u, "y": args.y},
+                [(x, v) for (x, _), v in zip(points, vals)],
             )
             _write_series(series, args.out)
         return EXIT_OK
@@ -259,22 +255,6 @@ def cmd_census(args) -> int:
 def _check_curve_budget(budget: int) -> None:
     if budget < 2:
         raise UsageError(f"--budget must be >= 2 for a curve-order census, got {budget}")
-
-
-def _curve_counts(cache: census.OrderCache, cat: ecm.CatalogCurve, budget: int, points) -> list[int]:
-    """#{good p <= x : P+(|E(F_p)|) < y} for every (x, y) of points, each
-    x <= budget: one census.sweep per segment of the cache to budget and per
-    y, added up, so that one segment is held at a time."""
-    _check_curve_budget(budget)
-    by_y: dict[float, list[int]] = {}
-    for i, (_, y) in enumerate(points):
-        by_y.setdefault(y, []).append(i)
-    counts = [0] * len(points)
-    for primes, _, pplus in cache.segments(cat, budget):
-        for y, idx in by_y.items():
-            for i, c in zip(idx, census.sweep(primes, pplus < y, [points[i][0] for i in idx])):
-                counts[i] += c
-    return counts
 
 
 def _checkpoints(budget: int) -> list[int]:

@@ -169,8 +169,8 @@ def rho_debruijn(u: float) -> float:
 
 def xi(u: float) -> float:
     """Positive solution of exp(xi) = 1 + u*xi (Newton iteration)."""
-    if not u > 1:
-        raise DomainError(f"xi domain is u > 1, got {u}")
+    if not 1 < u < math.inf:  # written so that NaN fails it
+        raise DomainError(f"xi domain is 1 < u < inf, got {u}")
     x = math.log(u * math.log(u)) if u >= math.e else 2.0 * (u - 1.0)
     for _ in range(200):
         ex = math.exp(x)
@@ -191,7 +191,7 @@ def l_subexp(n: int, alpha: float, c: float) -> float:
     """L_N(alpha, c) = exp(c (log N)^alpha (log log N)^(1-alpha))."""
     if n < 16:
         raise DomainError("l_subexp needs N >= 16")
-    if not (0 <= alpha <= 1) or c <= 0:
-        raise DomainError("l_subexp needs 0 <= alpha <= 1 and c > 0")
+    if not (0 <= alpha <= 1 and 0 < c < math.inf):  # written so that NaN fails it
+        raise DomainError("l_subexp needs 0 <= alpha <= 1 and 0 < c < inf")
     ln = math.log(n)
     return math.exp(c * ln**alpha * math.log(ln) ** (1.0 - alpha))

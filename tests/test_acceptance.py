@@ -196,10 +196,9 @@ def test_criterion_4_cm_order_oracle(capsys):
 def test_criterion_5_chebyshev_race(order_cache, capsys):
     e7, e11 = ecm.catalog_curve("e7"), ecm.catalog_curve("e11")
     budget = 10**6
-    t1 = order_cache.table(e7, budget)
-    t2 = order_cache.table(e11, budget)
     checkpoints = [2**k for k in range(4, 20) if 2**k <= budget] + [budget]
-    series = census.race(e7, e11, 1 << 7, checkpoints, t1, t2)
+    series = census.race(e7, e11, 1 << 7, checkpoints,
+                         order_cache.segments(e7, budget), order_cache.segments(e11, budget))
     violations = [(x, v) for x, v in series.rows if v < 0]
     ok = not violations
     with capsys.disabled():
@@ -277,7 +276,7 @@ def test_criterion_7_density_sanity(order_cache, capsys):
             y = round(x ** (1.0 / u))
             psi = census.psi_exact(x, y)
             p = table[0][: np.searchsorted(table[0], x, side="right")]
-            pe_ratio = census.psi_E(table, x, y) / len(p)
+            pe_ratio = census.psi_E([table], [(x, y)])[0] / len(p)
             devs["psi"].append(psi / x / r - 1.0)
             devs["psi_E7"].append(pe_ratio / r - 1.0)
             # (c) friability bias: each good p's order beats the integers of

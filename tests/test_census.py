@@ -383,23 +383,27 @@ class TestPsiE:
         x = 500
         _, hi = curve.hasse_interval(x)
         table = naive_table(E7, x)
-        assert census.psi_E(table, x, hi + 1) == len(table[0])
+        assert census.psi_E([table], [(x, hi + 1)]) == [len(table[0])]
 
     def test_y2_zero_beyond_tiny(self):
-        assert census.psi_E(naive_table(E7, 500), 500, 2) == 0
+        assert census.psi_E([naive_table(E7, 500)], [(500, 2)]) == [0]
 
     def test_brute_recount(self):
         y = 1 << 7
         table = naive_table(E7, 10**4)
-        got = census.psi_E(table, 10**4, y)
+        got = census.psi_E([table], [(10**4, y)])[0]
         assert got == sum(1 for n in table[1].tolist() if largest_prime_factor(n) < y)
 
     def test_monotone(self):
         table = naive_table(E7, 2000)
-        vals_y = [census.psi_E(table, 2000, y) for y in (4, 16, 64, 256)]
+        vals_y = census.psi_E([table], [(2000, y) for y in (4, 16, 64, 256)])
         assert vals_y == sorted(vals_y)
-        vals_x = [census.psi_E(table, x, 64) for x in (500, 1000, 2000)]
+        vals_x = census.psi_E([table], [(x, 64) for x in (500, 1000, 2000)])
         assert vals_x == sorted(vals_x)
+
+    def test_no_points_no_segments(self):
+        assert census.psi_E([naive_table(E7, 100)], []) == []
+        assert census.psi_E([], [(100, 16)]) == [0]
 
 
 class TestSweep:
@@ -455,33 +459,33 @@ class TestPsiEZ:
                 for n in range(2, x + 1)
                 if largest_prime_factor(n) < y and any(n % p == 0 for p in hitting)
             )
-            assert census.psi_E_z(table, x, y, z) == brute, (name, x, y, z)
+            assert census.psi_E_z([table], x, y, z) == brute, (name, x, y, z)
 
     def test_y_above_two_to_31(self):
         table = naive_table(E11, 400)
-        got = census.psi_E_z(table, 400, 2**31 + 11, 30)
-        assert got == census.psi_E_z(table, 400, 401, 30) > 0
+        got = census.psi_E_z([table], 400, 2**31 + 11, 30)
+        assert got == census.psi_E_z([table], 400, 401, 30) > 0
 
     def test_subset_of_psi(self):
-        assert census.psi_E_z(naive_table(E7, 500), 500, 20, 10) <= census.psi_exact(500, 20)
+        assert census.psi_E_z([naive_table(E7, 500)], 500, 20, 10) <= census.psi_exact(500, 20)
 
     def test_one_never_counts(self):
-        assert census.psi_E_z(naive_table(E7, 2), 1, 10, 10) == 0
+        assert census.psi_E_z([naive_table(E7, 2)], 1, 10, 10) == 0
 
 
 class TestPiED:
     def test_d1(self):
         table = naive_table(E7, 500)
-        assert census.pi_E_d(table, 500, 1) == len(table[0])
+        assert census.pi_E_d([table], 500, 1) == len(table[0])
 
     def test_huge_d(self):
         _, hi = curve.hasse_interval(500)
-        assert census.pi_E_d(naive_table(E7, 500), 500, hi + 1) == 0
+        assert census.pi_E_d([naive_table(E7, 500)], 500, hi + 1) == 0
 
     def test_noncm_density(self):
         cat = ecm.catalog_curve("e37")
         x = 10**4
-        got = census.pi_E_d(census.order_table(cat, 0, x + 1), x, 2)
+        got = census.pi_E_d([census.order_table(cat, 0, x + 1)], x, 2)
         from ecsmooth import lfunc
 
         predicted = lfunc.w_noncm(2) / 2 * x / math.log(x)
@@ -492,24 +496,113 @@ class TestPiED:
 class TestRace:
     def test_self_race_zero(self):
         t = naive_table(E7, 1000)
-        s = census.race(E7, E7, 128, [100, 500, 1000], t, t)
+        s = census.race(E7, E7, 128, [100, 500, 1000], [t], [t])
         assert all(v == 0 for _, v in s.rows)
 
     def test_antisymmetry(self):
         t1, t2 = naive_table(E7, 2000), naive_table(E11, 2000)
-        a = census.race(E7, E11, 128, [200, 800, 2000], t1, t2)
-        b = census.race(E11, E7, 128, [200, 800, 2000], t2, t1)
+        a = census.race(E7, E11, 128, [200, 800, 2000], [t1], [t2])
+        b = census.race(E11, E7, 128, [200, 800, 2000], [t2], [t1])
         assert [(x, -v) for x, v in a.rows] == b.rows
 
     def test_empty_checkpoints(self):
         empty = census.order_table(E7, 0, 0)
-        assert census.race(E7, E11, 128, [], empty, empty).rows == []
+        assert census.race(E7, E11, 128, [], [empty], [empty]).rows == []
 
     def test_matches_pointwise_psi(self):
         t1, t2 = naive_table(E7, 1500), naive_table(E11, 1500)
-        s = census.race(E7, E11, 64, [300, 1500], t1, t2)
+        s = census.race(E7, E11, 64, [300, 1500], [t1], [t2])
         for x, v in s.rows:
-            assert v == census.psi_E(t1, x, 64) - census.psi_E(t2, x, 64)
+            assert v == census.psi_E([t1], [(x, 64)])[0] - census.psi_E([t2], [(x, 64)])[0]
+
+
+def split(table, cuts):
+    """The table as segments, a new one at the first prime >= each cut."""
+    bounds = [0, *np.searchsorted(table[0], cuts).tolist(), len(table[0])]
+    return [tuple(col[a:b] for col in table) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestSegmentCounts:
+    """Every curve-order count reads its segments once, so a one-pass
+    iterator of them (OrderCache.segments is a generator) counts what their
+    list counts, and both equal a loop over the joined columns."""
+
+    X = 3000
+    CUTS = [1000, 2000]  # segments [0, 1000), [1000, 2000), [2000, 3000]
+    # unsorted and repeated, on both sides of each cut: 997 | 1009, 1999 | 2003
+    XS = [2500, 997, 1009, 16, 1000, 997, 3000, 2003, 1999, 1009]
+    YS = (16, 128)
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {cat.name: naive_table(cat, self.X) for cat in (E7, E11)}
+
+    @staticmethod
+    def rows(table):
+        return list(zip(*(col.tolist() for col in table)))
+
+    def both(self, count, table):
+        """count(segments) on the list of the table's segments and on a
+        one-pass iterator of them, asserted equal."""
+        segments = split(table, self.CUTS)
+        assert len(segments) == 3 and all(len(seg[0]) for seg in segments)
+        got = count(segments)
+        assert count(iter(segments)) == got
+        return got
+
+    def test_psi_e(self, tables):
+        points = [(x, y) for x in self.XS for y in self.YS]
+        brute = [sum(1 for p, _, m in self.rows(tables["e7"]) if p <= x and m < y) for x, y in points]
+        assert self.both(lambda segs: census.psi_E(segs, points), tables["e7"]) == brute
+
+    def test_race(self, tables):
+        y = 128
+
+        def psi(name, x):
+            return sum(1 for p, _, m in self.rows(tables[name]) if p <= x and m < y)
+
+        segments11 = split(tables["e11"], self.CUTS)
+        got = self.both(lambda segs: census.race(E7, E11, y, self.XS, segs, segments11).rows, tables["e7"])
+        assert got == census.race(E7, E11, y, self.XS, split(tables["e7"], self.CUTS), iter(segments11)).rows
+        assert got == [(x, psi("e7", x) - psi("e11", x)) for x in sorted(set(self.XS))]
+
+    def test_gamma_tilde_curve(self, tables):
+        points = [(x, y) for x in self.XS for y in self.YS if y <= x]
+        rows = self.rows(tables["e11"])
+        brute = [
+            census.gamma_tilde_counts(sum(1 for p, _, m in rows if p <= x and m < y),
+                                      sum(1 for p, _, _ in rows if p <= x), x, y)
+            for x, y in points
+        ]
+        assert self.both(lambda segs: census.gamma_tilde_curve(segs, points), tables["e11"]) == brute
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_pi_e_d(self, tables, d):
+        for x in self.XS:
+            brute = sum(1 for p, n, _ in self.rows(tables["e7"]) if p <= x and n % d == 0)
+            assert self.both(lambda segs: census.pi_E_d(segs, x, d), tables["e7"]) == brute, x
+
+    @pytest.mark.parametrize("y, z", [(1500, 30), (2500, 12)])
+    def test_psi_e_z(self, tables, y, z):
+        hitting = [p for p, _, m in self.rows(tables["e7"]) if m < z]
+        for x in (997, 1009, 1999, 2003):
+            brute = sum(
+                1
+                for n in range(2, x + 1)
+                if largest_prime_factor(n) < y and any(n % p == 0 for p in hitting if p < y)
+            )
+            assert self.both(lambda segs: census.psi_E_z(segs, x, y, z), tables["e7"]) == brute, x
+
+    def test_order_cache_stream(self, tmp_path, monkeypatch):
+        # the cache's own generator, across a CACHE_SEGMENT boundary
+        seg = census.CACHE_SEGMENT
+        fake_orders(monkeypatch)
+        cache = census.OrderCache(tmp_path)
+        x = seg + 3000
+        points = [(c, y) for c in (x, seg - 1, seg + 1, seg - 1, 5000) for y in (64, math.inf)]
+        got = census.psi_E(cache.segments(E7, x), points)
+        ps, _, pplus = cache.table(E7, x)
+        assert got == [int(np.count_nonzero((ps <= c) & (pplus < y))) for c, y in points]
 
 
 class TestCensusSeries:
@@ -697,9 +790,9 @@ class TestGammaTilde:
 
     def test_curve_mode(self):
         table = naive_table(E7, 3000)
-        val = census.gamma_tilde_curve(table, 2000, 100)
+        [val] = census.gamma_tilde_curve([table], [(2000, 100)])
         assert math.isfinite(val)
-        friable = census.psi_E(table, 2000, 100)
+        friable = census.psi_E([table], [(2000, 100)])[0]
         assert val == census.gamma_tilde_counts(friable, len(good_primes(E7, 2000)), 2000, 100)
 
     def test_underflow(self):
@@ -711,12 +804,17 @@ class TestGammaTilde:
         def refuse(*args):
             raise AssertionError(f"counted {args} with a bad y")
 
+        def segments():
+            refuse()
+            yield
+
         for name in ("psi_K_friable", "psi_K", "psi_E"):
             monkeypatch.setattr(census, name, refuse)
         with pytest.raises(UsageError, match="gamma_tilde needs 2 <= y <= x"):
             census.gamma_tilde_field(arith.field_for(7), x, y)
+        # every point is checked before the segments are read
         with pytest.raises(UsageError, match="gamma_tilde needs 2 <= y <= x"):
-            census.gamma_tilde_curve(naive_table(E7, 100), x, y)
+            census.gamma_tilde_curve(segments(), [(2000, 100), (x, y)])
 
 
 def fake_orders(monkeypatch, fail_at=None):
@@ -1011,8 +1109,8 @@ class TestOrderCache:
 
 
 class TestSegmentStream:
-    """The CLI's curve-order counts sum per-segment sweeps over
-    OrderCache.segments; OrderCache.table is that stream joined."""
+    """The CLI's curve-order counts read OrderCache.segments;
+    OrderCache.table is that stream joined."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cli_counts_equal_table_counts(self, tmp_path, tmp_path_factory, workers):
@@ -1023,13 +1121,18 @@ class TestSegmentStream:
         fresh = tmp_path_factory.mktemp("fresh")
         t7, t11 = (census.OrderCache(fresh, workers=1).table(cat, x) for cat in (E7, E11))
         cps = cli._checkpoints(x)
-        race = census.race(E7, E11, y, cps, t7, t11).rows
+
+        def count(table, c, y):
+            return int(np.count_nonzero((table[0] <= c) & (table[2] < y)))
+
+        race = [(c, count(t7, c, y) - count(t11, c, y)) for c in cps]
         u = math.log(x) / math.log(gt_y)
         points = [(c, max(2, round(c ** (1 / u)))) for c in cps[:-1]] + [(x, gt_y)]
+        gamma = [(c, census.gamma_tilde_counts(count(t11, c, yc), count(t11, c, math.inf), c, yc)) for c, yc in points]
         want = {
             "race": ((1 if any(v < 0 for _, v in race) else 0), race),
-            "psi_e": (0, list(zip(cps, census.sweep(t7[0], t7[2] < y, cps)))),
-            "gamma": (0, [(c, census.gamma_tilde_curve(t11, c, yc)) for c, yc in points]),
+            "psi_e": (0, [(c, count(t7, c, y)) for c in cps]),
+            "gamma": (0, gamma),
         }
         common = ["--budget", str(x), "--cache-dir", str(cache), "--workers", str(workers)]
         for run in ("cold", "warm"):

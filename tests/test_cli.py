@@ -418,9 +418,9 @@ class TestCensusCommand:
         assert code == cli.EXIT_OK
         s = census.CensusSeries.from_json((tmp_path / "s.json").read_text())
         e11 = ecm.catalog_curve("e11")
-        table = census.OrderCache(cache).table(e11, 3000)
+        ps, _, pplus = census.OrderCache(cache).table(e11, 3000)
         assert [x for x, _ in s.rows] == cli._checkpoints(3000)
-        assert s.rows == [(x, census.psi_E(table, x, 64)) for x, _ in s.rows]
+        assert s.rows == [(x, int(np.count_nonzero((ps <= x) & (pplus < 64)))) for x, _ in s.rows]
 
     def test_warm_race_only_loads(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -581,8 +581,9 @@ class TestCensusCommand:
             reference = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
             assert s.params == {"d": 7, "u": u, "y": y, "reference": reference}
         else:
-            table = order_cache.table(ecm.catalog_curve("e7"), budget)
-            gamma = lambda x, y_x: census.gamma_tilde_curve(table, x, y_x)
+            ps, _, pplus = order_cache.table(ecm.catalog_curve("e7"), budget)
+            gamma = lambda x, y_x: census.gamma_tilde_counts(
+                int(np.count_nonzero((ps <= x) & (pplus < y_x))), int(np.count_nonzero(ps <= x)), x, y_x)
             assert s.params == {"curve": "e7", "u": u, "y": y}
         xs = cli._checkpoints(budget)
         ys = [max(2, round(x ** (1 / u))) for x in xs[:-1]] + [y]

@@ -99,7 +99,18 @@ class TestRho:
         assert dickman.rho_clipped(50.0) == (last, False)
 
 
-@pytest.mark.parametrize("fn", [dickman.rho, dickman.rho_clipped, dickman.xi, dickman.rho_debruijn])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        dickman.rho,
+        dickman.rho_clipped,
+        dickman.xi,
+        dickman.rho_debruijn,
+        # infinity fails the same checks as NaN
+        pytest.param(lambda nan: dickman.xi(math.inf), id="xi_inf"),
+        pytest.param(lambda nan: dickman.l_subexp(100, 0.5, nan), id="l_subexp_c"),
+    ],
+)
 def test_nan_is_a_domain_error(fn):
     with pytest.raises(DomainError):
         fn(math.nan)
