@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, RamifiedPrimeError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 
 # Squarefree d with Q(sqrt(-d)) of class number 1.
 CLASS_NUMBER_ONE_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
@@ -278,26 +278,16 @@ def field_for(d: int) -> ImagQuadField:
     return ImagQuadField(d)
 
 
-def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int] | None:
-    """(t, b) with t, b >= 0 and t^2 + |disc K| b^2 = 4p for a split prime p:
-    t is the trace of an element of norm p.  None for an inert prime; raises
-    RamifiedPrimeError when p divides disc(K)."""
-    absD = -K.disc
-    if absD % p == 0:
-        raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{K.d}))")
-    if K.chi(p) == -1:
-        return None
-    return _cornacchia_split(p, K)
-
-
-def _cornacchia_split(p: int, K: ImagQuadField) -> tuple[int, int]:
-    """cornacchia's (t, b) for a prime p already known to split in K, without
-    the ramification and chi(p) checks, which cmcount.cm_order makes once per
-    prime before it asks for the orbit.  Cornacchia on 4p: a root t of
+def cornacchia(p: int, K: ImagQuadField) -> tuple[int, int]:
+    """(t, b) with t, b >= 0 and t^2 + |disc K| b^2 = 4p for a prime p that
+    splits in K (not checked: cmcount.cm_order reads chi(p) first), so that t
+    is the trace of an element of norm p.  Cornacchia on 4p: a root t of
     t^2 = disc (mod 4p), then a partial Euclid on (2p, t) down to
     t^2 <= 4p."""
     absD = -K.disc
     t = sqrt_mod(-absD, p)
+    if t is None:
+        raise ArithmeticError(f"cornacchia: p={p} is inert in Q(sqrt(-{K.d}))")
     if (t + absD) % 2:
         t = p - t
     a, bound = 2 * p, math.isqrt(4 * p)

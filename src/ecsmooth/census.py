@@ -158,12 +158,20 @@ def _divide_out(lo: int, hi: int, primes) -> np.ndarray:
     return rem
 
 
+def _friable_windows(x: int, y: int):
+    """(lo, mask) for each PSI_SEGMENT window [lo, lo + len(mask)) of [1, x],
+    one at a time: the positions that dividing out the primes below
+    min(y, isqrt(x) + 1) reduces below y (the rule of FriabilityTester)."""
+    primes = _friability_primes(y, x)
+    for lo in range(1, x + 1, PSI_SEGMENT):
+        yield lo, _divide_out(lo, min(lo + PSI_SEGMENT, x + 1), primes) < y
+
+
 def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     """Exact Psi(c, y) = #{n <= c : P+(n) < y} at each checkpoint c, from one
-    segmented pass over [1, max(checkpoints)]: per segment, the positions
-    that dividing out the primes below min(y, isqrt(max(checkpoints)) + 1)
-    reduces below y (the rule of FriabilityTester), added to a running total
-    and read off at every checkpoint inside the segment."""
+    pass over the friable windows of [1, max(checkpoints)]: each window's
+    count added to a running total and read off at every checkpoint inside
+    the window."""
     if not checkpoints:
         return []
     x = max(checkpoints)
@@ -175,18 +183,14 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
         raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
     if y > x:
         return list(checkpoints)
-    primes = _friability_primes(y, x)
     todo = sorted(set(checkpoints))
     counts: dict[int, int] = {}
     total = 0
-    for lo in range(1, x + 1, PSI_SEGMENT):
-        hi = min(lo + PSI_SEGMENT, x + 1)
-        friable = _divide_out(lo, hi, primes) < y
-        while todo and todo[0] < hi:
+    for lo, friable in _friable_windows(x, y):
+        while todo and todo[0] < lo + len(friable):
             c = todo.pop(0)
             counts[c] = total + int(np.count_nonzero(friable[: c + 1 - lo]))
         total += int(np.count_nonzero(friable))
-        del friable  # one segment's mask at a time
     return [counts[c] for c in checkpoints]
 
 
@@ -236,19 +240,29 @@ def psi_E(segments, points: list[tuple[int, float]]) -> list[int]:
 
 def psi_E_z(segments, x: int, y: int, z: int) -> int:
     """#{n <= x : P+(n) < y and some good prime p | n has P+(|E(F_p)|) < z}.
-    n = 1 never counts: it has no prime divisor (P-(1) = infinity)."""
+    n = 1 never counts: it has no prime divisor (P-(1) = infinity).  Holds
+    the hit primes p < min(y, x + 1) and one window of [1, x] at a time."""
     if not (2 <= z and 2 <= y):
         raise UsageError("bounds must be >= 2")
     if x > 10**8:
         raise CapacityError(f"psi_E_z sieve guard: x={x}")
     if x < 2:
         return 0
-    hit = np.zeros(x + 1, dtype=bool)
-    for primes, _, pplus in segments:
-        for p in primes[(primes < min(y, x + 1)) & (pplus < z)].tolist():
-            hit[p::p] = True
-    friable = _divide_out(1, x + 1, _friability_primes(y, x)) < y
-    return int(np.count_nonzero(hit[1:] & friable))
+    hits = np.concatenate([np.zeros(0, np.int64)] + [
+        primes[(primes < min(y, x + 1)) & (pplus < z)] for primes, _, pplus in segments])
+    small = hits[hits < PSI_SEGMENT].tolist()
+    count = 0
+    for lo, friable in _friable_windows(x, y):
+        hi = lo + len(friable)
+        hit = np.zeros(len(friable), dtype=bool)
+        for p in small:
+            hit[-lo % p :: p] = True
+        for k in range(1, (hi - 1) // PSI_SEGMENT + 1):
+            # a larger hit prime has at most one multiple k p in the window
+            i, j = np.searchsorted(hits, [max(-(-lo // k), PSI_SEGMENT), -(-hi // k)])
+            hit[k * hits[i:j] - lo] = True
+        count += int(np.count_nonzero(hit & friable))
+    return count
 
 
 def pi_E_d(segments, x: int, d: int) -> int:

@@ -106,15 +106,6 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _alpha_columns(ds, ell_bound, p_bound, per_ell):
-    return [
-        lfunc.alpha_report(
-            ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=ell_bound, p_bound=p_bound, per_ell_limit=per_ell
-        )
-        for d in ds
-    ]
-
-
 def cmd_alpha(args) -> int:
     ds = sorted(CM_CURVE_BY_D) if args.all else [args.d]
     if not args.all and args.d not in CM_CURVE_BY_D:
@@ -130,7 +121,11 @@ def cmd_alpha(args) -> int:
             raise UsageError(f"--p-bound {args.p_bound} leaves {E.name} with no good prime")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cols = _alpha_columns(ds, args.ell_bound, args.p_bound, args.per_ell)
+        cols = [
+            lfunc.alpha_report(ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=args.ell_bound,
+                               p_bound=args.p_bound, per_ell_limit=args.per_ell)
+            for d in ds
+        ]
         flagged = any(issubclass(w.category, lfunc.TruncationWarning) for w in caught)
     rows = [
         ("alpha_tilde", [c.alpha_tilde for c in cols]),

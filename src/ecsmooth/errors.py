@@ -17,10 +17,6 @@ class CapacityError(EcsmoothError):
     """A budget or memory guard was exceeded."""
 
 
-class RamifiedPrimeError(EcsmoothError):
-    """Prime divides the field discriminant; caller must handle separately."""
-
-
 class BadReductionError(EcsmoothError):
     """Prime divides the curve discriminant."""
 

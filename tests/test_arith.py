@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import arith
-from ecsmooth.errors import DomainError, RamifiedPrimeError, UsageError
+from ecsmooth.errors import DomainError, UsageError
 
 
 class TestInverseOrDivisor:
@@ -213,14 +213,13 @@ class TestCornacchia:
         K = arith.field_for(7)
         assert arith.cornacchia(29, K) == (2, 4)  # 4 + 7 * 16 = 4 * 29
 
-    def test_inert_returns_none(self):
-        K = arith.field_for(7)
-        assert arith.cornacchia(3, K) is None
-
-    def test_ramified_raises(self):
-        K = arith.field_for(7)
-        with pytest.raises(RamifiedPrimeError):
-            arith.cornacchia(7, K)
+    def test_inert_raises(self):
+        # the contract is a split p; an inert p has no square root of disc
+        for d, p in ((7, 3), (1, 7), (3, 5), (163, 3)):
+            K = arith.field_for(d)
+            assert K.chi(p) == -1
+            with pytest.raises(ArithmeticError, match=rf"p={p} is inert"):
+                arith.cornacchia(p, K)
 
     def test_canonical_choice_deterministic(self):
         K = arith.field_for(11)
@@ -236,5 +235,4 @@ class TestCornacchia:
             K = arith.field_for(d)
             for p in arith.prime_sieve(2000):
                 if K.chi(p) == 1:
-                    sol = arith.cornacchia(p, K)
-                    assert sol is not None and _is_4p_solution(sol, p, K), (d, p)
+                    assert _is_4p_solution(arith.cornacchia(p, K), p, K), (d, p)

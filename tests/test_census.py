@@ -472,6 +472,23 @@ class TestPsiEZ:
     def test_one_never_counts(self):
         assert census.psi_E_z([naive_table(E7, 2)], 1, 10, 10) == 0
 
+    @pytest.mark.parametrize("window", [7, 64, 100])
+    def test_small_windows(self, monkeypatch, window):
+        # many windows, and hit primes at and above the window length: every
+        # count equals the one-window count
+        cases = [(cat, x, y, z, naive_table(ecm.catalog_curve(cat), x)) for cat, x, y, z in self.CASES]
+        want = [census.psi_E_z([table], x, y, z) for _, x, y, z, table in cases]
+        monkeypatch.setattr(census, "PSI_SEGMENT", window)
+        assert [census.psi_E_z([table], x, y, z) for _, x, y, z, table in cases] == want
+
+    def test_memory_bounded_by_one_window(self):
+        # the peak at 4x stays within one window's int32 remainders of the
+        # peak at x: no array spans [1, x]
+        table, x = naive_table(E7, 2000), 1 << 20
+        (n1, peak1), (n4, peak4) = (traced_peak(lambda: census.psi_E_z([table], m, 100, 10)) for m in (x, 4 * x))
+        assert 0 < n1 < n4
+        assert peak4 <= peak1 + 4 * census.PSI_SEGMENT, (peak1, peak4)
+
 
 class TestPiED:
     def test_d1(self):

@@ -121,19 +121,23 @@ class TestCmOrder:
         with pytest.raises(BadReductionError):
             cmcount.cm_order(E7, 7)
 
-    def test_chi_checked_once_per_prime(self, monkeypatch):
-        # cm_order checks good reduction and chi(p) itself and takes a split
-        # prime's (t, b) from the private split-prime step: arith.cornacchia,
-        # whose contract repeats both checks, is never called
+    def test_one_cornacchia_call_per_split_prime(self, monkeypatch):
+        # cm_order reads chi(p) itself, then takes (t, b) from one
+        # arith.cornacchia call at a split prime and none at an inert one,
+        # with no walk over the orbit
         def refuse(p, K):
-            raise AssertionError(f"cornacchia({p}) called from cm_order")
+            raise AssertionError(f"orbit of p={p} walked")
 
-        for cat in (E7, E11, E8000, ecm.catalog_curve("e1"), ecm.catalog_curve("e3")):
-            primes = [p for p in arith.prime_sieve(3000) if cat.curve.has_good_reduction(p)]
-            want = [cmcount.cm_order(cat, p) for p in primes]
+        for cat in CM_CURVES:
+            calls, cornacchia = [], arith.cornacchia
             with monkeypatch.context() as m:
-                m.setattr(arith, "cornacchia", refuse)
-                assert [cmcount.cm_order(cat, p) for p in primes] == want, cat.name
+                m.setattr(arith, "cornacchia", lambda p, K: calls.append(p) or cornacchia(p, K))
+                m.setattr(cmcount, "_orbit", refuse)
+                m.setattr(cmcount, "candidate_orders", refuse)
+                primes = [p for p in arith.prime_sieve(3000) if cat.curve.has_good_reduction(p)]
+                orders = [cmcount.cm_order(cat, p) for p in primes]
+            assert calls == [p for p in primes if cat.cm_field.chi(p) == 1], cat.name
+            assert orders == [_reference_order(cat, p) for p in primes], cat.name
 
     def test_non_cm_rejected(self):
         with pytest.raises(UsageError):
@@ -167,7 +171,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("cat", CM_CURVES, ids=lambda cat: cat.name)
     def test_one_candidate_passes_every_good_prime(self, cat):
-        # cm_order raises ArithmeticError unless exactly one candidate passes
+        # cm_order raises ArithmeticError unless one sign of its pair passes
         for p in arith.prime_sieve(2 * 10**4):
             if cat.curve.has_good_reduction(p):
                 cmcount.cm_order(cat, p)
@@ -230,32 +234,21 @@ class TestTraceRules:
     def test_chi_rule_with_no_passing_sign_raises(self, name, monkeypatch):
         # t divisible by d: chi(t) = 0, so neither t nor -t passes
         cat = ecm.catalog_curve(name)
-        d, split = cat.cm_field.d, arith._cornacchia_split
+        d, cornacchia = cat.cm_field.d, arith.cornacchia
         p = _first_split_prime(cat, 10**4)
-        monkeypatch.setattr(arith, "_cornacchia_split", lambda q, K: (d * split(q, K)[0], split(q, K)[1]))
-        with pytest.raises(ArithmeticError, match=rf"no orbit pair of {name} passes its trace rule at p={p}$"):
+        monkeypatch.setattr(arith, "cornacchia", lambda q, K: (d * cornacchia(q, K)[0], cornacchia(q, K)[1]))
+        with pytest.raises(ArithmeticError, match=rf"^no orbit pair of {name} passes its trace rule at p={p}$"):
             cmcount.cm_order(cat, p)
 
     @pytest.mark.parametrize("name", ("e1", "e3", "e8000"))
     def test_orbit_rule_needs_exactly_one_pair(self, name, monkeypatch):
+        # (6t, 6b): every unit multiple has t' = 0 mod 4 (Q(i), Q(sqrt(-2)))
+        # or 3 | t' (Q(sqrt(-3))), so the congruence fails at t' and at -t'
         cat = ecm.catalog_curve(name)
-        p = _first_split_prime(cat, 10**4)
-        t_true, orbit = p + 1 - curve.naive_count(cat.curve, p), cmcount._orbit
-        monkeypatch.setattr(cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if t != t_true])
-        with pytest.raises(ArithmeticError, match=rf"^0 orbit pairs of {name} pass its trace rule at p={p}$"):
+        p, cornacchia = _first_split_prime(cat, 10**4), arith.cornacchia
+        monkeypatch.setattr(arith, "cornacchia", lambda q, K: tuple(6 * v for v in cornacchia(q, K)))
+        with pytest.raises(ArithmeticError, match=rf"^no orbit pair of {name} passes its trace rule at p={p}$"):
             cmcount.cm_order(cat, p)
-        monkeypatch.setattr(cmcount, "_orbit", lambda q, K: 2 * orbit(q, K))
-        with pytest.raises(ArithmeticError, match=rf"^2 orbit pairs of {name} pass its trace rule at p={p}$"):
-            cmcount.cm_order(cat, p)
-
-    def test_chi_rule_does_not_walk_the_orbit(self, monkeypatch):
-        def refuse(p, K):
-            raise AssertionError(f"_orbit({p}) called")
-
-        primes = [p for p in arith.prime_sieve(3000) if E11.curve.has_good_reduction(p)]
-        want = [cmcount.cm_order(E11, p) for p in primes]
-        monkeypatch.setattr(cmcount, "_orbit", refuse)
-        assert [cmcount.cm_order(E11, p) for p in primes] == want
 
 
 class TestOrderFn:

@@ -3,6 +3,7 @@
 subprocess started with -O."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,8 @@ def expect(label, fn, owner, attr, fake):
     setattr(owner, attr, fake)
     try:
         fn()
-    except ArithmeticError:
-        print(label, "ArithmeticError")
+    except ArithmeticError as exc:
+        print(label, "ArithmeticError", exc)
     else:
         print(label, "no error")
     finally:
@@ -41,16 +42,16 @@ def raise_bad_divisor(*args):
 expect("hasse", lambda: cmcount.candidate_orders(p, e7.cm_field),
        curve, "hasse_interval", lambda q: (0, 0))
 # e7 reads one chi(t) of Cornacchia's t: a t divisible by 7 passes neither sign
-split = arith._cornacchia_split
-expect("eliminated", lambda: cmcount.cm_order(e7, p),
-       arith, "_cornacchia_split", lambda q, K: (7 * split(q, K)[0], split(q, K)[1]))
-# e8000 walks its orbit: without the true pair none passes
-e8000 = ecm.catalog_curve("e8000")
-p8 = next(q for q in range(10**4, 10**5) if arith.is_prime(q) and e8000.cm_field.chi(q) == 1)
-true_order8 = curve.naive_count(e8000.curve, p8)
-orbit = cmcount._orbit
-expect("eliminated_orbit", lambda: cmcount.cm_order(e8000, p8),
-       cmcount, "_orbit", lambda q, K: [(t, b) for t, b in orbit(q, K) if q + 1 - t != true_order8])
+cornacchia = arith.cornacchia
+expect("eliminated_e7", lambda: cmcount.cm_order(e7, p),
+       arith, "cornacchia", lambda q, K: (7 * cornacchia(q, K)[0], cornacchia(q, K)[1]))
+# e1, e3 and e8000 check their congruence at t' and -t': with (6t, 6b) neither
+# sign passes
+for name in ("e1", "e3", "e8000"):
+    cat = ecm.catalog_curve(name)
+    q = next(q for q in range(10**4, 10**5) if arith.is_prime(q) and cat.cm_field.chi(q) == 1)
+    expect(f"eliminated_{name}", lambda: cmcount.cm_order(cat, q),
+           arith, "cornacchia", lambda r, K: tuple(6 * v for v in cornacchia(r, K)))
 # stage 1 surfaces a divisor by replaying one scalar on the affine chain
 expect("ecm_divisor", lambda: ecm.ecm_one_curve(35, ecm.catalog_curve("e8000"), 1.5, 1.2),
        curve, "_affine_scalar_mul", raise_bad_divisor)
@@ -66,11 +67,17 @@ def test_invariants_raise_under_O():
     )
     assert proc.returncode == 0, proc.stderr
     results = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
-    assert results == {
+    errors = {label: result.split(" ", 1)[0] for label, result in results.items()}
+    assert errors == {
         "debug": "False",
         "hasse": "ArithmeticError",
-        "eliminated": "ArithmeticError",
-        "eliminated_orbit": "ArithmeticError",
+        "eliminated_e7": "ArithmeticError",
+        "eliminated_e1": "ArithmeticError",
+        "eliminated_e3": "ArithmeticError",
+        "eliminated_e8000": "ArithmeticError",
         "ecm_divisor": "ArithmeticError",
         "split_factor": "ArithmeticError",
     }
+    for name in ("e7", "e1", "e3", "e8000"):
+        message = rf"ArithmeticError no orbit pair of {name} passes its trace rule at p=\d+"
+        assert re.fullmatch(message, results[f"eliminated_{name}"])
