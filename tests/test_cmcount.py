@@ -121,21 +121,23 @@ class TestCmOrder:
         with pytest.raises(BadReductionError):
             cmcount.cm_order(E7, 7)
 
-    def test_one_cornacchia_call_per_split_prime(self, monkeypatch):
-        # cm_order reads chi(p) itself, then takes (t, b) from one
+    def test_chi_checked_once_per_prime(self, monkeypatch):
+        # cm_order reads chi(p) once, itself, then takes (t, b) from one
         # arith.cornacchia call at a split prime and none at an inert one,
         # with no walk over the orbit
         def refuse(p, K):
             raise AssertionError(f"orbit of p={p} walked")
 
         for cat in CM_CURVES:
-            calls, cornacchia = [], arith.cornacchia
+            primes = [p for p in arith.prime_sieve(3000) if cat.curve.has_good_reduction(p)]
+            chi_calls, calls, cornacchia, chi = [], [], arith.cornacchia, arith.ImagQuadField.chi
             with monkeypatch.context() as m:
+                m.setattr(arith.ImagQuadField, "chi", lambda K, n: chi_calls.append(n) or chi(K, n))
                 m.setattr(arith, "cornacchia", lambda p, K: calls.append(p) or cornacchia(p, K))
                 m.setattr(cmcount, "_orbit", refuse)
                 m.setattr(cmcount, "candidate_orders", refuse)
-                primes = [p for p in arith.prime_sieve(3000) if cat.curve.has_good_reduction(p)]
                 orders = [cmcount.cm_order(cat, p) for p in primes]
+            assert chi_calls == primes, cat.name
             assert calls == [p for p in primes if cat.cm_field.chi(p) == 1], cat.name
             assert orders == [_reference_order(cat, p) for p in primes], cat.name
 
@@ -249,6 +251,15 @@ class TestTraceRules:
         monkeypatch.setattr(arith, "cornacchia", lambda q, K: tuple(6 * v for v in cornacchia(q, K)))
         with pytest.raises(ArithmeticError, match=rf"^no orbit pair of {name} passes its trace rule at p={p}$"):
             cmcount.cm_order(cat, p)
+
+    def test_chi_rule_does_not_walk_the_orbit(self, monkeypatch):
+        def refuse(p, K):
+            raise AssertionError(f"_orbit({p}) called")
+
+        primes = [p for p in arith.prime_sieve(3000) if E11.curve.has_good_reduction(p)]
+        want = [_reference_order(E11, p) for p in primes]
+        monkeypatch.setattr(cmcount, "_orbit", refuse)
+        assert [cmcount.cm_order(E11, p) for p in primes] == want
 
 
 class TestOrderFn:
