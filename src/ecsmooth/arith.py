@@ -265,6 +265,13 @@ class ImagQuadField:
     def _chi_table(self) -> tuple[int, ...]:
         return tuple(kronecker(self.disc, r) for r in range(-self.disc))
 
+    @cached_property
+    def chi_period(self) -> np.ndarray:
+        """The chi table over one period as read-only int64, for numpy reads."""
+        table = np.array(self._chi_table, dtype=np.int64)
+        table.setflags(write=False)  # shared by every reader of the field
+        return table
+
     def chi(self, n: int) -> int:
         """Kronecker character of the field evaluated at n, read from one
         table over a period: chi is periodic mod |disc| for these

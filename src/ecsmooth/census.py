@@ -22,6 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -490,10 +491,12 @@ class OrderCache:
     where the order is.  The partial last segment is persisted too; a run
     whose x + 1 <= hi only loads the file, and a run that needs more
     computes only [hi, x + 1) and replaces the file with the rows it read
-    before computing and the new ones.  A call's files are renamed into
-    place only once every segment it computes has succeeded.  Files are
-    bit-exact reproducible, and the last of two concurrent writers of a file
-    wins with a whole one.
+    before computing and the new ones.  A call computes its segments through
+    one map, in process or on a pool of up to `workers` processes, and
+    renames their files into place only once every one has succeeded; a
+    failure cancels the segments not yet started.  Files are bit-exact
+    reproducible, and the last of two concurrent writers of a file wins
+    with a whole one.
 
     segments() streams the table one segment at a time, which is how every
     curve-order count reads it; table() joins the stream into whole
@@ -558,42 +561,34 @@ class OrderCache:
 
     def _compute(self, curve_name: str, todo) -> None:
         """Persist every (lo, start, hi, path, stored) of todo: the stored
-        rows of [lo, start), then the rows computed for [start, hi).  Each
-        result is taken in order, staged through _write under a private name
-        next to its path and let go.  Once all have succeeded the staged
-        files are renamed onto their paths; if one fails they are removed,
+        rows of [lo, start), then the rows _compute_segment makes for
+        [start, hi), taken in order from one map: the builtin one for one
+        worker or one segment, else a pool's.  Each result is staged through
+        _write under a private name next to its path and let go.  Once all
+        have succeeded the staged files are renamed onto their paths; if one
+        fails they are removed, the segments not yet started are cancelled,
         and every stored file is left as it was."""
+        spans = [(start, hi) for _, start, hi, _, _ in todo]
+        pooled = self.workers > 1 and len(spans) > 1
         staged = []
         try:
-            # the results first, so that zip runs them to their end and the pool closes
-            for rows, (lo, _, hi, path, stored) in zip(self._results(curve_name, todo), todo):
-                tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-                staged.append((tmp, path))
-                self._write(tmp, np.vstack(([lo, hi, 0], stored, rows)))
+            # the fork start method forks all max_workers at the first submit
+            with ProcessPoolExecutor(min(self.workers, len(spans))) if pooled else nullcontext() as pool:
+                # todo first, so that an empty todo maps nothing; no name holds
+                # the map, so that a failure lets it go, which cancels every
+                # segment not yet started before the pool waits for the rest
+                for (lo, _, hi, path, stored), rows in zip(todo, (pool.map if pooled else map)(
+                    _compute_segment, itertools.repeat(curve_name), *zip(*spans)
+                )):
+                    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+                    staged.append((tmp, path))
+                    self._write(tmp, np.vstack(([lo, hi, 0], stored, rows)))
         except BaseException:
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)
             raise
         for tmp, path in staged:
             tmp.replace(path)
-
-    def _results(self, curve_name: str, todo):
-        """The rows _compute_segment makes for each [start, hi) of todo, in
-        order: inline for one worker or one segment, else from a pool whose
-        every future is let go once its rows are taken."""
-        if self.workers == 1 or len(todo) <= 1:
-            yield from (_compute_segment(curve_name, start, hi) for _, start, hi, *_ in todo)
-            return
-        # the fork start method forks all max_workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(todo))) as pool:
-            futs = [pool.submit(_compute_segment, curve_name, start, hi) for _, start, hi, *_ in todo]
-            futs.reverse()
-            try:
-                while futs:
-                    yield futs.pop().result()
-            finally:
-                for fut in futs:
-                    fut.cancel()
 
     def _write(self, path: Path, seg: np.ndarray) -> None:
         # a new file, never one another writer has opened

@@ -273,7 +273,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("-v", type=float, default=2.0)
     p.add_argument("--exact-m", action="store_true", dest="exact_m")
     p.set_defaults(fn=cmd_ecm)
-    _config_defaults(p, config)
 
     p = sub.add_parser("split", help="NFS splitting step")
     p.add_argument("q", type=int)
@@ -285,7 +284,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
     p.set_defaults(fn=cmd_split)
-    _config_defaults(p, config)
 
     p = sub.add_parser("alpha", help="constants table")
     g = p.add_mutually_exclusive_group(required=True)
@@ -297,7 +295,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--per-ell", type=int, default=0, dest="per_ell",
                    help="also print theoretical vs observed mean valuations for ell <= this")
     p.set_defaults(fn=cmd_alpha)
-    _config_defaults(p, config)
 
     p = sub.add_parser("census", help="counting experiments")
     p.add_argument("kind", nargs="?", choices=["psi", "psi_e", "gamma_tilde"])
@@ -314,8 +311,9 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--seed", type=int, default=0, help="accepted and ignored: no order depends on a seed")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_census)
-    _config_defaults(p, config)
 
+    for p in sub.choices.values():
+        _config_defaults(p, config)
     return ap
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,14 +53,20 @@ class WeierstrassCurve:
 
     @classmethod
     def from_coeffs(cls, a1: int, a2: int, a3: int, a4: int, a6: int) -> "WeierstrassCurve":
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
+        b2, b4, b6 = cls(a1, a2, a3, a4, a6, 0).b_invariants
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if delta == 0:
             raise UsageError("singular Weierstrass equation (discriminant 0)")
         return cls(a1, a2, a3, a4, a6, abs(delta))
+
+    @cached_property
+    def b_invariants(self) -> tuple[int, int, int]:
+        """(b2, b4, b6), so that (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+        on the curve.  Not a field: eq and hash, on which ecm caches torsion
+        orders, stay those of the coefficients and disc."""
+        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        return a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
 
     def rhs(self, x: int) -> int:
         return x**3 + self.a2 * x * x + self.a4 * x + self.a6
@@ -94,9 +101,7 @@ def naive_count(E: WeierstrassCurve, p: int) -> int:
     # complete the square: (2y + a1 x + a3)^2 = 4 rhs(x) + (a1 x + a3)^2
     # = 4x^3 + b2 x^2 + 2 b4 x + b6, evaluated by Horner mod p, so that no
     # product exceeds p^2 < 2^63
-    b2 = E.a1 * E.a1 + 4 * E.a2
-    b4 = 2 * E.a4 + E.a1 * E.a3
-    b6 = E.a3 * E.a3 + 4 * E.a6
+    b2, b4, b6 = E.b_invariants
     square = np.zeros(p, dtype=bool)  # the nonzero squares mod p
     for lo in range(1, (p + 1) // 2, NAIVE_CHUNK):
         r = np.arange(lo, min(lo + NAIVE_CHUNK, (p + 1) // 2), dtype=np.int64)
@@ -117,9 +122,7 @@ def naive_count(E: WeierstrassCurve, p: int) -> int:
 def short_model(E: WeierstrassCurve, n: int) -> tuple[int, int]:
     """Coefficients (A, B) of the model y^2 = x^3 + Ax + B, isomorphic to E
     over Z/nZ whenever gcd(n, 6) = 1 (see short_point)."""
-    b2 = E.a1 * E.a1 + 4 * E.a2
-    b4 = 2 * E.a4 + E.a1 * E.a3
-    b6 = E.a3 * E.a3 + 4 * E.a6
+    b2, b4, b6 = E.b_invariants
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     return (-27 * c4) % n, (-54 * c6) % n
@@ -130,8 +133,7 @@ def short_point(E: WeierstrassCurve, n: int, P: tuple[int, int]) -> tuple[int, i
     y' = 108(2y + a1 x + a3).  The map is defined over Z[1/6], so it keeps
     every chord and tangent denominator up to a unit mod n when gcd(n, 6) = 1."""
     x, y = P
-    b2 = E.a1 * E.a1 + 4 * E.a2
-    return (36 * x + 3 * b2) % n, 108 * (2 * y + E.a1 * x + E.a3) % n
+    return (36 * x + 3 * E.b_invariants[0]) % n, 108 * (2 * y + E.a1 * x + E.a3) % n
 
 
 def sw_add(n: int, A: int, P, Q):

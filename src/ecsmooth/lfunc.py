@@ -40,17 +40,9 @@ def l_one(K: ImagQuadField) -> float:
     return 2.0 * math.pi / (K.unit_count * math.sqrt(-K.disc))
 
 
-@lru_cache(maxsize=None)
-def _chi_period(K: ImagQuadField) -> np.ndarray:
-    """The field's chi table over one period as int64, made once per field."""
-    table = np.array(K._chi_table, dtype=np.int64)
-    table.setflags(write=False)  # shared by every caller of this cache
-    return table
-
-
 def _chi(K: ImagQuadField, n: np.ndarray) -> np.ndarray:
     """chi(n) elementwise, from the field's table over one period."""
-    return _chi_period(K)[n % -K.disc]
+    return K.chi_period[n % -K.disc]
 
 
 def _block_fsum(term, size: int) -> float:

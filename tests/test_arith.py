@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,8 @@ class TestImagQuadField:
             big = list(range(10**12, 10**12 + 2 * m)) + [2**61 - 1, 10**18 + 9]
             for n in list(range(5 * m)) + big:
                 assert K.chi(n) == arith.kronecker(K.disc, n), (d, n)
+            assert K.chi_period.tolist() == [K.chi(r) for r in range(m)]
+            assert K.chi_period.dtype == np.int64 and not K.chi_period.flags.writeable
 
 
 def _is_4p_solution(sol, p, K):

@@ -2,7 +2,7 @@ import collections
 import hashlib
 import io
 import math
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -972,7 +972,7 @@ class TestOrderCache:
         fake_orders(monkeypatch)
         sizes = []
 
-        class InlinePool:
+        class InlinePool(Executor):
             """Records the pool size and runs each task at once, in process."""
 
             def __init__(self, max_workers):
@@ -996,6 +996,69 @@ class TestOrderCache:
         assert sizes == [2] and ps.tolist() == good_primes(E7, seg + 200)
         cache.table(E7, seg + 400)  # one segment due runs without a pool
         assert sizes == [2]
+
+    @pytest.mark.parametrize("failing, error", [
+        ("segment", AmbiguityError),
+        ("write", OSError),
+        ("write", KeyboardInterrupt),
+    ])
+    def test_failure_cancels_segments_not_started(self, tmp_path, monkeypatch, failing, error):
+        seg = census.CACHE_SEGMENT
+        fake_orders(monkeypatch)
+        cache = census.OrderCache(tmp_path, workers=2)
+        cache.table(E7, 3000)
+        head = census._cache_path(tmp_path, "e7", 0)
+        stored = head.read_bytes()
+        shutdowns = []
+
+        class LazyFuture(Future):
+            """Runs its task in process only when its result is asked for."""
+
+            def __init__(self, task):
+                super().__init__()
+                self.task, self.ran = task, False
+
+            def result(self, timeout=None):
+                if not self.done():
+                    self.ran = True
+                    try:
+                        self.set_result(self.task())
+                    except Exception as exc:
+                        self.set_exception(exc)
+                return super().result(timeout)
+
+        class LazyPool(Executor):
+            """Records at shutdown the futures that neither ran nor were cancelled."""
+
+            def __init__(self, max_workers):
+                self.futures = []
+
+            def submit(self, fn, *args):
+                self.futures.append(LazyFuture(lambda: fn(*args)))
+                return self.futures[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append([f for f in self.futures if not (f.ran or f.cancelled())])
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", LazyPool)
+        if failing == "segment":  # a prime of the second of four segments due
+            p = arith.prime_sieve(seg + 200, seg)[0]
+            fake_orders(monkeypatch, fail_at=p)
+        else:  # the first staged file is written whole, then the write fails
+            write = census.OrderCache._write
+
+            def failing_write(self, path, seg):
+                write(self, path, seg)
+                raise error("staged write failed")
+
+            monkeypatch.setattr(census.OrderCache, "_write", failing_write)
+        calls = spy_segments(monkeypatch)
+        with pytest.raises(error):
+            cache.table(E7, 3 * seg + 200)
+        assert calls == [(3001, seg), (seg, 2 * seg)][: 2 if failing == "segment" else 1]
+        assert shutdowns == [[]]  # one pool, shut down with no future pending
+        assert [f.name for f in tmp_path.iterdir()] == [head.name]
+        assert head.read_bytes() == stored
 
     def test_table_matches_orders(self, tmp_path):
         cache = census.OrderCache(tmp_path)

@@ -126,6 +126,11 @@ class TestWeierstrassCurve:
         assert E8000.has_good_reduction(7)
         assert not E7.has_good_reduction(7)
 
+    def test_b_invariants_leave_eq_and_hash_to_the_fields(self):
+        fresh = WeierstrassCurve(E7.a1, E7.a2, E7.a3, E7.a4, E7.a6, E7.disc)
+        assert E7.b_invariants == (-3, -4, -4)  # 49a: [1, -1, 0, -2, -1]
+        assert E7 == fresh and hash(E7) == hash(fresh) and "b_invariants" not in vars(fresh)
+
 
 class TestGroupLaw:
     def test_identity(self):
