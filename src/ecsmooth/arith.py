@@ -142,13 +142,18 @@ def prime_array(limit: int, start: int = 2) -> np.ndarray:
     [max(start, 2), limit] may hold at most PRIME_LIST_LIMIT integers."""
     if limit < 2:
         raise DomainError(f"prime_sieve needs limit >= 2, got {limit}")
+    check_prime_window(limit, start)
+    return _sieve(limit, start)
+
+
+def check_prime_window(limit: int, start: int = 2) -> None:
+    """prime_array's capacity guards on [max(start, 2), limit], with no sieve."""
     if limit > SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds budget {SIEVE_LIMIT}")
     width = limit - max(start, 2) + 1
     if width > PRIME_LIST_LIMIT:
         raise CapacityError(f"prime list over [{max(start, 2)}, {limit}] spans {width} integers, "
                             f"more than {PRIME_LIST_LIMIT}")
-    return _sieve(limit, start)
 
 
 def _sieve(limit: int, start: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dickman rho numerics, the saddle quantity xi(u), the de Bruijn asymptotic
-main term, and the subexponential scale L_N(alpha, c).
+"""Dickman rho numerics, the saddle quantity xi(u) and the de Bruijn
+asymptotic main term.
 
 rho is tabulated on a uniform grid via the equivalent integral form
 u rho(u) = int_{u-1}^{u} rho(t) dt, which sums positive panels and therefore
@@ -186,12 +186,3 @@ def xi(u: float) -> float:
         raise ArithmeticError(f"xi({u}) did not converge")
     return x
 
-
-def l_subexp(n: int, alpha: float, c: float) -> float:
-    """L_N(alpha, c) = exp(c (log N)^alpha (log log N)^(1-alpha))."""
-    if n < 16:
-        raise DomainError("l_subexp needs N >= 16")
-    if not (0 <= alpha <= 1 and 0 < c < math.inf):  # written so that NaN fails it
-        raise DomainError("l_subexp needs 0 <= alpha <= 1 and 0 < c < inf")
-    ln = math.log(n)
-    return math.exp(c * ln**alpha * math.log(ln) ** (1.0 - alpha))

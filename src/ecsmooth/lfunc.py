@@ -27,7 +27,7 @@ EULER_GAMMA = 0.57721566490153286061
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
 _ELL_GUARD = 10**5
-_TABLE_CELLS = 1 << 13  # entries of every block of terms, and orders of every block of _mean_vals
+_TABLE_CELLS = 1 << 13  # entries of every block of terms, and ells and orders of every block of _Valuations
 
 
 class TruncationWarning(UserWarning):
@@ -40,37 +40,17 @@ def l_one(K: ImagQuadField) -> float:
     return 2.0 * math.pi / (K.unit_count * math.sqrt(-K.disc))
 
 
-def _chi(K: ImagQuadField, n: np.ndarray) -> np.ndarray:
-    """chi(n) elementwise, from the field's table over one period."""
-    return K.chi_period[n % -K.disc]
-
-
-def _block_fsum(term, size: int) -> float:
-    """math.fsum of the terms term(lo, hi) over consecutive blocks [lo, hi)
-    of range(size), each at most _TABLE_CELLS long, so that no temporary
-    grows with size.  Every block's terms go as one list into the one fsum,
-    which rounds the exact sum of all the terms: the result does not depend
-    on the blocking."""
-    blocks = (term(lo, min(lo + _TABLE_CELLS, size)).tolist() for lo in range(0, size, _TABLE_CELLS))
-    return math.fsum(chain.from_iterable(blocks))
-
-
-def _prime_fsum(term, ell_bound: int) -> float:
-    """_block_fsum of term(ell, log ell) over the primes ell <= ell_bound."""
+def _prime_fsum(term, ell_bound: int, *columns: np.ndarray) -> float:
+    """math.fsum of term(ell, log ell, *columns) over the primes ell <=
+    ell_bound and the aligned columns, in blocks of _TABLE_CELLS primes so
+    that no temporary grows with their number.  The one fsum rounds the
+    exact sum of every block's terms: the blocking changes nothing."""
     ells, logs = _primes_and_logs(ell_bound)
-    return _block_fsum(lambda lo, hi: term(ells[lo:hi], logs[lo:hi]), ells.size)
-
-
-def l_one_series(K: ImagQuadField, terms: int = 10**6) -> float:
-    """Cross-check: truncated character sum sum_{n<=terms} chi(n)/n."""
-    if terms < 1:
-        raise UsageError(f"l_one_series needs terms >= 1, got {terms}")
-
-    def term(lo, hi):
-        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        return _chi(K, n) / n
-
-    return _block_fsum(term, terms)
+    blocks = (
+        term(*(a[lo : lo + _TABLE_CELLS] for a in (ells, logs, *columns))).tolist()
+        for lo in range(0, ells.size, _TABLE_CELLS)
+    )
+    return math.fsum(chain.from_iterable(blocks))
 
 
 @lru_cache(maxsize=4)
@@ -104,7 +84,7 @@ def gamma_k(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
     _check_ell_bound(ell_bound)
 
     def term(ell, lg):
-        c = _chi(K, ell)
+        c = K.chi_period[ell % -K.disc]
         t = c / (ell - 1) + np.where(c == -1, 2.0 / (ell * ell - 1), 0.0)
         return lg * t
 
@@ -128,7 +108,7 @@ def sigma_k(
     _check_ell_bound(ell_bound)
 
     def term(ell, lg):
-        c = _chi(K, ell)
+        c = K.chi_period[ell % -K.disc]
         sq = (ell - 1) * (ell - 1)
         t = np.where(all_primes | (c == 1), (3 + c) / sq, 0.0)
         l2 = ell * ell - 1
@@ -137,11 +117,6 @@ def sigma_k(
         return lg * t
 
     return _prime_fsum(term, ell_bound)
-
-
-def alpha_cm(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
-    """alpha(E) = gamma_K - Sigma_K at a common truncation."""
-    return gamma_k(K, ell_bound) - sigma_k(K, ell_bound)
 
 
 def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
@@ -159,14 +134,14 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
     return val4 / 4.0
 
 
-def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """The mean of val_ell(n) over the orders n >= 1, for each prime ell,
-    from census's division pass over blocks of at most _TABLE_CELLS orders
-    by the primes below min(max ell + 1, isqrt(max n) + 1).  sum_n
-    val_ell(n) is ell's divisions plus the number of parts m equal to ell:
-    a divided ell counts while n is in the working set, and an n that left
-    as the prime ell is m = ell; an ell above isqrt(max n) divides n at most
-    once, and only when m = ell.  No temporary grows with the number of
+def _val_totals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """sum_n val_ell(n), int64, over the orders n >= 1 for each prime ell of
+    ells, from census's division pass over blocks of at most
+    _TABLE_CELLS orders by the primes below min(max ell + 1, isqrt(max n) +
+    1).  sum_n val_ell(n) is ell's divisions plus the number of parts m equal
+    to ell: a divided ell counts while n is in the working set, and an n that
+    left as the prime ell is m = ell; an ell above isqrt(max n) divides n at
+    most once, and only when m = ell.  No temporary grows with the number of
     orders; the counts, one per integer in [min ell, max ell], grow with the
     span of the ells."""
     top = int(ells.max(initial=1))
@@ -180,32 +155,52 @@ def _mean_vals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
         total[at] += divisions[first:]
         m = left - left.dtype.type(base)  # an m below base wraps past top - base
         total += np.bincount(m[m <= top - base].astype(np.intp), minlength=top + 1 - base)
-    return total[ells - base] / orders.size
+    return total[ells - base]
 
 
-def alpha_empirical(E: CatalogCurve, orders, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:
+class _Valuations:
+    """sum_n val_ell(n) for each prime ell of ells over the orders n >= 1 of
+    a stream of segments, with their count and the largest.  _val_totals
+    takes the orders in the blocks of one array, carried across segments, so
+    the means totals / count do not depend on the segments."""
+
+    def __init__(self, ells: np.ndarray):
+        self.ells, self.totals = ells, np.zeros(ells.size, dtype=np.int64)
+        self.count = self.largest = 0
+        self.carried = np.zeros(0, dtype=np.int64)
+
+    def add(self, orders: np.ndarray, last: bool = False) -> None:
+        if orders.min(initial=1) < 1:
+            raise DomainError(f"alpha-tilde needs orders >= 1, got {orders.min()}")
+        self.count += orders.size
+        self.largest = max(self.largest, int(orders.max(initial=0)))
+        orders = np.concatenate([self.carried, orders])
+        whole = orders.size if last else orders.size - orders.size % _TABLE_CELLS
+        for lo in range(0, self.ells.size if whole else 0, _TABLE_CELLS):
+            self.totals[lo : lo + _TABLE_CELLS] += _val_totals(orders[:whole], self.ells[lo : lo + _TABLE_CELLS])
+        self.carried = orders[whole:].copy()
+
+    def means(self) -> np.ndarray:
+        self.add(self.carried[:0], last=True)
+        return self.totals / self.count
+
+
+def alpha_empirical(E: CatalogCurve, segments, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:
     """alpha-tilde: replace the expectation in the per-prime terms by the
-    average valuation of the given orders |E(F_p)|, one per good prime p.
+    average valuation of the orders |E(F_p)|, one per good prime p, of a
+    stream of aligned int64 (primes, orders, pplus) segments, read once.
     CM curves use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1))
     log l; the sign convention matches the frozen reference column (less
     negative = larger observed valuations = more ECM-friendly)."""
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
-    orders = np.asarray(orders, dtype=np.int64)
-    if not orders.size:
+    vals = _Valuations(_primes_and_logs(ell_bound)[0])
+    for _, orders, _ in segments:
+        vals.add(orders)
+    if not vals.count:
         raise DomainError("alpha-tilde needs at least one order")
-    if orders.min() < 1:
-        raise DomainError(f"alpha-tilde needs orders >= 1, got {orders.min()}")
-
-    def term(ell, lg):
-        avg = _mean_vals(orders, ell)
-        if E.cm_field is not None:
-            t = 4.0 * avg - 3.0 / (ell - 1)
-        else:
-            t = avg - 1.0 / (ell - 1)
-        return t * lg
-
-    return _prime_fsum(term, ell_bound)
+    w, c = (4.0, 3.0) if E.cm_field is not None else (1.0, 1.0)
+    return _prime_fsum(lambda ell, lg, avg: (w * avg - c / (ell - 1)) * lg, ell_bound, vals.means())
 
 
 def w_noncm(d: int, m_guard: int = 1) -> float:
@@ -253,26 +248,33 @@ def alpha_report(
     """The table column of a CM curve, with alpha-tilde over the good primes
     p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
     prime ell <= per_ell_limit, the theoretical and the observed mean
-    valuation.  The orders are computed once, for alpha-tilde and per_ell
-    alike.  Warns with TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the
-    largest order: every ell above it divides no order and adds only its
-    -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
+    valuation.  The orders are made one census.CACHE_SEGMENT at a time, once
+    for both, after p_bound passes prime_array's guards.  Warns with
+    TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the largest order:
+    every ell above it divides no order and adds only its -3 log ell/(ell -
+    1), so alpha-tilde measures the truncation."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
-    orders = census.order_table(E, 0, p_bound + 1)[1]
-    at = alpha_empirical(E, orders)
-    if EMPIRICAL_ELL_BOUND > orders.max():
+    arith.check_prime_window(p_bound)
+    per = _Valuations(np.array(arith.primes_below(per_ell_limit + 1), dtype=np.int64))
+
+    def segments():
+        for lo in range(0, p_bound + 1, census.CACHE_SEGMENT):
+            seg = census.order_table(E, lo, min(lo + census.CACHE_SEGMENT, p_bound + 1))
+            per.add(seg[1])
+            yield seg
+
+    at = alpha_empirical(E, segments())
+    if EMPIRICAL_ELL_BOUND > per.largest:
         warnings.warn(
-            f"alpha-tilde sums ell <= {EMPIRICAL_ELL_BOUND} over orders <= {orders.max()} (p_bound={p_bound})",
+            f"alpha-tilde sums ell <= {EMPIRICAL_ELL_BOUND} over orders <= {per.largest} (p_bound={p_bound})",
             TruncationWarning,
             stacklevel=2,
         )
-    ells = arith.primes_below(per_ell_limit + 1)
-    means = _mean_vals(orders, np.array(ells, dtype=np.int64)).tolist()
-    per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(ells, means)]
+    per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(per.ells.tolist(), per.means().tolist())]
     return AlphaReport(
         field_d=K.d,
         gamma_k=g,

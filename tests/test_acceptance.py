@@ -132,8 +132,8 @@ def test_criterion_2_alpha_tilde_consistency(capsys):
     results = []
     for name, ref_at in (("e7", -3.073), ("e11", -3.019)):
         cat = ecm.catalog_curve(name)
-        at = lfunc.alpha_empirical(cat, census.order_table(cat, 0, 1001)[1])  # ell <= 10^4, p <= 10^3
-        a = lfunc.alpha_cm(cat.cm_field)
+        at = lfunc.alpha_empirical(cat, [census.order_table(cat, 0, 1001)])  # ell <= 10^4, p <= 10^3
+        a = lfunc.gamma_k(cat.cm_field) - lfunc.sigma_k(cat.cm_field)
         results.append((name, at, ref_at, abs(at - a)))
     ok = all(abs(at - ref) <= 0.3 and diff <= 3.0 for _, at, ref, diff in results)
     detail = "; ".join(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsmooth import arith
-from ecsmooth.errors import DomainError, UsageError
+from ecsmooth.errors import CapacityError, DomainError, UsageError
 
 
 class TestInverseOrDivisor:
@@ -82,6 +82,18 @@ class TestPrimes:
 
     def test_primes_below_strict(self):
         assert arith.primes_below(7) == [2, 3, 5]
+
+    def test_check_prime_window_is_the_guard_of_prime_array(self, monkeypatch):
+        # the guards alone, with no sieving: a window of PRIME_LIST_LIMIT
+        # integers passes, one more does not, and SIEVE_LIMIT is checked first
+        monkeypatch.setattr(arith, "_sieve", lambda limit, start: pytest.fail("sieved"))
+        arith.check_prime_window(arith.PRIME_LIST_LIMIT + 1)
+        for call in (arith.check_prime_window, arith.prime_array):
+            with pytest.raises(CapacityError, match=r"^prime list over \[2, 100000002\] spans 100000001 integers, "
+                                                    r"more than 100000000$"):
+                call(arith.PRIME_LIST_LIMIT + 2)
+            with pytest.raises(CapacityError, match=f"^sieve limit {arith.SIEVE_LIMIT + 1} exceeds budget"):
+                call(arith.SIEVE_LIMIT + 1, 0)
 
     def test_is_prime_known(self):
         for p in (2, 3, 5, 2**31 - 1, 10**9 + 7):

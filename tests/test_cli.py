@@ -189,6 +189,17 @@ class TestPrimeListGuard:
         assert err.startswith("budget exceeded: prime list over") and "Traceback" not in err
         assert "more than 100000000" in err
 
+    def test_p_bound_edge_refused_before_any_order(self, capsys, monkeypatch):
+        # the least --p-bound whose window [2, p_bound] passes PRIME_LIST_LIMIT:
+        # refused although the orders would come one segment at a time
+        def refuse(*args):
+            raise AssertionError(f"order computed: {args}")
+
+        monkeypatch.setattr(cmcount, "order", refuse)
+        code, out, err = run(["alpha", "-d", "7", "--p-bound", str(arith.PRIME_LIST_LIMIT + 2)], capsys)
+        assert code == cli.EXIT_BUDGET and out == ""
+        assert err.startswith("budget exceeded: prime list over [2, 100000002] spans 100000001 integers")
+
 
 def sieve_spy(monkeypatch, top):
     """Make arith._sieve fail on any limit above top."""

@@ -108,7 +108,6 @@ class TestRho:
         dickman.rho_debruijn,
         # infinity fails the same checks as NaN
         pytest.param(lambda nan: dickman.xi(math.inf), id="xi_inf"),
-        pytest.param(lambda nan: dickman.l_subexp(100, 0.5, nan), id="l_subexp_c"),
     ],
 )
 def test_nan_is_a_domain_error(fn):
@@ -178,18 +177,3 @@ class TestXi:
         with pytest.raises(DomainError):
             dickman.xi(1.0)
 
-
-class TestLSubexp:
-    def test_alpha_one(self):
-        assert dickman.l_subexp(1000, 1.0, 2.0) == pytest.approx(1000.0**2)
-
-    def test_alpha_zero(self):
-        assert dickman.l_subexp(1000, 0.0, 3.0) == pytest.approx(math.log(1000) ** 3)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            dickman.l_subexp(8, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            dickman.l_subexp(1000, 1.5, 1.0)
-        with pytest.raises(DomainError):
-            dickman.l_subexp(1000, 0.5, -1.0)

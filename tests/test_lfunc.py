@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsmooth import arith, census, curve, ecm, lfunc
+from ecsmooth import arith, census, cmcount, curve, ecm, lfunc
 from ecsmooth.errors import DomainError, UsageError
 
 from conftest import traced_peak
@@ -61,7 +61,8 @@ def alpha_empirical_loop(E, orders, ell_bound):
 
 
 def l_one_series_loop(K, terms):
-    """The scalar reference for lfunc.l_one_series."""
+    """The truncated character sum sum_{n<=terms} chi(n)/n, the cross-check
+    of lfunc.l_one."""
     return math.fsum(K.chi(n) / n for n in range(1, terms + 1))
 
 
@@ -74,12 +75,7 @@ class TestLOne:
     def test_series_agrees(self):
         for d in (1, 7, 163):
             K = arith.field_for(d)
-            assert lfunc.l_one_series(K, 10**5) == pytest.approx(lfunc.l_one(K), abs=2e-3)
-
-    @pytest.mark.parametrize("terms", [0, -3])
-    def test_series_needs_a_term(self, terms):
-        with pytest.raises(UsageError, match=f"got {terms}"):
-            lfunc.l_one_series(arith.field_for(7), terms)
+            assert l_one_series_loop(K, 10**5) == pytest.approx(lfunc.l_one(K), abs=2e-3)
 
 
 class TestGammaSigma:
@@ -95,11 +91,15 @@ class TestGammaSigma:
         assert lfunc.sigma_k(arith.field_for(163)) == pytest.approx(1.594, abs=0.01)
 
     def test_alpha_reference(self):
-        assert lfunc.alpha_cm(arith.field_for(7)) == pytest.approx(-3.924, abs=0.01)
-        assert lfunc.alpha_cm(arith.field_for(1)) == pytest.approx(-2.268, abs=0.01)
+        def alpha(d):
+            K = arith.field_for(d)
+            return lfunc.gamma_k(K) - lfunc.sigma_k(K)
+
+        assert alpha(7) == pytest.approx(-3.924, abs=0.01)
+        assert alpha(1) == pytest.approx(-2.268, abs=0.01)
         # the reference alpha row prints 0.585 for d=163 but its own
         # gamma - sigma rows give 0.577; tolerance bridges the 3-decimal gap
-        assert lfunc.alpha_cm(arith.field_for(163)) == pytest.approx(0.585, abs=0.01)
+        assert alpha(163) == pytest.approx(0.585, abs=0.01)
 
     def test_truncation_warning(self):
         with pytest.warns(lfunc.TruncationWarning):
@@ -148,12 +148,13 @@ class TestBlockEdges:
             assert lfunc.gamma_k(K, L) == gamma_k_loop(K, L)
             for all_primes in (False, True):
                 assert lfunc.sigma_k(K, L, all_primes) == sigma_k_loop(K, L, all_primes)
-        assert lfunc.l_one_series(K, L) == l_one_series_loop(K, L)
 
     @pytest.mark.parametrize("E", CATALOG, ids=lambda c: c.name)
     def test_alpha_empirical(self, E):
-        orders = census.order_table(E, 0, 100)[1].tolist()
-        assert lfunc.alpha_empirical(E, orders, 10**4) == alpha_empirical_loop(E, orders, 10**4)
+        # blocks of 7 ells and 7 orders, in segments of 25 integers
+        segments = [census.order_table(E, lo, lo + 25) for lo in range(0, 100, 25)]
+        orders = np.concatenate([orders for _, orders, _ in segments]).tolist()
+        assert lfunc.alpha_empirical(E, segments, 10**4) == alpha_empirical_loop(E, orders, 10**4)
 
 
 class TestMemory:
@@ -179,7 +180,7 @@ class TestMemory:
         orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
         ells = lfunc._primes_and_logs(10**4)[0]
         assert orders.size == 10**4 and ells.size == 1229
-        _, peak = traced_peak(lambda: lfunc._mean_vals(orders, ells))
+        _, peak = traced_peak(lambda: lfunc._val_totals(orders, ells))
         assert peak < 2**20, peak
 
     def test_mean_vals_counts_only_the_span_of_the_ells(self):
@@ -187,15 +188,9 @@ class TestMemory:
         # 0.4 MB here, where [0, max ell] would take 1.6 MB
         orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
         ells = np.array(arith.prime_sieve(2 * 10**5, 15 * 10**4), np.int64)
-        means, peak = traced_peak(lambda: lfunc._mean_vals(orders, ells))
+        totals, peak = traced_peak(lambda: lfunc._val_totals(orders, ells))
         # ell^2 > n: val_ell(n) is 1 or 0
-        assert means.tolist() == [np.count_nonzero(orders % ell == 0) / orders.size for ell in ells.tolist()]
-        assert peak < 2**20, peak
-
-    def test_l_one_series(self):
-        K = arith.field_for(7)
-        value, peak = traced_peak(lambda: lfunc.l_one_series(K, 10**6))
-        assert value == pytest.approx(lfunc.l_one(K), abs=1e-3)
+        assert totals.tolist() == [np.count_nonzero(orders % ell == 0) for ell in ells.tolist()]
         assert peak < 2**20, peak
 
 
@@ -241,6 +236,12 @@ class TestExpectedValuation:
             lfunc.expected_valuation_cm(arith.field_for(7), 4)
 
 
+def orders_only(orders):
+    """One segment whose orders column is orders: alpha_empirical reads no
+    other column."""
+    return [(None, np.array(orders, np.int64), None)]
+
+
 class TestAlphaEmpirical:
     def test_order_fn_injection(self):
         cat = ecm.catalog_curve("e7")
@@ -249,19 +250,47 @@ class TestAlphaEmpirical:
             for p in arith.prime_sieve(500)
             if cat.curve.has_good_reduction(p)
         ]
-        a = lfunc.alpha_empirical(cat, orders, ell_bound=100)
-        b = lfunc.alpha_empirical(cat, census.order_table(cat, 0, 501)[1], ell_bound=100)
+        a = lfunc.alpha_empirical(cat, orders_only(orders), ell_bound=100)
+        b = lfunc.alpha_empirical(cat, [census.order_table(cat, 0, 501)], ell_bound=100)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
-            lfunc.alpha_empirical(ecm.catalog_curve("e7"), [8], ell_bound=1)
+            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders_only([8]), ell_bound=1)
 
     @pytest.mark.parametrize("orders", [[12, 0], [12, -8]], ids=["zero", "negative"])
     def test_order_below_one_rejected(self, orders):
         # an order of 0 is divisible by every ell forever
         with pytest.raises(DomainError, match=f"got {orders[1]}"):
-            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders, ell_bound=100)
+            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders_only(orders), ell_bound=100)
+
+    def test_empty_segments_add_nothing(self):
+        e7 = ecm.catalog_curve("e7")
+        seg, empty = census.order_table(e7, 0, 1000), census.order_table(e7, 24, 29)
+        assert empty[1].size == 0
+        assert lfunc.alpha_empirical(e7, [empty, seg, empty]) == lfunc.alpha_empirical(e7, [seg])
+        with pytest.raises(DomainError, match="at least one order"):
+            lfunc.alpha_empirical(e7, [empty, empty])
+
+    def test_stream_divides_the_blocks_of_one_array(self, monkeypatch):
+        # a stream's orders reach _val_totals in whole blocks of _TABLE_CELLS,
+        # carried across segments, and only the last block is short
+        calls, val_totals = [], lfunc._val_totals
+
+        def spy(orders, ells):
+            calls.append(orders.size)
+            return val_totals(orders, ells)
+
+        monkeypatch.setattr(lfunc, "_val_totals", spy)
+        e7 = ecm.catalog_curve("e7")
+        segments = [census.order_table(e7, lo, lo + 1000) for lo in range(0, 10**4, 1000)]
+        whole = [census.order_table(e7, 0, 10**4)]
+        n = whole[0][1].size
+        monkeypatch.setattr(lfunc, "_TABLE_CELLS", 100)
+        streamed = lfunc.alpha_empirical(e7, segments, ell_bound=50)
+        assert sum(calls) == n and all(size % 100 == 0 for size in calls[:-1]), calls
+        assert calls[-1] == n % 100
+        assert streamed == lfunc.alpha_empirical(e7, whole, ell_bound=50)
 
 
 class TestMeanVals:
@@ -278,19 +307,17 @@ class TestMeanVals:
     )
     def test_against_repeated_division(self, orders, ells, small):
         for orders, ells in ((orders, ells), small):
-            got = lfunc._mean_vals(np.array(orders, np.int64), np.array(ells, np.int64))
-            want = [math.fsum(val(n, ell) for n in orders) / len(orders) for ell in ells]
-            assert got.tolist() == want
+            got = lfunc._val_totals(np.array(orders, np.int64), np.array(ells, np.int64))
+            assert got.tolist() == [sum(val(n, ell) for n in orders) for ell in ells]
 
     def test_blocks(self, monkeypatch):
-        # a table of more than _TABLE_CELLS entries is split into tiles: blocks
-        # of 7 orders by one ell, or of all 299 orders by 2 or 3 ells
+        # the 299 orders in blocks of 7, or in one block
         orders = np.arange(1, 300, dtype=np.int64)
         ells = np.array(arith.prime_sieve(50), np.int64)
-        whole = lfunc._mean_vals(orders, ells)
+        whole = lfunc._val_totals(orders, ells)
         for cells in (7, 2 * orders.size, 1000):
             monkeypatch.setattr(lfunc, "_TABLE_CELLS", cells)
-            assert lfunc._mean_vals(orders, ells).tolist() == whole.tolist(), cells
+            assert lfunc._val_totals(orders, ells).tolist() == whole.tolist(), cells
 
 
 class TestWNonCm:
@@ -330,3 +357,50 @@ class TestAlphaReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lfunc.alpha_report(e7, ell_bound=10**5, p_bound=2 * 10**4)
+
+    def test_segments_equal_the_whole_table(self, monkeypatch):
+        # p <= 5000 in one segment, then in five of 2^10 integers: the
+        # valuation totals are exact integers, divided once, so every value is
+        # the same float
+        e7, table = ecm.catalog_curve("e7"), census.order_table
+
+        def report():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", lfunc.TruncationWarning)
+                return lfunc.alpha_report(e7, ell_bound=10**5, p_bound=5000, per_ell_limit=50)
+
+        whole = report()
+        orders = table(e7, 0, 5001)[1].tolist()
+        assert whole.alpha_tilde == lfunc.alpha_empirical(e7, [table(e7, 0, 5001)])
+        assert [m for _, _, m in whole.per_ell] == [
+            sum(val(n, ell) for n in orders) / len(orders) for ell in arith.prime_sieve(50)
+        ]
+        spans = []
+        monkeypatch.setattr(census, "CACHE_SEGMENT", 2**10)
+        monkeypatch.setattr(census, "order_table", lambda E, lo, hi: spans.append((lo, hi)) or table(E, lo, hi))
+        streamed = report()
+        assert spans == [(lo, min(lo + 2**10, 5001)) for lo in range(0, 5001, 2**10)]
+        assert streamed.alpha_tilde == whole.alpha_tilde
+        assert streamed.per_ell == whole.per_ell
+        segments = [table(e7, lo, hi) for lo, hi in spans]
+        assert lfunc.alpha_empirical(e7, iter(segments)) == lfunc.alpha_empirical(e7, segments) == whole.alpha_tilde
+
+    def test_memory_does_not_grow_with_p_bound(self, monkeypatch):
+        # one segment of orders at a time: the peak over 8 segments stays
+        # within one segment's bytes of the peak over 2, which already hold
+        # more than one block of _TABLE_CELLS orders.  |E(F_p)| := p + 1
+        # keeps it cheap; the division passes are the real ones.
+        monkeypatch.setattr(cmcount, "order", lambda cat, p: p + 1)
+        seg, e7 = census.CACHE_SEGMENT, ecm.catalog_curve("e7")
+
+        def peak(segments):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", lfunc.TruncationWarning)
+                report = lambda: lfunc.alpha_report(e7, ell_bound=10**5, p_bound=segments * seg - 1, per_ell_limit=50)
+                return traced_peak(report)[1]
+
+        peak(2)  # the (primes, logs) pair that gamma_k and sigma_k cache
+        one = sum(a.nbytes for a in census.order_table(e7, 0, seg))
+        assert one // 24 > lfunc._TABLE_CELLS
+        two, eight = peak(2), peak(8)
+        assert eight <= two + one, (two, eight, one)
