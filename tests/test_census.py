@@ -2,6 +2,7 @@ import collections
 import hashlib
 import io
 import math
+import warnings
 from concurrent.futures import Executor, Future
 
 import numpy as np
@@ -342,6 +343,20 @@ class TestDivideOut:
         # a bound y above 2^31 compares as an integer, not wrapped to int32
         assert (rem < 2**31 + 11).all() and not (rem >= 2**32 + 5).any()
 
+    def test_wrapping_multiply_warns_nothing(self):
+        # the products by p^-1 wrap mod 2^32 at every multiple of an odd p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in [(1, 5000), (2**31 - 5000, 2**31)]:
+                rem = census._divide_out(lo, hi, arith.primes_below(200))
+                assert rem.dtype == np.int32
+                assert rem.tolist() == [divided_out(n, arith.primes_below(200)) for n in range(lo, hi)]
+
+    @pytest.mark.parametrize("y, psi", [(2, 1), (3, 24), (100, 269_882), (10**4, 4_699_661)])
+    def test_psi_at_ten_million(self, y, psi):
+        # values of the strided floor division that the exact division replaced
+        assert census.psi_exact(10**7, y) == psi
+
 
 class TestPsiCounts:
     SEG = census.PSI_SEGMENT  # psi_counts' segment length
@@ -362,6 +377,15 @@ class TestPsiCounts:
     def test_one_pass_equals_per_checkpoint(self):
         cps = [self.SEG + 2, 16, self.SEG, 16]  # any order, repeats allowed
         assert census.psi_counts(cps, 50) == [census.psi_exact(c, 50) for c in cps]
+
+    @pytest.mark.parametrize("y", [2, 30])
+    def test_many_checkpoints_per_window(self, monkeypatch, y):
+        # 10^4 checkpoints in any order, most of them repeated, in windows
+        # of 64 integers: each equals its own psi_exact pass
+        monkeypatch.setattr(census, "PSI_SEGMENT", 64)
+        cps = np.random.default_rng(32).integers(1, 1001, 10**4).tolist()
+        want = {c: census.psi_exact(c, y) for c in set(cps)}
+        assert census.psi_counts(cps, y) == [want[c] for c in cps]
 
     def test_y_above_every_checkpoint(self):
         assert census.psi_counts([5, 100], 101) == [5, 100]

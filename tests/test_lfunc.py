@@ -194,6 +194,73 @@ class TestMemory:
         assert peak < 2**20, peak
 
 
+def split(xs, cuts):
+    """xs as float64 blocks, cut at the given positions (any order, repeats
+    give empty blocks)."""
+    return np.split(np.array(xs, dtype=np.float64), sorted(c % (len(xs) + 1) for c in cuts))
+
+
+# every finite double from the smallest subnormal up to 2^1000, either sign
+FLOATS = st.floats(min_value=-(2.0**1000), max_value=2.0**1000, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def cancelling_terms(draw):
+    """Terms whose sum cancels heavily: each of some drawn terms comes back
+    negated, in a shuffled order, among smaller ones."""
+    xs = draw(st.lists(FLOATS, max_size=40))
+    back = draw(st.lists(st.sampled_from(xs), max_size=len(xs))) if xs else []
+    return draw(st.permutations(xs + [-x for x in back]))
+
+
+class TestExactSum:
+    """_exact_sum equals math.fsum bit for bit: both round the exact sum
+    once, half to even."""
+
+    @staticmethod
+    def same(a, b):
+        return a.hex() == b.hex()  # tells 0.0 from -0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(FLOATS, max_size=60), cancelling_terms()), st.lists(st.integers(0, 100), max_size=6))
+    def test_equals_fsum(self, xs, cuts):
+        assert self.same(lfunc._exact_sum(split(xs, cuts)), math.fsum(xs)), xs
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [],
+            [-0.0],
+            [0.0, -0.0],
+            [-0.0, -0.0],
+            [5e-324],
+            [-5e-324, 5e-324, -5e-324],
+            [2.0**1000, 1.0, -(2.0**1000)],
+            [1.0, 2.0**-53],  # a tie, to the even 1.0
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie, to the even 1 + 2^-51
+            [1.0, 2.0**-53, 2.0**-1074],  # just above the tie
+            [0.1] * 10 + [-1.0],
+            [1e308, -1e308, 1e308, 1e-300],
+            [2.0**-1022, -(2.0**-1074)],  # a normal minus a subnormal
+            [-1.5],
+        ],
+    )
+    def test_edges(self, xs):
+        for cuts in ([], [0], [1, 1, 2]):
+            assert self.same(lfunc._exact_sum(split(xs, cuts)), math.fsum(xs)), (xs, cuts)
+
+    def test_bucket_sums_exact_below_the_limit(self):
+        # a bucket adds halves below 2^27, so _EXACT_TERMS of them stay below
+        # 2^53, where every float64 is an integer; every prime sum has fewer
+        # terms: pi(x) < 1.25506 x / log x (Rosser & Schoenfeld, 1962)
+        assert lfunc._EXACT_TERMS << 27 <= 1 << 53
+        top = arith.PRIME_LIST_LIMIT
+        assert 1.25506 * top / math.log(top) < lfunc._EXACT_TERMS
+        # 2^20 terms with the largest mantissa, in one exponent bucket
+        n, x = 1 << 20, 1.0 - 2.0**-53
+        assert lfunc._exact_sum([np.full(n, x)]) == n * x == math.fsum([x] * n)
+
+
 class TestRearrangementIdentity:
     def test_exact_identity(self):
         # sum_l (3/(l-1) - 4 E[val_l]) log l == gamma_K - Sigma_K(all primes),
