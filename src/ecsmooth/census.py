@@ -183,8 +183,8 @@ def _friable_windows(x: int, y: int):
 def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     """Exact Psi(c, y) = #{n <= c : P+(n) < y} at each checkpoint c, from one
     pass over the friable windows of [1, max(checkpoints)]: each window's
-    count added to a running total, and every sorted checkpoint inside the
-    window read off by one searchsorted over its friable positions."""
+    count added to a running total and read off at every checkpoint inside
+    the window."""
     if not checkpoints:
         return []
     x = max(checkpoints)
@@ -196,16 +196,15 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
         raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
     if y > x:
         return list(checkpoints)
-    todo = np.array(sorted(set(checkpoints)), dtype=np.int64)
-    counts = np.empty(todo.size, np.int64)
-    total = done = 0
+    todo = sorted(set(checkpoints), reverse=True)  # the next checkpoint last
+    counts: dict[int, int] = {}
+    total = 0
     for lo, friable in _friable_windows(x, y):
-        end = int(np.searchsorted(todo, lo + len(friable)))
-        if end > done:
-            counts[done:end] = total + np.searchsorted(np.flatnonzero(friable), todo[done:end] - lo, side="right")
-            done = end
+        while todo and todo[-1] < lo + len(friable):
+            c = todo.pop()
+            counts[c] = total + int(np.count_nonzero(friable[: c + 1 - lo]))
         total += int(np.count_nonzero(friable))
-    return counts[np.searchsorted(todo, checkpoints)].tolist()
+    return [counts[c] for c in checkpoints]
 
 
 def psi_exact(x: int, y: int) -> int:

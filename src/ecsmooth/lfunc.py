@@ -52,10 +52,6 @@ def _prime_fsum(term, ell_bound: int, *columns: np.ndarray) -> float:
     )
 
 
-_BUCKETS = 2098  # np.frexp's exponents of the finite doubles: -1073 ... 1024
-_EXACT_TERMS = 1 << 26  # terms per sum below which every bucket sum is exact
-
-
 def _exact_sum(blocks) -> float:
     """The correctly rounded (half to even) sum of the finite float64 terms
     of a stream of arrays, equal to math.fsum of them whenever that returns,
@@ -63,12 +59,12 @@ def _exact_sum(blocks) -> float:
     small and large superaccumulators", 2015).  np.frexp writes each term as
     m 2^(e - 53) with an integer |m| < 2^53; the high and low 27-bit halves
     of m are added per exponent e by np.bincount.  Each half is below 2^27
-    in size, so a float64 bucket stays an exact integer while there are at
-    most _EXACT_TERMS = 2^26 terms: pi(arith.PRIME_LIST_LIMIT) is 5.76e6.
-    The buckets are then folded into one Python int, and CPython's int / int
-    rounds the quotient correctly.  A zero sum gives +0.0, as math.fsum
-    does.  Each block is scratch space: its terms are overwritten."""
-    high, low = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
+    in size, so a float64 bucket stays an exact integer for blocks of up to
+    2^26 terms (_prime_fsum's have _TABLE_CELLS).  Every block's buckets are
+    folded into one Python int, and CPython's int / int rounds the quotient
+    correctly.  A zero sum gives +0.0, as math.fsum does.  Each block is
+    scratch space: its terms are overwritten."""
+    total = 0
     for terms in blocks:
         m, e = np.frexp(terms, out=(terms, None))  # 0.5 <= |m| < 1, or m = 0
         e += 1073
@@ -76,12 +72,11 @@ def _exact_sum(blocks) -> float:
         h = np.floor(m)
         m -= h  # exact: the fraction of m, in [0, 1)
         m *= 2.0**27
-        high += np.bincount(e, h, _BUCKETS)
-        low += np.bincount(e, m, _BUCKETS)
-    total = sum(
-        ((int(high[k]) << 27) + int(low[k])) << k
-        for k in np.flatnonzero((high != 0) | (low != 0)).tolist()
-    )
+        high, low = np.bincount(e, h), np.bincount(e, m)
+        total += sum(
+            ((int(high[k]) << 27) + int(low[k])) << k
+            for k in np.flatnonzero((high != 0) | (low != 0)).tolist()
+        )
     return total / (1 << 1126)
 
 
@@ -117,10 +112,7 @@ def gamma_k(K: ImagQuadField, ell_bound: int = DEFAULT_ELL_BOUND) -> float:
 
     def term(ell, lg):
         c = K.chi_period[ell % -K.disc]
-        t = c / (ell - 1)
-        inert = np.flatnonzero(c == -1)
-        e = ell[inert]
-        t[inert] += 2.0 / (e * e - 1)
+        t = c / (ell - 1) + np.where(c == -1, 2.0 / (ell * ell - 1), 0.0)
         return lg * t
 
     return -_prime_fsum(term, ell_bound)
@@ -145,14 +137,10 @@ def sigma_k(
     def term(ell, lg):
         c = K.chi_period[ell % -K.disc]
         sq = (ell - 1) * (ell - 1)
-        t = (3 + c) / sq
-        if not all_primes:
-            t[c != 1] = 0.0
-        inert, ramified = np.flatnonzero(c == -1), np.flatnonzero(c == 0)
-        e = ell[inert]
-        l2 = e * e - 1
-        t[inert] += (2.0 / l2) * (-1.0 + 2.0 * e * e / l2)
-        t[ramified] += ell[ramified] / sq[ramified]
+        t = np.where(all_primes | (c == 1), (3 + c) / sq, 0.0)
+        l2 = ell * ell - 1
+        inert = (2.0 / l2) * (-1.0 + 2.0 * ell * ell / l2)
+        t += np.select([c == -1, c == 0], [inert, ell / sq], 0.0)
         return lg * t
 
     return _prime_fsum(term, ell_bound)

@@ -249,16 +249,13 @@ class TestExactSum:
         for cuts in ([], [0], [1, 1, 2]):
             assert self.same(lfunc._exact_sum(split(xs, cuts)), math.fsum(xs)), (xs, cuts)
 
-    def test_bucket_sums_exact_below_the_limit(self):
-        # a bucket adds halves below 2^27, so _EXACT_TERMS of them stay below
-        # 2^53, where every float64 is an integer; every prime sum has fewer
-        # terms: pi(x) < 1.25506 x / log x (Rosser & Schoenfeld, 1962)
-        assert lfunc._EXACT_TERMS << 27 <= 1 << 53
-        top = arith.PRIME_LIST_LIMIT
-        assert 1.25506 * top / math.log(top) < lfunc._EXACT_TERMS
-        # 2^20 terms with the largest mantissa, in one exponent bucket
+    def test_full_mantissas_in_one_bucket(self):
+        # halves just below 2^27 pile up in one exponent bucket: 2^20 of them
+        # in one block, and in blocks of _TABLE_CELLS, folded one by one
         n, x = 1 << 20, 1.0 - 2.0**-53
         assert lfunc._exact_sum([np.full(n, x)]) == n * x == math.fsum([x] * n)
+        blocks = (np.full(lfunc._TABLE_CELLS, x) for _ in range(n // lfunc._TABLE_CELLS))
+        assert lfunc._exact_sum(blocks) == n * x
 
 
 class TestRearrangementIdentity:
