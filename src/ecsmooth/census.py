@@ -212,11 +212,29 @@ def psi_exact(x: int, y: int) -> int:
     return psi_counts([x], y)[0]
 
 
-def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aligned int64 arrays of the good primes p in [lo, hi), their orders
-    |E(F_p)| and the largest prime factors P+(|E(F_p)|): one cmcount.order
-    call per prime, then one largest_prime_factor call on the orders.  An
-    order that fails names the curve, the range and the prime."""
+def valuation_totals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """sum_n val_ell(n), int64, over the orders n >= 1 for each prime ell of
+    ells (any order, repeats allowed), from one _largest_factor_left pass by
+    the primes below min(max ell + 1, isqrt(max n) + 1): ell's divisions plus
+    the orders whose part m left free of those primes is ell, counted by a
+    search over the primes <= max ell, one count each.  An ell above
+    isqrt(max n) divides an order at most once, and then m = ell."""
+    top = int(ells.max(initial=2))
+    primes = arith.prime_array(top)
+    divided = _friability_primes(top + 1, int(orders.max(initial=1)))
+    _, divisions, left = _largest_factor_left(orders, divided)
+    totals = np.zeros(primes.size, dtype=np.int64)
+    totals[: len(divided)] = divisions  # the first primes, in order
+    m = left[left <= top].astype(np.int64)
+    i = np.searchsorted(primes, m)
+    totals += np.bincount(i[primes[i] == m], minlength=primes.size)
+    return totals[np.searchsorted(primes, ells)]
+
+
+def segment_orders(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
+    |E(F_p)|: one cmcount.order call per prime.  An order that fails names
+    the curve, the range and the prime."""
     primes = arith.prime_sieve(hi - 1, lo) if hi > 2 else []
     primes = [p for p in primes if E.curve.has_good_reduction(p)]
     orders = []
@@ -226,8 +244,14 @@ def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
         except EcsmoothError as exc:
             exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
             raise
-    orders = np.array(orders, dtype=np.int64)
-    return np.array(primes, dtype=np.int64), orders, largest_prime_factor(orders)
+    return np.array(primes, dtype=np.int64), np.array(orders, dtype=np.int64)
+
+
+def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """segment_orders's arrays and the orders' largest prime factors
+    P+(|E(F_p)|), from one largest_prime_factor call."""
+    primes, orders = segment_orders(E, lo, hi)
+    return primes, orders, largest_prime_factor(orders)
 
 
 def sweep(primes: np.ndarray, hits: np.ndarray, checkpoints: list[int]) -> list[int]:

@@ -57,11 +57,15 @@ def _load_config(path: str | None) -> dict[str, str]:
 def _config_defaults(p: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
     """Make the config values defaults of subcommand p, so that any flag
     typed on the command line beats them; argparse converts each through
-    the option's own type."""
-    p.set_defaults(**{
-        a.dest: cfg[a.dest].lower() in ("1", "true", "yes") if isinstance(a.default, bool) else cfg[a.dest]
-        for a in p._actions if a.dest in cfg
-    })
+    the option's own type, and a flag takes 1/true/yes or 0/false/no."""
+
+    def value(a: argparse.Action):
+        flag, v = isinstance(a.default, bool), cfg[a.dest]
+        if flag and v.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise UsageError(f"key {a.dest!r}: {v!r} is not 1/true/yes or 0/false/no")
+        return v.lower() in ("1", "true", "yes") if flag else v
+
+    p.set_defaults(**{a.dest: value(a) for a in p._actions if a.dest in cfg})
 
 
 def _cache_dir(args) -> str:
@@ -114,17 +118,16 @@ def cmd_alpha(args) -> int:
                                ("--per-ell", args.per_ell, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
-    for d in ds:
-        E = ecm.catalog_curve(CM_CURVE_BY_D[d])
+    curves = [ecm.catalog_curve(CM_CURVE_BY_D[d]) for d in ds]
+    for E in curves:
         # a curve has few bad primes, so the search stops at once
         if not any(arith.is_prime(p) and E.curve.has_good_reduction(p) for p in range(2, args.p_bound + 1)):
             raise UsageError(f"--p-bound {args.p_bound} leaves {E.name} with no good prime")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cols = [
-            lfunc.alpha_report(ecm.catalog_curve(CM_CURVE_BY_D[d]), ell_bound=args.ell_bound,
-                               p_bound=args.p_bound, per_ell_limit=args.per_ell)
-            for d in ds
+            lfunc.alpha_report(E, ell_bound=args.ell_bound, p_bound=args.p_bound, per_ell_limit=args.per_ell)
+            for E in curves
         ]
         flagged = any(issubclass(w.category, lfunc.TruncationWarning) for w in caught)
     rows = [
@@ -314,6 +317,9 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
     for p in sub.choices.values():
         _config_defaults(p, config)
+    unknown = set(config).difference(*({a.dest for a in p._actions} for p in sub.choices.values()))
+    if unknown:
+        raise UsageError(f"key {min(unknown)!r} names no option of any subcommand")
     return ap
 
 
@@ -328,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
                 # the argv parsed alone, so a value from the file failed
                 print(f"usage error: bad value in --config {args.config}", file=sys.stderr)
                 raise
+            except UsageError as exc:
+                raise UsageError(f"--config {args.config}: {exc}") from None
         return args.fn(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

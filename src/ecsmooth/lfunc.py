@@ -7,7 +7,6 @@ averaged valuations of |E(F_p)|, and the generic-curve divisibility weight.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ EULER_GAMMA = 0.57721566490153286061
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
 _ELL_GUARD = 10**5
-_TABLE_CELLS = 1 << 13  # entries of every block of terms, and ells and orders of every block of _Valuations
+_TABLE_CELLS = 1 << 13  # terms of every block of a prime sum
 
 
 class TruncationWarning(UserWarning):
@@ -41,13 +40,13 @@ def l_one(K: ImagQuadField) -> float:
 
 def _prime_fsum(term, ell_bound: int, *columns: np.ndarray) -> float:
     """The sum of term(ell, log ell, *columns) over the primes ell <=
-    ell_bound and the aligned columns, rounded once by _exact_sum: the float
-    math.fsum gives, bit for bit.  The terms come in blocks of _TABLE_CELLS
-    primes so that no temporary grows with their number; the blocking
-    changes nothing."""
+    ell_bound and the first pi(ell_bound) entries of each column, rounded
+    once by _exact_sum: the float math.fsum gives, bit for bit.  The terms
+    come in blocks of _TABLE_CELLS primes so that no temporary grows with
+    their number; the blocking changes nothing."""
     ells, logs = _primes_and_logs(ell_bound)
     return _exact_sum(
-        term(*(a[lo : lo + _TABLE_CELLS] for a in (ells, logs, *columns)))
+        term(*(a[lo : min(lo + _TABLE_CELLS, ells.size)] for a in (ells, logs, *columns)))
         for lo in range(0, ells.size, _TABLE_CELLS)
     )
 
@@ -161,55 +160,29 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
     return val4 / 4.0
 
 
-def _val_totals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """sum_n val_ell(n), int64, over the orders n >= 1 for each prime ell of
-    ells, from census's division pass over blocks of at most
-    _TABLE_CELLS orders by the primes below min(max ell + 1, isqrt(max n) +
-    1).  sum_n val_ell(n) is ell's divisions plus the number of parts m equal
-    to ell: a divided ell counts while n is in the working set, and an n that
-    left as the prime ell is m = ell; an ell above isqrt(max n) divides n at
-    most once, and only when m = ell.  No temporary grows with the number of
-    orders; the counts, one per integer in [min ell, max ell], grow with the
-    span of the ells."""
-    top = int(ells.max(initial=1))
-    base = int(ells.min(initial=top))
-    primes = census._friability_primes(top + 1, int(orders.max(initial=1)))
-    first = bisect.bisect_left(primes, base)
-    at = [p - base for p in primes[first:]]
-    total = np.zeros(top + 1 - base, dtype=np.int64)
-    for lo in range(0, orders.size, _TABLE_CELLS):
-        _, divisions, left = census._largest_factor_left(orders[lo : lo + _TABLE_CELLS], primes)
-        total[at] += divisions[first:]
-        m = left - left.dtype.type(base)  # an m below base wraps past top - base
-        total += np.bincount(m[m <= top - base].astype(np.intp), minlength=top + 1 - base)
-    return total[ells - base]
+def _mean_valuations(orders, ells: np.ndarray) -> tuple[np.ndarray, int]:
+    """sum_n val_ell(n) / #orders for each prime ell of ells over a stream of
+    arrays of orders n >= 1, read once, and the largest order: the exact
+    totals of one census.valuation_totals pass per array, divided once, so
+    every mean is the same float however the orders are cut."""
+    totals = np.zeros(ells.size, dtype=np.int64)
+    count = largest = 0
+    for part in orders:
+        if part.min(initial=1) < 1:
+            raise DomainError(f"alpha-tilde needs orders >= 1, got {part.min()}")
+        count += part.size
+        largest = max(largest, int(part.max(initial=0)))
+        totals += census.valuation_totals(part, ells)
+    if not count:
+        raise DomainError("alpha-tilde needs at least one order")
+    return totals / count, largest
 
 
-class _Valuations:
-    """sum_n val_ell(n) for each prime ell of ells over the orders n >= 1 of
-    a stream of segments, with their count and the largest.  _val_totals
-    takes the orders in the blocks of one array, carried across segments, so
-    the means totals / count do not depend on the segments."""
-
-    def __init__(self, ells: np.ndarray):
-        self.ells, self.totals = ells, np.zeros(ells.size, dtype=np.int64)
-        self.count = self.largest = 0
-        self.carried = np.zeros(0, dtype=np.int64)
-
-    def add(self, orders: np.ndarray, last: bool = False) -> None:
-        if orders.min(initial=1) < 1:
-            raise DomainError(f"alpha-tilde needs orders >= 1, got {orders.min()}")
-        self.count += orders.size
-        self.largest = max(self.largest, int(orders.max(initial=0)))
-        orders = np.concatenate([self.carried, orders])
-        whole = orders.size if last else orders.size - orders.size % _TABLE_CELLS
-        for lo in range(0, self.ells.size if whole else 0, _TABLE_CELLS):
-            self.totals[lo : lo + _TABLE_CELLS] += _val_totals(orders[:whole], self.ells[lo : lo + _TABLE_CELLS])
-        self.carried = orders[whole:].copy()
-
-    def means(self) -> np.ndarray:
-        self.add(self.carried[:0], last=True)
-        return self.totals / self.count
+def _alpha_tilde(E: CatalogCurve, means: np.ndarray, ell_bound: int) -> float:
+    """The alpha-tilde sum over the primes ell <= ell_bound, from the mean
+    valuations of the ascending primes from 2 on."""
+    w, c = (4.0, 3.0) if E.cm_field is not None else (1.0, 1.0)
+    return _prime_fsum(lambda ell, lg, avg: (w * avg - c / (ell - 1)) * lg, ell_bound, means)
 
 
 def alpha_empirical(E: CatalogCurve, segments, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:
@@ -221,13 +194,8 @@ def alpha_empirical(E: CatalogCurve, segments, ell_bound: int = EMPIRICAL_ELL_BO
     negative = larger observed valuations = more ECM-friendly)."""
     if ell_bound < 2:
         raise DomainError("ell_bound must be at least 2")
-    vals = _Valuations(_primes_and_logs(ell_bound)[0])
-    for _, orders, _ in segments:
-        vals.add(orders)
-    if not vals.count:
-        raise DomainError("alpha-tilde needs at least one order")
-    w, c = (4.0, 3.0) if E.cm_field is not None else (1.0, 1.0)
-    return _prime_fsum(lambda ell, lg, avg: (w * avg - c / (ell - 1)) * lg, ell_bound, vals.means())
+    means, _ = _mean_valuations((orders for _, orders, _ in segments), _primes_and_logs(ell_bound)[0])
+    return _alpha_tilde(E, means, ell_bound)
 
 
 def w_noncm(d: int, m_guard: int = 1) -> float:
@@ -275,39 +243,35 @@ def alpha_report(
     """The table column of a CM curve, with alpha-tilde over the good primes
     p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
     prime ell <= per_ell_limit, the theoretical and the observed mean
-    valuation.  The orders are made one census.CACHE_SEGMENT at a time, once
-    for both, after p_bound passes prime_array's guards.  Warns with
-    TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the largest order:
-    every ell above it divides no order and adds only its -3 log ell/(ell -
-    1), so alpha-tilde measures the truncation."""
+    valuation.  The orders are made one census.CACHE_SEGMENT at a time, after
+    p_bound passes prime_array's guards, and go through one valuation pass
+    for both.  Warns with TruncationWarning when EMPIRICAL_ELL_BOUND exceeds
+    the largest order: every ell above it divides no order and adds only its
+    -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
     arith.check_prime_window(p_bound)
-    per = _Valuations(np.array(arith.primes_below(per_ell_limit + 1), dtype=np.int64))
-
-    def segments():
-        for lo in range(0, p_bound + 1, census.CACHE_SEGMENT):
-            seg = census.order_table(E, lo, min(lo + census.CACHE_SEGMENT, p_bound + 1))
-            per.add(seg[1])
-            yield seg
-
-    at = alpha_empirical(E, segments())
-    if EMPIRICAL_ELL_BOUND > per.largest:
+    ells = arith.prime_array(max(EMPIRICAL_ELL_BOUND, per_ell_limit))
+    step = census.CACHE_SEGMENT
+    orders = (census.segment_orders(E, lo, min(lo + step, p_bound + 1))[1] for lo in range(0, p_bound + 1, step))
+    means, largest = _mean_valuations(orders, ells)
+    if EMPIRICAL_ELL_BOUND > largest:
         warnings.warn(
-            f"alpha-tilde sums ell <= {EMPIRICAL_ELL_BOUND} over orders <= {per.largest} (p_bound={p_bound})",
+            f"alpha-tilde sums ell <= {EMPIRICAL_ELL_BOUND} over orders <= {largest} (p_bound={p_bound})",
             TruncationWarning,
             stacklevel=2,
         )
-    per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(per.ells.tolist(), per.means().tolist())]
+    n = np.searchsorted(ells, per_ell_limit, side="right")
+    per_ell = [(ell, expected_valuation_cm(K, ell), m) for ell, m in zip(ells[:n].tolist(), means[:n].tolist())]
     return AlphaReport(
         field_d=K.d,
         gamma_k=g,
         sigma_k=s,
         alpha=g - s,
-        alpha_tilde=at,
+        alpha_tilde=_alpha_tilde(E, means, EMPIRICAL_ELL_BOUND),
         curve_name=E.name,
         per_ell=per_ell,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -333,6 +334,22 @@ class TestAlphaCommand:
             theo = lfunc.expected_valuation_cm(e7.cm_field, ell)
             want.append(f"  {ell:>5}  {theo:.5f}  {mean:.5f}")
         assert rows == want
+
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "50b17947d78beffebc17f7dbeac1395c317e51fe992955c6c4d336b60337fcaf"),
+            (["--p-bound", "100000", "--per-ell", "50"],
+             "e511f4def3b9f66b1312ee142752143ef2f77582ad2e62c1f16978ed5d297c43"),
+        ],
+        ids=["default", "p-bound-1e5-per-ell-50"],
+    )
+    def test_table_digest(self, capsys, argv, digest):
+        # the whole table, to the last digit and the footer, pinned by SHA-256
+        code, out, _ = run(["alpha", "--all", "--csv", *argv], capsys)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 class TestCensusCommand:
@@ -672,6 +689,26 @@ class TestConfigFile:
                                 "--ell-bound", "1000", "--p-bound", "100"], capsys)
             assert code == cli.EXIT_OK
             assert out.startswith("row,d=7") == csv
+
+    def test_config_bool_refuses_other_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("csv = maybe\n")
+        code, out, err = run(["--config", str(cfg), "alpha", "-d", "7", "--p-bound", "100"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: --config {cfg}: key 'csv'")
+
+    def test_unknown_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("budegt = 100\n")
+        code, out, err = run(["--config", str(cfg), "census", "psi"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: --config {cfg}: key 'budegt'")
+        # a key of another subcommand is kept: one file serves them all
+        cfg.write_text("csv = yes\nbudget = 100\n")
+        code, _, _ = run(["--config", str(cfg), "census", "psi", "--out", "other"], capsys)
+        assert code == cli.EXIT_OK
+        assert census.CensusSeries.from_json((tmp_path / "other.json").read_text()).rows[-1][0] == 100
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -151,7 +151,7 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("E", CATALOG, ids=lambda c: c.name)
     def test_alpha_empirical(self, E):
-        # blocks of 7 ells and 7 orders, in segments of 25 integers
+        # blocks of 7 terms, in segments of 25 integers
         segments = [census.order_table(E, lo, lo + 25) for lo in range(0, 100, 25)]
         orders = np.concatenate([orders for _, orders, _ in segments]).tolist()
         assert lfunc.alpha_empirical(E, segments, 10**4) == alpha_empirical_loop(E, orders, 10**4)
@@ -159,7 +159,8 @@ class TestBlockEdges:
 
 class TestMemory:
     """Every temporary of a sum is one block of _TABLE_CELLS terms, whatever
-    the number of primes, terms or orders."""
+    the number of primes or terms, and a valuation pass holds one array of
+    orders."""
 
     def test_primes_and_logs(self):
         # the pair it keeps is 1.26 MB: 78,498 int64 primes and their logs
@@ -180,15 +181,15 @@ class TestMemory:
         orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
         ells = lfunc._primes_and_logs(10**4)[0]
         assert orders.size == 10**4 and ells.size == 1229
-        _, peak = traced_peak(lambda: lfunc._val_totals(orders, ells))
+        _, peak = traced_peak(lambda: census.valuation_totals(orders, ells))
         assert peak < 2**20, peak
 
     def test_mean_vals_counts_only_the_span_of_the_ells(self):
-        # one count per integer in [min ell, max ell], not in [0, max ell]:
-        # 0.4 MB here, where [0, max ell] would take 1.6 MB
+        # one count per prime <= max ell, 0.14 MB here, where one per integer
+        # in [0, max ell] would take 1.6 MB
         orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
         ells = np.array(arith.prime_sieve(2 * 10**5, 15 * 10**4), np.int64)
-        totals, peak = traced_peak(lambda: lfunc._val_totals(orders, ells))
+        totals, peak = traced_peak(lambda: census.valuation_totals(orders, ells))
         # ell^2 > n: val_ell(n) is 1 or 0
         assert totals.tolist() == [np.count_nonzero(orders % ell == 0) for ell in ells.tolist()]
         assert peak < 2**20, peak
@@ -336,26 +337,6 @@ class TestAlphaEmpirical:
         with pytest.raises(DomainError, match="at least one order"):
             lfunc.alpha_empirical(e7, [empty, empty])
 
-    def test_stream_divides_the_blocks_of_one_array(self, monkeypatch):
-        # a stream's orders reach _val_totals in whole blocks of _TABLE_CELLS,
-        # carried across segments, and only the last block is short
-        calls, val_totals = [], lfunc._val_totals
-
-        def spy(orders, ells):
-            calls.append(orders.size)
-            return val_totals(orders, ells)
-
-        monkeypatch.setattr(lfunc, "_val_totals", spy)
-        e7 = ecm.catalog_curve("e7")
-        segments = [census.order_table(e7, lo, lo + 1000) for lo in range(0, 10**4, 1000)]
-        whole = [census.order_table(e7, 0, 10**4)]
-        n = whole[0][1].size
-        monkeypatch.setattr(lfunc, "_TABLE_CELLS", 100)
-        streamed = lfunc.alpha_empirical(e7, segments, ell_bound=50)
-        assert sum(calls) == n and all(size % 100 == 0 for size in calls[:-1]), calls
-        assert calls[-1] == n % 100
-        assert streamed == lfunc.alpha_empirical(e7, whole, ell_bound=50)
-
 
 class TestMeanVals:
     @settings(max_examples=60, deadline=None)
@@ -371,17 +352,18 @@ class TestMeanVals:
     )
     def test_against_repeated_division(self, orders, ells, small):
         for orders, ells in ((orders, ells), small):
-            got = lfunc._val_totals(np.array(orders, np.int64), np.array(ells, np.int64))
+            got = census.valuation_totals(np.array(orders, np.int64), np.array(ells, np.int64))
             assert got.tolist() == [sum(val(n, ell) for n in orders) for ell in ells]
 
-    def test_blocks(self, monkeypatch):
-        # the 299 orders in blocks of 7, or in one block
+    def test_blocks(self):
+        # the totals of the 299 orders cut into blocks of 7, or of one block,
+        # add up to those of the whole array, as a stream of segments needs
         orders = np.arange(1, 300, dtype=np.int64)
         ells = np.array(arith.prime_sieve(50), np.int64)
-        whole = lfunc._val_totals(orders, ells)
-        for cells in (7, 2 * orders.size, 1000):
-            monkeypatch.setattr(lfunc, "_TABLE_CELLS", cells)
-            assert lfunc._val_totals(orders, ells).tolist() == whole.tolist(), cells
+        whole = census.valuation_totals(orders, ells)
+        for cells in (7, 2 * orders.size):
+            blocks = [census.valuation_totals(orders[lo : lo + cells], ells) for lo in range(0, orders.size, cells)]
+            assert sum(blocks).tolist() == whole.tolist(), cells
 
 
 class TestWNonCm:
@@ -439,14 +421,14 @@ class TestAlphaReport:
         assert [m for _, _, m in whole.per_ell] == [
             sum(val(n, ell) for n in orders) / len(orders) for ell in arith.prime_sieve(50)
         ]
-        spans = []
+        spans, segment_orders = [], census.segment_orders
         monkeypatch.setattr(census, "CACHE_SEGMENT", 2**10)
-        monkeypatch.setattr(census, "order_table", lambda E, lo, hi: spans.append((lo, hi)) or table(E, lo, hi))
+        monkeypatch.setattr(census, "segment_orders", lambda E, *span: spans.append(span) or segment_orders(E, *span))
         streamed = report()
         assert spans == [(lo, min(lo + 2**10, 5001)) for lo in range(0, 5001, 2**10)]
         assert streamed.alpha_tilde == whole.alpha_tilde
         assert streamed.per_ell == whole.per_ell
-        segments = [table(e7, lo, hi) for lo, hi in spans]
+        segments = [table(e7, lo, hi) for lo, hi in list(spans)]  # order_table adds to spans too
         assert lfunc.alpha_empirical(e7, iter(segments)) == lfunc.alpha_empirical(e7, segments) == whole.alpha_tilde
 
     def test_memory_does_not_grow_with_p_bound(self, monkeypatch):
@@ -468,3 +450,34 @@ class TestAlphaReport:
         assert one // 24 > lfunc._TABLE_CELLS
         two, eight = peak(2), peak(8)
         assert eight <= two + one, (two, eight, one)
+
+    @pytest.mark.parametrize("per_ell_limit", [0, 50, 2 * 10**4])
+    def test_one_division_pass_per_segment(self, monkeypatch, per_ell_limit):
+        # one valuation pass per segment feeds alpha-tilde and every per-ell
+        # mean, and no P+ is computed: alpha-tilde never reads it
+        calls, divide = [], census._largest_factor_left
+        monkeypatch.setattr(census, "CACHE_SEGMENT", 2**10)
+        monkeypatch.setattr(census, "_largest_factor_left", lambda ns, primes: calls.append(ns.size) or divide(ns, primes))
+        monkeypatch.setattr(census, "largest_prime_factor", lambda ns: pytest.fail("a P+ pass"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", lfunc.TruncationWarning)
+            lfunc.alpha_report(ecm.catalog_curve("e7"), ell_bound=10**5, p_bound=5000, per_ell_limit=per_ell_limit)
+        assert len(calls) == len(range(0, 5001, 2**10)), calls
+
+    def test_per_ell_above_the_empirical_bound(self):
+        # per_ell reads 2262 means of the accumulator and alpha-tilde its
+        # first 1229, the ells <= EMPIRICAL_ELL_BOUND; orders of p <= 3*10^4
+        # reach past 2*10^4, so the means above the bound are not all 0
+        e7 = ecm.catalog_curve("e7")
+
+        def report(per_ell_limit):
+            return lfunc.alpha_report(e7, ell_bound=10**5, p_bound=3 * 10**4, per_ell_limit=per_ell_limit)
+
+        wide = report(2 * 10**4)
+        orders = census.order_table(e7, 0, 3 * 10**4 + 1)[1]
+        ells = arith.prime_sieve(2 * 10**4)
+        assert [ell for ell, _, _ in wide.per_ell] == ells and len(ells) == 2262
+        want = [sum(val(n, ell) for n in orders[orders % ell == 0].tolist()) / orders.size for ell in ells]
+        assert [m for _, _, m in wide.per_ell] == want
+        assert any(want[1229:])
+        assert wide.alpha_tilde == report(0).alpha_tilde
