@@ -212,39 +212,38 @@ def psi_exact(x: int, y: int) -> int:
     return psi_counts([x], y)[0]
 
 
-def valuation_totals(orders: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """sum_n val_ell(n), int64, over the orders n >= 1 for each prime ell of
-    ells (any order, repeats allowed), from one _largest_factor_left pass by
-    the primes below min(max ell + 1, isqrt(max n) + 1): ell's divisions plus
-    the orders whose part m left free of those primes is ell, counted by a
-    search over the primes <= max ell, one count each.  An ell above
-    isqrt(max n) divides an order at most once, and then m = ell."""
-    top = int(ells.max(initial=2))
-    primes = arith.prime_array(top)
-    divided = _friability_primes(top + 1, int(orders.max(initial=1)))
-    _, divisions, left = _largest_factor_left(orders, divided)
+def valuation_totals(orders: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """sum_n val_ell(n), int64, over the orders n >= 1 for each ell of
+    primes, the ascending int64 primes from 2 up to some bound: one
+    _largest_factor_left pass by its prefix up to isqrt(max n), ell's
+    divisions plus the orders whose part m left free of that prefix is
+    ell, counted by one search of primes.  An ell above isqrt(max n)
+    divides an order at most once, and then m = ell."""
+    divided = primes[: np.searchsorted(primes, math.isqrt(int(orders.max(initial=1))), side="right")]
+    _, divisions, left = _largest_factor_left(orders, divided.tolist())
     totals = np.zeros(primes.size, dtype=np.int64)
-    totals[: len(divided)] = divisions  # the first primes, in order
-    m = left[left <= top].astype(np.int64)
+    totals[: divided.size] = divisions
+    m = left[left <= int(primes[-1])].astype(np.int64)
     i = np.searchsorted(primes, m)
     totals += np.bincount(i[primes[i] == m], minlength=primes.size)
-    return totals[np.searchsorted(primes, ells)]
+    return totals
 
 
 def segment_orders(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
     |E(F_p)|: one cmcount.order call per prime.  An order that fails names
     the curve, the range and the prime."""
-    primes = arith.prime_sieve(hi - 1, lo) if hi > 2 else []
-    primes = [p for p in primes if E.curve.has_good_reduction(p)]
+    primes = arith.prime_array(hi - 1, lo) if hi > 2 else np.empty(0, np.int64)
+    # every catalog |disc| fits in int64, so the remainders are exact
+    primes = primes[E.curve.disc % primes != 0]
     orders = []
-    for p in primes:
+    for p in primes.tolist():
         try:
             orders.append(cmcount.order(E, p))
         except EcsmoothError as exc:
             exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
             raise
-    return np.array(primes, dtype=np.int64), np.array(orders, dtype=np.int64)
+    return primes, np.array(orders, dtype=np.int64)
 
 
 def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -77,10 +77,10 @@ def _cache_dir(args) -> str:
 def cmd_ecm(args) -> int:
     cat = ecm.catalog_curve(args.curve)
     t0 = time.perf_counter()
-    out = ecm.ecm_one_curve(args.n, cat, args.u, args.v, exact_m=args.exact_m)
+    out = ecm.ecm_one_curve(args.n, cat, args.u, args.v)
     dt = time.perf_counter() - t0
     b, c = ecm.EcmParams(args.u, args.v).bounds(args.n)
-    ops = args.n.bit_length() - 1 if args.exact_m else sum(e for _, e in ecm.stage1_exponent_plan(c, args.n))
+    ops = sum(e for _, e in ecm.stage1_exponent_plan(c, args.n))
     if out.ok:
         print(f"Factor({out.factor})  B={b} C={c} scalar_steps={ops} time={dt:.3f}s")
         return EXIT_OK
@@ -274,7 +274,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--curve", default="e8000")
     p.add_argument("-u", type=float, default=3.0)
     p.add_argument("-v", type=float, default=2.0)
-    p.add_argument("--exact-m", action="store_true", dest="exact_m")
     p.set_defaults(fn=cmd_ecm)
 
     p = sub.add_parser("split", help="NFS splitting step")

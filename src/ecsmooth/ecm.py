@@ -2,9 +2,7 @@
 
 Stage 1 replaces the textbook exponent M = C!^floor(log2 N) by the equivalent
 divisibility plan M' = prod_{l <= C} l^{e_l} with e_l chosen so that every
-C-friable integer below the Hasse bound N + 2 sqrt(N) + 1 divides M'.  The
-factorial exponent is still available behind a flag for tiny N so the
-equivalence is testable.
+C-friable integer below the Hasse bound N + 2 sqrt(N) + 1 divides M'.
 
 Stage 1 runs on a short model of the catalog curve mod N: the catalog
 point is carried over by curve.short_point and multiplied by each prime l
@@ -30,8 +28,6 @@ from fractions import Fraction
 from . import arith, curve
 from .curve import WeierstrassCurve
 from .errors import DivisorFound, UsageError
-
-EXACT_M_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,21 +124,7 @@ def stage1_exponent_plan(C: int, n: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _stage1_scalars(C: int, n: int, exact_m: bool) -> list[int]:
-    if not exact_m:
-        return [ell for ell, e in stage1_exponent_plan(C, n) for _ in range(e)]
-    if n > EXACT_M_LIMIT:
-        raise UsageError(f"exact factorial exponent only supported for N <= {EXACT_M_LIMIT}")
-    return [math.factorial(C)] * (n.bit_length() - 1)
-
-
-def ecm_one_curve(
-    n: int,
-    cat: CatalogCurve,
-    u: float,
-    v: float,
-    exact_m: bool = False,
-) -> EcmOutcome:
+def ecm_one_curve(n: int, cat: CatalogCurve, u: float, v: float) -> EcmOutcome:
     """Stage-1 ECM on one curve: [M']P mod n on the short model, returning the
     factor surfaced by the first failed inversion, or Fail.  A divisor equal
     to n itself is a Fail (retry with another curve rather than report n).
@@ -167,11 +149,12 @@ def ecm_one_curve(
     A, _ = curve.short_model(cat.curve, n)
     P = curve.short_point(cat.curve, n, cat.point)
     try:
-        for s in _stage1_scalars(C, n, exact_m):
-            A, P = curve.ec_scalar_mul_rescaled(n, A, s, P)
-            if P is None:
-                # [M']P = O mod every prime of n at once: nothing to separate
-                return EcmOutcome()
+        for ell, e in stage1_exponent_plan(C, n):
+            for _ in range(e):
+                A, P = curve.ec_scalar_mul_rescaled(n, A, ell, P)
+                if P is None:
+                    # [M']P = O mod every prime of n at once: nothing to separate
+                    return EcmOutcome()
     except DivisorFound as d:
         if d.g == n:
             return EcmOutcome()

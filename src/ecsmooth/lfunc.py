@@ -17,13 +17,14 @@ import numpy as np
 from . import arith, census
 from .arith import ImagQuadField
 from .ecm import CatalogCurve
-from .errors import DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 
 # Euler-Mascheroni constant to 20 digits
 EULER_GAMMA = 0.57721566490153286061
 
 DEFAULT_ELL_BOUND = 10**6
 EMPIRICAL_ELL_BOUND = 10**4
+PER_ELL_BUDGET = 10**5  # rows of AlphaReport.per_ell: a budget guard, not an option
 _ELL_GUARD = 10**5
 _TABLE_CELLS = 1 << 13  # terms of every block of a prime sum
 
@@ -161,10 +162,11 @@ def expected_valuation_cm(K: ImagQuadField, ell: int) -> float:
 
 
 def _mean_valuations(orders, ells: np.ndarray) -> tuple[np.ndarray, int]:
-    """sum_n val_ell(n) / #orders for each prime ell of ells over a stream of
-    arrays of orders n >= 1, read once, and the largest order: the exact
-    totals of one census.valuation_totals pass per array, divided once, so
-    every mean is the same float however the orders are cut."""
+    """sum_n val_ell(n) / #orders for each ell of ells, the primes from 2 up,
+    over a stream of arrays of orders n >= 1, read once, and the largest
+    order: the exact totals of one census.valuation_totals pass per array,
+    divided once, so every mean is the same float however the orders are
+    cut."""
     totals = np.zeros(ells.size, dtype=np.int64)
     count = largest = 0
     for part in orders:
@@ -226,11 +228,13 @@ class AlphaReport:
 
     @property
     def difference(self) -> float:
-        """alpha_tilde - alpha, the row of the paper's table.  By sigma_k's
-        rearrangement identity sum_l (3/(l-1) - 4 E[val_l]) log l = alpha, and
-        alpha_tilde sums the opposite terms (4 avg - 3/(l-1)) log l, so
-        alpha_tilde estimates -alpha: the row compares quantities of opposite
-        sign."""
+        """alpha_tilde - alpha, the row of the paper's table.  sigma_k's
+        rearrangement identity sum_l (3/(l-1) - 4 E[val_l]) log l =
+        gamma_K - Sigma_K holds for the Sigma_K of all_primes=True, not for
+        the default Sigma_K of alpha.  alpha_tilde sums the opposite terms
+        (4 avg - 3/(l-1)) log l, so it estimates
+        -(gamma_K - Sigma_K(all_primes=True)): the row compares it with a
+        constant of the other convention, and of the opposite sign."""
         return self.alpha_tilde - self.alpha
 
 
@@ -243,18 +247,23 @@ def alpha_report(
     """The table column of a CM curve, with alpha-tilde over the good primes
     p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
     prime ell <= per_ell_limit, the theoretical and the observed mean
-    valuation.  The orders are made one census.CACHE_SEGMENT at a time, after
-    p_bound passes prime_array's guards, and go through one valuation pass
-    for both.  Warns with TruncationWarning when EMPIRICAL_ELL_BOUND exceeds
-    the largest order: every ell above it divides no order and adds only its
+    valuation.  p_bound and per_ell_limit must pass prime_array's guards,
+    and per_ell_limit PER_ELL_BUDGET, before any sum.  The orders are made
+    one census.CACHE_SEGMENT at a time and go through one valuation pass
+    for both, by the primes of the _primes_and_logs cache.  Warns with
+    TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the largest order:
+    every ell above it divides no order and adds only its
     -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
+    arith.check_prime_window(p_bound)
+    arith.check_prime_window(per_ell_limit)
+    if per_ell_limit > PER_ELL_BUDGET:
+        raise CapacityError(f"per_ell_limit={per_ell_limit} exceeds the budget {PER_ELL_BUDGET}")
     g = gamma_k(K, ell_bound)
     s = sigma_k(K, ell_bound)
-    arith.check_prime_window(p_bound)
-    ells = arith.prime_array(max(EMPIRICAL_ELL_BOUND, per_ell_limit))
+    ells = _primes_and_logs(max(EMPIRICAL_ELL_BOUND, per_ell_limit))[0]
     step = census.CACHE_SEGMENT
     orders = (census.segment_orders(E, lo, min(lo + step, p_bound + 1))[1] for lo in range(0, p_bound + 1, step))
     means, largest = _mean_valuations(orders, ells)

@@ -124,23 +124,13 @@ class TestEcmCommand:
         assert f"torsion point of order {order}" in err
 
 
-    @pytest.mark.parametrize("exact_m, steps", [(False, 76), (True, 19)])
-    def test_scalar_steps_are_the_stage1_scalars(self, exact_m, steps, capsys):
-        # the plan's 76 prime powers, or 19 = N.bit_length() - 1 times 31!
-        n, flag = 1000009, ["--exact-m"] if exact_m else []
+    def test_scalar_steps_are_the_stage1_scalars(self, capsys):
+        # the plan's 76 prime powers
+        n = 1000009
         _, c = ecm.EcmParams(2.0, 2.0).bounds(n)
-        assert c == 31 and len(ecm._stage1_scalars(c, n, exact_m)) == steps
-        code, out, _ = run(["ecm", str(n), "-u", "2", "-v", "2", *flag], capsys)
-        assert code == cli.EXIT_OK and out.startswith(f"Factor(293)  B=1000 C=31 scalar_steps={steps} ")
-
-    def test_exact_m_above_its_limit_after_a_shortcut(self, capsys):
-        # the gcd shortcut settles N before stage 1 would refuse M = C!, so
-        # the command reports the factor as ecm_one_curve does
-        n = 2 * (ecm.EXACT_M_LIMIT + 1)
-        assert ecm.ecm_one_curve(n, ecm.catalog_curve("e8000"), 2.0, 2.0, exact_m=True).factor == 2
-        code, out, _ = run(["ecm", str(n), "-u", "2", "-v", "2", "--exact-m"], capsys)
-        assert code == cli.EXIT_OK and out.startswith(f"Factor(2)  B=")
-        assert f" scalar_steps={n.bit_length() - 1} " in out
+        assert c == 31 and sum(e for _, e in ecm.stage1_exponent_plan(c, n)) == 76
+        code, out, _ = run(["ecm", str(n), "-u", "2", "-v", "2"], capsys)
+        assert code == cli.EXIT_OK and out.startswith("Factor(293)  B=1000 C=31 scalar_steps=76 ")
 
     @pytest.mark.parametrize("n", ["1", "0", "-35"])
     def test_n_below_two(self, n, capsys):
@@ -200,6 +190,21 @@ class TestPrimeListGuard:
         code, out, err = run(["alpha", "-d", "7", "--p-bound", str(arith.PRIME_LIST_LIMIT + 2)], capsys)
         assert code == cli.EXIT_BUDGET and out == ""
         assert err.startswith("budget exceeded: prime list over [2, 100000002] spans 100000001 integers")
+
+    @pytest.mark.parametrize("per_ell, code", [(10**5 + 1, cli.EXIT_BUDGET), (10**5, cli.EXIT_OK)], ids=["over", "at"])
+    def test_per_ell_budget(self, capsys, monkeypatch, per_ell, code):
+        # one row per prime ell <= --per-ell: 10^8 once made 5.76 million
+        # rows in 1.1 GB; past the budget, refused before any order
+        order = cmcount.order
+        calls = []
+        monkeypatch.setattr(cmcount, "order", lambda *args: calls.append(args) or order(*args))
+        got, out, err = run(["alpha", "-d", "7", "--per-ell", str(per_ell)], capsys)
+        assert got == code
+        if code == cli.EXIT_BUDGET:
+            assert out == "" and not calls
+            assert err == f"budget exceeded: per_ell_limit={per_ell} exceeds the budget 100000\n"
+        else:
+            assert out.splitlines()[-1].startswith("  99991  ")
 
 
 def sieve_spy(monkeypatch, top):

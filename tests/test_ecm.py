@@ -16,6 +16,12 @@ CORPUS = Path(__file__).with_name("data") / "ecm_corpus.json"
 ECM_CURVES = [c for c in ecm.curve_catalog() if c.point is not None and ecm._torsion_order(c.curve, c.point) is None]
 
 
+def factorial_plan(monkeypatch):
+    """Make stage 1 run the textbook exponent M = C!^floor(log2 N): the one
+    scalar C!, N.bit_length() - 1 times, in place of the plan."""
+    monkeypatch.setattr(ecm, "stage1_exponent_plan", lambda C, n: [(math.factorial(C), n.bit_length() - 1)])
+
+
 def naive_friable(n, C):
     for p in arith.prime_sieve(C):
         while n % p == 0:
@@ -110,20 +116,16 @@ class TestEcmOneCurve:
         out = ecm.ecm_one_curve(10**9 + 7, cat, 3.0, 1.5)
         assert not out.ok
 
-    def test_exact_m_equivalent(self):
-        cat = ecm.catalog_curve("e8000")
-        for n in (35, 1003, 9991):
-            a = ecm.ecm_one_curve(n, cat, 1.5, 1.2)
-            b = ecm.ecm_one_curve(n, cat, 1.5, 1.2, exact_m=True)
+    def test_exact_m_equivalent(self, monkeypatch):
+        # the plan M' and the textbook M = C!^floor(log2 N) agree
+        cat, ns = ecm.catalog_curve("e8000"), (35, 1003, 9991)
+        plan = [ecm.ecm_one_curve(n, cat, 1.5, 1.2) for n in ns]
+        factorial_plan(monkeypatch)
+        for n, a in zip(ns, plan):
+            b = ecm.ecm_one_curve(n, cat, 1.5, 1.2)
             assert a.ok == b.ok
             if a.ok:
                 assert n % a.factor == 0 and n % b.factor == 0
-
-    def test_exact_m_capacity(self):
-        cat = ecm.catalog_curve("e8000")
-        n = next(k for k in range((1 << 22) + 1, (1 << 22) + 200) if arith.is_prime(k))
-        with pytest.raises(UsageError):
-            ecm.ecm_one_curve(n, cat, 3.0, 1.5, exact_m=True)
 
     def test_factor_divides(self):
         cat = ecm.catalog_curve("e8000")
@@ -176,19 +178,21 @@ def next_prime(n):
     return n
 
 
-def affine_stage1(n, cat, u, v, exact_m):
-    """Stage 1 as one affine chain per scalar on the short model of the
-    catalog curve, with no change of model: the factor, or None for Fail."""
+def affine_stage1(n, cat, u, v):
+    """Stage 1 as one affine chain per scalar of the plan on the short model
+    of the catalog curve, with no change of model: the factor, or None for
+    Fail."""
     _, C = ecm.EcmParams(u, v).bounds(n)
     A, _ = curve.short_model(cat.curve, n)
     P = curve.short_point(cat.curve, n, cat.point)
-    for s in ecm._stage1_scalars(C, n, exact_m):
-        try:
-            P = affine_mul(n, A, s, P, set())
-        except Failed as f:
-            return f.g if f.g < n else None
-        if P is None:
-            return None
+    for ell, e in ecm.stage1_exponent_plan(C, n):
+        for _ in range(e):
+            try:
+                P = affine_mul(n, A, ell, P, set())
+            except Failed as f:
+                return f.g if f.g < n else None
+            if P is None:
+                return None
     return None
 
 
@@ -227,19 +231,27 @@ class TestStage1Model:
             return R
 
         monkeypatch.setattr(curve, "_affine_scalar_mul", spy)
+
+        def found(cases):
+            count = 0
+            for cat, n in cases:
+                start["A"] = curve.short_model(cat.curve, n)[0]
+                got = ecm.ecm_one_curve(n, cat, 2.0, 2.0).factor
+                assert got == affine_stage1(n, cat, 2.0, 2.0), (cat.name, n)
+                count += got is not None
+            return count
+
         # the seeded sample in plan order; every pair below 2^7 with M = C!,
         # where a scalar's chain can pass O mod N before its last addition
+        seeded = self.seeded_cases(1000)
         small = arith.prime_sieve(1 << 7, 7)
-        cases = [(cat, n, False) for cat, n in self.seeded_cases(1000)]
-        cases += [(cat, p * q, True) for cat in ECM_CURVES for p, q in itertools.combinations(small, 2)
-                  if math.gcd(p * q, cat.curve.disc) == 1]
-        found = 0
-        for cat, n, exact_m in cases:
-            start["A"] = curve.short_model(cat.curve, n)[0]
-            got = ecm.ecm_one_curve(n, cat, 2.0, 2.0, exact_m=exact_m).factor
-            assert got == affine_stage1(n, cat, 2.0, 2.0, exact_m), (cat.name, n, exact_m)
-            found += got is not None
-        assert 0.3 * len(cases) < found < 0.9 * len(cases)
+        grid = [(cat, p * q) for cat in ECM_CURVES for p, q in itertools.combinations(small, 2)
+                if math.gcd(p * q, cat.curve.disc) == 1]
+        factors = found(seeded)
+        factorial_plan(monkeypatch)
+        factors += found(grid)
+        cases = len(seeded) + len(grid)
+        assert 0.3 * cases < factors < 0.9 * cases
         # failed inversions on a rescaled model, and replays that went
         # through O mod N and then added P, so stage 1 went on from a point
         assert seen[True, "divisor"] > 100 and seen[True, "point"] + seen[False, "point"] > 10
@@ -257,9 +269,10 @@ class TestStage1Model:
             return R
 
         monkeypatch.setattr(curve, "_affine_scalar_mul", spy)
+        factorial_plan(monkeypatch)
         cat = ecm.catalog_curve(name)
-        factor = ecm.ecm_one_curve(p * q, cat, 2.0, 2.0, exact_m=True).factor
-        assert factor in (p, q) and factor == affine_stage1(p * q, cat, 2.0, 2.0, True)
+        factor = ecm.ecm_one_curve(p * q, cat, 2.0, 2.0).factor
+        assert factor in (p, q) and factor == affine_stage1(p * q, cat, 2.0, 2.0)
         assert any(points)
 
     def test_rescaled_model_holds_the_point(self, monkeypatch):

@@ -188,10 +188,11 @@ class TestMemory:
         # one count per prime <= max ell, 0.14 MB here, where one per integer
         # in [0, max ell] would take 1.6 MB
         orders = census.order_table(ecm.catalog_curve("e7"), 0, 2 * 10**5)[1][: 10**4]
-        ells = np.array(arith.prime_sieve(2 * 10**5, 15 * 10**4), np.int64)
-        totals, peak = traced_peak(lambda: census.valuation_totals(orders, ells))
+        primes = arith.prime_array(2 * 10**5)
+        totals, peak = traced_peak(lambda: census.valuation_totals(orders, primes))
+        window = primes >= 15 * 10**4
         # ell^2 > n: val_ell(n) is 1 or 0
-        assert totals.tolist() == [np.count_nonzero(orders % ell == 0) for ell in ells.tolist()]
+        assert totals[window].tolist() == [np.count_nonzero(orders % ell == 0) for ell in primes[window].tolist()]
         assert peak < 2**20, peak
 
 
@@ -341,19 +342,36 @@ class TestAlphaEmpirical:
 class TestMeanVals:
     @settings(max_examples=60, deadline=None)
     @given(
+        # uint64 orders, with the primes up to a drawn bound
         st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
-        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 997]), min_size=1, max_size=7),
+        st.integers(2, 1000),
         # uint32 orders, and ells above isqrt(max n) that only the parts m
         # left by the division pass can count
-        st.tuples(
-            st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=40),
-            st.lists(st.sampled_from(arith.prime_sieve(10**4)), min_size=1, max_size=7),
-        ),
+        st.tuples(st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=40), st.integers(2, 10**4)),
     )
-    def test_against_repeated_division(self, orders, ells, small):
-        for orders, ells in ((orders, ells), small):
-            got = census.valuation_totals(np.array(orders, np.int64), np.array(ells, np.int64))
-            assert got.tolist() == [sum(val(n, ell) for n in orders) for ell in ells]
+    def test_against_repeated_division(self, orders, bound, small):
+        for orders, bound in ((orders, bound), small):
+            ells = arith.prime_array(bound)
+            got = census.valuation_totals(np.array(orders, np.int64), ells)
+            assert got.tolist() == [sum(val(n, ell) for n in orders) for ell in ells.tolist()]
+
+    def test_makes_no_sieve(self, monkeypatch):
+        # the pass divides by its caller's primes, and alpha_report takes them
+        # from the cache of the prime sums: one column per run, not two
+        # sieves per segment
+        asked = []
+        prime_array, sieve = arith.prime_array, arith._sieve
+        orders, primes = np.arange(1, 5000, dtype=np.int64), arith.prime_array(10**4)
+        monkeypatch.setattr(arith, "prime_array", lambda *args: asked.append(args) or prime_array(*args))
+        monkeypatch.setattr(arith, "_sieve", lambda *args: asked.append(args) or sieve(*args))
+        census.valuation_totals(orders, primes)
+        assert asked == []
+        monkeypatch.setattr(census, "CACHE_SEGMENT", 2**10)
+        lfunc._primes_and_logs.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", lfunc.TruncationWarning)
+            lfunc.alpha_report(ecm.catalog_curve("e7"), ell_bound=10**5, p_bound=5000, per_ell_limit=50)
+        assert asked.count((lfunc.EMPIRICAL_ELL_BOUND,)) == 1, asked
 
     def test_blocks(self):
         # the totals of the 299 orders cut into blocks of 7, or of one block,
