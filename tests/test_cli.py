@@ -90,6 +90,60 @@ class TestTopLevel:
             parser.parse_args(shlex.split(line)[1:])
 
 
+# the freeze count at import and when main dispatches census --rho
+FREEZE_SCRIPT = """
+import gc, sys
+from ecsmooth import cli
+
+seen = [gc.get_freeze_count()]
+census = cli.cmd_census
+
+
+def spy(args):
+    seen.append(gc.get_freeze_count())
+    return census(args)
+
+
+cli.cmd_census = spy
+code = cli.main(["census", "--rho", "--max-u", "1", "--out", sys.argv[1], "--cache-dir", sys.argv[2]])
+print(code, seen[0], len(seen) == 2 and seen[1] > 0)
+"""
+
+
+def _fresh_python(script, *args, **env):
+    """Run script in a fresh interpreter that imports ecsmooth from SRC,
+    with env added to (or, for a None value, removed from) the environment;
+    returns its stdout."""
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=full,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestProcessCost:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_import_starts_no_thread(self):
+        # numpy's OpenBLAS started one worker thread at import
+        script = "import os, ecsmooth.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_python(script, OPENBLAS_NUM_THREADS=None) == "1\n"
+
+    def test_blas_threads_set_by_the_user_are_kept(self):
+        script = "import os, ecsmooth.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _fresh_python(script, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+    def test_main_freezes_the_heap_before_dispatch(self, tmp_path):
+        # a library caller that never enters main keeps its GC as it is
+        out = _fresh_python(FREEZE_SCRIPT, str(tmp_path / "rho"), str(tmp_path / "cache"))
+        assert out.splitlines()[-1] == f"{cli.EXIT_OK} 0 True"
+        assert (tmp_path / "rho.csv").is_file()
+
+
 class TestEcmCommand:
     def test_n35_factor(self, capsys):
         code, out, _ = run(["ecm", "35", "-u", "1.5", "-v", "1.2"], capsys)
@@ -344,9 +398,9 @@ class TestAlphaCommand:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            ([], "50b17947d78beffebc17f7dbeac1395c317e51fe992955c6c4d336b60337fcaf"),
+            ([], "77315ae2003631f8f86c133eef946208186897cb61f65e8baa9b8ea4e6fb76f1"),
             (["--p-bound", "100000", "--per-ell", "50"],
-             "e511f4def3b9f66b1312ee142752143ef2f77582ad2e62c1f16978ed5d297c43"),
+             "e7f7cdf9d5b436219b83c8b5a0a5071b82e28dcf72005faac71b2461a660e22c"),
         ],
         ids=["default", "p-bound-1e5-per-ell-50"],
     )
