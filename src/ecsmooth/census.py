@@ -1,8 +1,8 @@
 """Counting experiments: exact psi(x,y), curve-order friability counts
 psi_E(x,y) and psi_{E,z}(x,y), divisibility counts pi_E(x;d), the E7/E11
 Chebyshev race, and the gamma-tilde error-term estimator, plus the on-disk
-order cache that lets the long sweeps resume and be shared between
-experiments.
+order cache, each file a whole segment computed at once, that lets the long
+sweeps resume and be shared between experiments.
 
 Friability is strict everywhere: n counts as y-friable iff P+(n) < y, and
 every serialized output carries the convention marker.  A curve-order table
@@ -350,17 +350,6 @@ class CensusSeries:
             separators=(",", ":"),
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "CensusSeries":
-        obj = json.loads(text)
-        if obj.get("convention") != CONVENTION:
-            raise UsageError(f"unknown convention {obj.get('convention')!r}")
-        return cls(
-            kind=SeriesKind(obj["kind"]),
-            params=obj["params"],
-            rows=[(r[0], r[1]) for r in obj["rows"]],
-        )
-
 
 def race(E1: CatalogCurve, E2: CatalogCurve, y: int, checkpoints: list[int], segments1, segments2) -> CensusSeries:
     """Pointwise psi_E1(x,y) - psi_E2(x,y) at the checkpoints, ascending and
@@ -470,18 +459,16 @@ def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
     return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
 
 
-def _open_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
+def _open_segment(path: Path) -> np.ndarray:
     """A cache file as a read-only mapping of its int64 rows, whose pages
-    leave the process's memory as soon as the array is let go; seg, if
-    given, is a mapping of the file opened earlier.  Rejects a file whose
-    shape or dtype is wrong or whose header row (lo, hi, 0) does not name a
-    range [lo, hi) inside the segment of its file name; the other rows are
-    not read."""
-    if seg is None:
-        try:
-            seg = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+    leave the process's memory as soon as the array is let go.  Rejects a
+    file whose shape or dtype is wrong or whose header row (lo, hi, 0) does
+    not name a range [lo, hi) inside the segment of its file name; the other
+    rows are not read."""
+    try:
+        seg = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise CacheError(f"unreadable cache file {path}: {exc}") from exc
     if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 3:
         raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
     lo, hi, _ = seg[0]
@@ -490,13 +477,13 @@ def _open_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
     return seg
 
 
-def _load_segment(path: Path, seg: np.ndarray | None = None) -> np.ndarray:
+def _load_segment(path: Path) -> np.ndarray:
     """A cache file's int64 rows, as from _open_segment: the covered range
     (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects also a
     file whose p do not ascend inside [lo, hi), with an order outside the
     Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
     with a P+ entry m that is below 1, above its order n or no divisor of n."""
-    seg = _open_segment(path, seg)
+    seg = _open_segment(path)
     (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
@@ -525,13 +512,13 @@ class OrderCache:
     range, then (p, |E(F_p)|, P+(|E(F_p)|)) rows in ascending p, P+ computed
     where the order is.  The partial last segment is persisted too; a run
     whose x + 1 <= hi only loads the file, and a run that needs more
-    computes only [hi, x + 1) and replaces the file with the rows it read
-    before computing and the new ones.  A call computes its segments through
-    one map, in process or on a pool of up to `workers` processes, and
-    renames their files into place only once every one has succeeded; a
-    failure cancels the segments not yet started.  Files are bit-exact
-    reproducible, and the last of two concurrent writers of a file wins
-    with a whole one.
+    computes the whole segment again from lo and replaces the file, so
+    that every file's rows come from one computation.  A call computes its
+    segments through one map, in process or on a pool of up to `workers`
+    processes, and renames their files into place only once every one has
+    succeeded; a failure cancels the segments not yet started.  Files are
+    bit-exact reproducible, and the last of two concurrent writers of a
+    file wins with a whole one.
 
     segments() streams the table one segment at a time, which is how every
     curve-order count reads it; table() joins the stream into whole
@@ -547,9 +534,9 @@ class OrderCache:
     def segments(self, cat: CatalogCurve, x: int):
         """Aligned int64 (primes, orders, pplus) views of one cache file at a
         time, in ascending p, for the good primes p <= x: the orders and
-        their P+.  Every segment no file covers is computed and persisted
-        before the first is yielded, and every stored file is checked whole
-        before that work.  A file that another run has since replaced with
+        their P+.  Every segment that no file covers up to x is computed
+        whole and persisted before the first is yielded, and every stored
+        file is checked whole before that work.  A file that another run has since replaced with
         one covering less than x is refused."""
         if x > arith.SIEVE_LIMIT:
             # up front: prime_sieve would refuse only the last segment, after
@@ -559,18 +546,14 @@ class OrderCache:
         todo, stored = [], []
         for lo, path in paths.items():
             hi = min(lo + CACHE_SEGMENT, x + 1)
-            # no file is a file covering [lo, lo); a stored tail is extended
-            seg = _open_segment(path) if path.exists() else np.array([[lo, lo, 0]], np.int64)
-            start = int(seg[0, 1])
-            if start >= hi:
+            if path.exists():
                 stored.append(path)
-            else:
-                # the tail's rows from this one read of the file, which
-                # another run may replace before they are extended
-                rows = _load_segment(path, seg)[1:] if start > lo else seg[1:]
-                todo.append((lo, start, hi, path, rows))
+                if _open_segment(path)[0, 1] >= hi:
+                    continue
+            todo.append((lo, hi, path))
         if todo:
-            # so that a corrupt file fails before any segment is computed
+            # so that a corrupt file, a short one included, fails before any
+            # segment is computed
             for path in stored:
                 _load_segment(path)
         self._compute(cat.name, todo)
@@ -595,15 +578,15 @@ class OrderCache:
         return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo) -> None:
-        """Persist every (lo, start, hi, path, stored) of todo: the stored
-        rows of [lo, start), then the rows _compute_segment makes for
-        [start, hi), taken in order from one map: the builtin one for one
-        worker or one segment, else a pool's.  Each result is staged through
-        _write under a private name next to its path and let go.  Once all
-        have succeeded the staged files are renamed onto their paths; if one
-        fails they are removed, the segments not yet started are cancelled,
-        and every stored file is left as it was."""
-        spans = [(start, hi) for _, start, hi, _, _ in todo]
+        """Persist every (lo, hi, path) of todo: the header (lo, hi, 0), then
+        the rows _compute_segment makes for [lo, hi), taken in order from one
+        map: the builtin one for one worker or one segment, else a pool's.
+        Each result is staged through _write under a private name next to
+        its path and let go.  Once all have succeeded the staged files are
+        renamed onto their paths; if one fails they are removed, the
+        segments not yet started are cancelled, and every stored file is
+        left as it was."""
+        spans = [(lo, hi) for lo, hi, _ in todo]
         pooled = self.workers > 1 and len(spans) > 1
         staged = []
         try:
@@ -612,12 +595,12 @@ class OrderCache:
                 # todo first, so that an empty todo maps nothing; no name holds
                 # the map, so that a failure lets it go, which cancels every
                 # segment not yet started before the pool waits for the rest
-                for (lo, _, hi, path, stored), rows in zip(todo, (pool.map if pooled else map)(
+                for (lo, hi, path), rows in zip(todo, (pool.map if pooled else map)(
                     _compute_segment, itertools.repeat(curve_name), *zip(*spans)
                 )):
                     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
                     staged.append((tmp, path))
-                    self._write(tmp, np.vstack(([lo, hi, 0], stored, rows)))
+                    self._write(tmp, np.vstack(([lo, hi, 0], rows)))
         except BaseException:
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)

@@ -149,7 +149,8 @@ def cmd_alpha(args) -> int:
             print("{:<12}".format(name) + "".join(f"{v:>10.3f}" for v in vals))
     print(f"# curves: {','.join(CM_CURVE_BY_D[d] for d in ds)}"
           f"  ell_bound={args.ell_bound} p_bound={args.p_bound}"
-          "  difference=alpha_tilde-alpha(alpha_tilde_estimates_-(gamma_k-sigma_k_all_primes))"
+          "  difference=alpha_tilde-alpha(alpha_tilde_sums_terms_whose_expectation_under"
+          "_expected_valuation_cm_is_-(gamma_k-sigma_k_all_primes))"
           + ("  WARNING=truncation_guard" if flagged else ""))
     if args.per_ell:
         for c in cols:
@@ -324,11 +325,13 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Everything alive when the command starts (the modules, numpy's tables)
-    # lives until exit.  Frozen, it is not walked by any full collection,
-    # the one at interpreter exit included, and forked pool workers do not
-    # write to its pages.  Collecting first would free almost nothing.
-    gc.freeze()
+    # Everything alive when the first command starts (the modules, numpy's
+    # tables) lives until exit.  Frozen, it is not walked by any full
+    # collection, the one at interpreter exit included, and forked pool
+    # workers do not write to its pages.  Collecting first would free almost
+    # nothing; a later call freezes nothing, so that its garbage is collected.
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)

@@ -1,5 +1,4 @@
-"""Dickman rho numerics, the saddle quantity xi(u) and the de Bruijn
-asymptotic main term.
+"""Dickman rho numerics and the saddle quantity xi(u).
 
 rho is tabulated on a uniform grid via the equivalent integral form
 u rho(u) = int_{u-1}^{u} rho(t) dt, which sums positive panels and therefore
@@ -158,13 +157,6 @@ def rho_clipped(u: float) -> tuple[float, bool]:
     if u > t.max_u:
         return 0.0, True
     return t.rho(u), False
-
-
-def rho_debruijn(u: float) -> float:
-    """Asymptotic main term exp(-u (log u + log log(u+2) - 1))."""
-    if not u >= 1:
-        raise DomainError(f"de Bruijn main term needs u >= 1, got {u}")
-    return math.exp(-u * (math.log(u) + math.log(math.log(u + 2)) - 1.0))
 
 
 def xi(u: float) -> float:

@@ -1,8 +1,8 @@
 """Analytic constants ranking ECM-friendliness of CM curves: L(1, chi), the
 logarithmic derivative gamma_K = L'(1,chi)/L(1,chi) as a prime sum, the
 companion sum Sigma_K, the constant alpha = gamma_K - Sigma_K, theoretical
-per-prime expected valuations, the empirical estimate alpha-tilde from
-averaged valuations of |E(F_p)|, and the generic-curve divisibility weight.
+per-prime expected valuations, alpha_report's alpha-tilde from the averaged
+valuations of a CM curve's |E(F_p)|, and the generic-curve divisibility weight.
 """
 
 from __future__ import annotations
@@ -180,26 +180,6 @@ def _mean_valuations(orders, ells: np.ndarray) -> tuple[np.ndarray, int]:
     return totals / count, largest
 
 
-def _alpha_tilde(E: CatalogCurve, means: np.ndarray, ell_bound: int) -> float:
-    """The alpha-tilde sum over the primes ell <= ell_bound, from the mean
-    valuations of the ascending primes from 2 on."""
-    w, c = (4.0, 3.0) if E.cm_field is not None else (1.0, 1.0)
-    return _prime_fsum(lambda ell, lg, avg: (w * avg - c / (ell - 1)) * lg, ell_bound, means)
-
-
-def alpha_empirical(E: CatalogCurve, segments, ell_bound: int = EMPIRICAL_ELL_BOUND) -> float:
-    """alpha-tilde: replace the expectation in the per-prime terms by the
-    average valuation of the orders |E(F_p)|, one per good prime p, of a
-    stream of aligned int64 (primes, orders, pplus) segments, read once.
-    CM curves use (4 avg - 3/(l-1)) log l terms, non-CM (avg - 1/(l-1))
-    log l; the sign convention matches the frozen reference column (less
-    negative = larger observed valuations = more ECM-friendly)."""
-    if ell_bound < 2:
-        raise DomainError("ell_bound must be at least 2")
-    means, _ = _mean_valuations((orders for _, orders, _ in segments), _primes_and_logs(ell_bound)[0])
-    return _alpha_tilde(E, means, ell_bound)
-
-
 def w_noncm(d: int, m_guard: int = 1) -> float:
     """Divisibility weight prod_{l | d} l(l^2-2)/((l-1)(l^2-1)) for squarefree
     d coprime to the caller-supplied Serre guard."""
@@ -232,9 +212,10 @@ class AlphaReport:
         rearrangement identity sum_l (3/(l-1) - 4 E[val_l]) log l =
         gamma_K - Sigma_K holds for the Sigma_K of all_primes=True, not for
         the default Sigma_K of alpha.  alpha_tilde sums the opposite terms
-        (4 avg - 3/(l-1)) log l, so it estimates
-        -(gamma_K - Sigma_K(all_primes=True)): the row compares it with a
-        constant of the other convention, and of the opposite sign."""
+        (4 avg - 3/(l-1)) log l, whose expectation under
+        expected_valuation_cm is -(gamma_K - Sigma_K(all_primes=True)): the
+        row compares it with a constant of the other convention, and of the
+        opposite sign."""
         return self.alpha_tilde - self.alpha
 
 
@@ -245,15 +226,18 @@ def alpha_report(
     per_ell_limit: int = 0,
 ) -> AlphaReport:
     """The table column of a CM curve, with alpha-tilde over the good primes
-    p <= p_bound and ell <= EMPIRICAL_ELL_BOUND; per_ell lists, for every
-    prime ell <= per_ell_limit, the theoretical and the observed mean
-    valuation.  p_bound and per_ell_limit must pass prime_array's guards,
-    and per_ell_limit PER_ELL_BUDGET, before any sum.  The orders are made
-    one census.CACHE_SEGMENT at a time and go through one valuation pass
-    for both, by the primes of the _primes_and_logs cache.  Warns with
-    TruncationWarning when EMPIRICAL_ELL_BOUND exceeds the largest order:
-    every ell above it divides no order and adds only its
-    -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
+    p <= p_bound and ell <= EMPIRICAL_ELL_BOUND: the terms
+    (4 avg - 3/(ell - 1)) log ell, avg the mean valuation val_ell of the
+    orders |E(F_p)|, whose sign matches the frozen reference column (less
+    negative = larger observed valuations = more ECM-friendly).  per_ell
+    lists, for every prime ell <= per_ell_limit, the theoretical and the
+    observed mean valuation.  p_bound and per_ell_limit must pass
+    prime_array's guards, and per_ell_limit PER_ELL_BUDGET, before any sum.
+    The orders are made one census.CACHE_SEGMENT at a time and go through
+    one valuation pass for both, by the primes of the _primes_and_logs
+    cache.  Warns with TruncationWarning when EMPIRICAL_ELL_BOUND exceeds
+    the largest order: every ell above it divides no order and adds only
+    its -3 log ell/(ell - 1), so alpha-tilde measures the truncation."""
     K = E.cm_field
     if K is None:
         raise UsageError(f"{E.name} is not a CM curve")
@@ -280,7 +264,7 @@ def alpha_report(
         gamma_k=g,
         sigma_k=s,
         alpha=g - s,
-        alpha_tilde=_alpha_tilde(E, means, EMPIRICAL_ELL_BOUND),
+        alpha_tilde=_prime_fsum(lambda ell, lg, avg: (4 * avg - 3 / (ell - 1)) * lg, EMPIRICAL_ELL_BOUND, means),
         curve_name=E.name,
         per_ell=per_ell,
     )

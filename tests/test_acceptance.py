@@ -22,6 +22,8 @@ import pytest
 
 from ecsmooth import arith, census, cli, cmcount, curve, dickman, ecm, lfunc
 
+from conftest import rho_debruijn
+
 # Frozen reference column values (3-decimal prints), keyed by discriminant d.
 REFERENCE_TABLE = {
     #    d: (alpha_tilde, alpha,  sigma_k, gamma_k)
@@ -131,10 +133,9 @@ def test_reference_table_self_consistent():
 def test_criterion_2_alpha_tilde_consistency(capsys):
     results = []
     for name, ref_at in (("e7", -3.073), ("e11", -3.019)):
-        cat = ecm.catalog_curve(name)
-        at = lfunc.alpha_empirical(cat, [census.order_table(cat, 0, 1001)])  # ell <= 10^4, p <= 10^3
-        a = lfunc.gamma_k(cat.cm_field) - lfunc.sigma_k(cat.cm_field)
-        results.append((name, at, ref_at, abs(at - a)))
+        with pytest.warns(lfunc.TruncationWarning):  # the orders of p <= 10^3 stay below ell <= 10^4
+            rep = lfunc.alpha_report(ecm.catalog_curve(name), p_bound=1000)
+        results.append((name, rep.alpha_tilde, ref_at, abs(rep.alpha_tilde - rep.alpha)))
     ok = all(abs(at - ref) <= 0.3 and diff <= 3.0 for _, at, ref, diff in results)
     detail = "; ".join(
         f"{n}: a~={at:.3f} (ref {ref}), |a~-a|={diff:.3f}" for n, at, ref, diff in results
@@ -213,7 +214,7 @@ def test_criterion_6_dickman_accuracy(capsys):
         abs(dickman.rho(k * 0.5) - fine.rho(k * 0.5)) for k in range(1, 41)
     )
     band_ok = all(
-        0.8 <= math.log(dickman.rho(float(u))) / math.log(dickman.rho_debruijn(float(u))) <= 1.2
+        0.8 <= math.log(dickman.rho(float(u))) / math.log(rho_debruijn(float(u))) <= 1.2
         for u in range(10, 41)
     )
     ok = err2 <= 1e-9 and halving <= 1e-9 and band_ok

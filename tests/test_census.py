@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ecsmooth import arith, census, cli, cmcount, curve, ecm, lfunc
 from ecsmooth.errors import AmbiguityError, CacheError, CapacityError, DomainError, UsageError
 
-from conftest import traced_peak
+from conftest import series_rows, traced_peak
 
 E7 = ecm.catalog_curve("e7")
 E11 = ecm.catalog_curve("e11")
@@ -657,14 +657,12 @@ class TestCensusSeries:
         assert s.to_csv().startswith("# psi,y=128,convention=Pplus_strict")
 
     def test_json_roundtrip(self):
-        s = census.CensusSeries(census.SeriesKind.RACE, {"e1": "e7", "e2": "e11", "y": 128},
+        s = census.CensusSeries(census.SeriesKind.RACE, {"y": 128, "e2": "e11", "e1": "e7"},
                                 [(16, 1.0), (32, 3.0)])
-        t = census.CensusSeries.from_json(s.to_json())
-        assert t.kind == s.kind and t.params == s.params and t.rows == s.rows
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(UsageError):
-            census.CensusSeries.from_json('{"kind":"psi","params":{},"convention":"other","rows":[]}')
+        assert s.to_json() == (
+            '{"kind":"race","params":{"e1":"e7","e2":"e11","y":128},'
+            '"convention":"Pplus_strict","rows":[[16,1.0],[32,3.0]]}\n'
+        )
 
 
 class TestPsiK:
@@ -1079,7 +1077,7 @@ class TestOrderCache:
         calls = spy_segments(monkeypatch)
         with pytest.raises(error):
             cache.table(E7, 3 * seg + 200)
-        assert calls == [(3001, seg), (seg, 2 * seg)][: 2 if failing == "segment" else 1]
+        assert calls == [(0, seg), (seg, 2 * seg)][: 2 if failing == "segment" else 1]
         assert shutdowns == [[]]  # one pool, shut down with no future pending
         assert [f.name for f in tmp_path.iterdir()] == [head.name]
         assert head.read_bytes() == stored
@@ -1108,19 +1106,23 @@ class TestOrderCache:
         assert ps.tolist() == good_primes(E7, 2000)
         assert ns.tolist() == [p + 1 for p in ps.tolist()]
         assert pplus.tolist() == [largest_prime_factor(p + 1) for p in ps.tolist()]
-        cache.table(E7, 5000)  # a larger x computes only past the stored tail
-        assert calls[1:] == [(3001, 5001)] and covered() == [0, 5001, 0]
+        cache.table(E7, 5000)  # a larger x computes the short segment again from 0
+        assert calls[1:] == [(0, 5001)] and covered() == [0, 5001, 0]
         fresh = tmp_path_factory.mktemp("fresh")
-        census.OrderCache(fresh).table(E7, 5000)  # the extended file equals a fresh one
+        census.OrderCache(fresh).table(E7, 5000)  # the recomputed file equals a fresh one
         assert head.read_bytes() == census._cache_path(fresh, "e7", 0).read_bytes()
         ps = cache.table(E7, seg + 50)[0]  # a full segment supersedes the tail
-        assert calls[3:] == [(5001, seg), (seg, seg + 51)] and covered() == [0, seg, 0]
+        assert calls[3:] == [(0, seg), (seg, seg + 51)] and covered() == [0, seg, 0]
         assert ps.tolist() == good_primes(E7, seg + 50)
         ps = cache.table(E7, 4000)[0]
         assert len(calls) == 5 and ps.tolist() == good_primes(E7, 4000)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             head.name, census._cache_path(tmp_path, "e7", seg).name
         ]
+        fresh = tmp_path_factory.mktemp("fresh")
+        census.OrderCache(fresh).table(E7, seg + 50)  # the grown cache equals a fresh one
+        for f in tmp_path.iterdir():
+            assert f.read_bytes() == (fresh / f.name).read_bytes(), f.name
 
     def test_other_version_not_read(self, tmp_path, monkeypatch):
         fake_orders(monkeypatch)
@@ -1221,7 +1223,7 @@ class TestSegmentStream:
         seg = census.CACHE_SEGMENT
         x, y, gt_y = 2 * seg + 5000, 128, 10**4  # three segments, the last a stored partial tail
         cache = tmp_path / "cache"
-        census.OrderCache(cache).table(E7, x - 2000)  # a shorter tail, which the cold race extends
+        census.OrderCache(cache).table(E7, x - 2000)  # a shorter tail, which the cold race computes again
         fresh = tmp_path_factory.mktemp("fresh")
         t7, t11 = (census.OrderCache(fresh, workers=1).table(cat, x) for cat in (E7, E11))
         cps = cli._checkpoints(x)
@@ -1247,7 +1249,7 @@ class TestSegmentStream:
             ):
                 out = tmp_path / f"{name}_{run}"
                 code = cli.main(["census", *argv, *common, "--out", str(out)])
-                rows = census.CensusSeries.from_json(out.with_suffix(".json").read_text()).rows
+                rows = series_rows(out.with_suffix(".json"))
                 assert (code, rows) == want[name], (run, name)
         assert sorted(f.name for f in cache.iterdir()) == sorted(f.name for f in fresh.iterdir())
         for f in fresh.iterdir():
@@ -1262,7 +1264,7 @@ class TestSegmentStream:
         cache.table(E7, 3000)
         head = census._cache_path(tmp_path, "e7", 0)
         stored = head.read_bytes()
-        # a prime of the extension [3001, seg), or of the next segment
+        # a prime of the short segment, which is computed again from 0, or of the next one
         p = arith.prime_sieve(5000, 4000)[0] if failing == "tail" else arith.prime_sieve(seg + 200, seg)[0]
         fake_orders(monkeypatch, fail_at=p)
         with pytest.raises(AmbiguityError, match=f"p = {p}:"):
@@ -1271,7 +1273,7 @@ class TestSegmentStream:
         assert [f.name for f in tmp_path.iterdir()] == [head.name]
 
     def test_tail_replaced_during_extension(self, tmp_path, tmp_path_factory, monkeypatch):
-        # another run extends the stored tail to 4000 while this one extends it to 5000
+        # another run grows the stored tail to 4000 while this one computes it again to 5000
         fake_orders(monkeypatch)
         cache = census.OrderCache(tmp_path)
         cache.table(E7, 3000)
@@ -1308,21 +1310,25 @@ class TestSegmentStream:
             cache.table(E7, 5000)
         monkeypatch.undo()
         fake_orders(monkeypatch)
-        assert cache.table(E7, 5000)[0].tolist() == good_primes(E7, 5000)  # a rerun extends it
+        assert cache.table(E7, 5000)[0].tolist() == good_primes(E7, 5000)  # a rerun computes it again
 
     def test_corrupt_stored_file_fails_before_any_compute(self, tmp_path, monkeypatch):
+        # a full segment, then a short tail that the larger x computes again
         fake_orders(monkeypatch)
         seg = census.CACHE_SEGMENT
         cache = census.OrderCache(tmp_path)
         cache.table(E7, seg + 3000)
-        head = census._cache_path(tmp_path, "e7", 0)
-        rows = np.load(head)
-        rows[9, 2] = 0
-        np.save(head, rows)
         calls = spy_segments(monkeypatch)
-        with pytest.raises(CacheError, match=r"P\+ = 0 "):
-            cache.table(E7, seg + 5000)
-        assert calls == []
+        for lo in (0, seg):
+            path = census._cache_path(tmp_path, "e7", lo)
+            stored = path.read_bytes()
+            rows = np.load(path)
+            rows[9, 2] = 0
+            np.save(path, rows)
+            with pytest.raises(CacheError, match=r"P\+ = 0 ") as err:
+                cache.table(E7, seg + 5000)
+            assert str(path) in str(err.value) and calls == []
+            path.write_bytes(stored)
 
     def test_race_memory_does_not_grow_with_x(self, tmp_path, monkeypatch):
         fake_orders(monkeypatch)

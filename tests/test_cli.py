@@ -12,6 +12,8 @@ import pytest
 
 from ecsmooth import arith, census, cli, cmcount, curve, dickman, ecm, lfunc
 
+from conftest import series_rows
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -110,6 +112,19 @@ print(code, seen[0], len(seen) == 2 and seen[1] > 0)
 """
 
 
+# the freeze count after each of two main calls in one process
+TWO_MAINS_SCRIPT = """
+import gc, sys
+from ecsmooth import cli
+
+counts = []
+for out in ("a", "b"):
+    cli.main(["census", "--rho", "--max-u", "1", "--out", sys.argv[1] + out, "--cache-dir", sys.argv[2]])
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+
+
 def _fresh_python(script, *args, **env):
     """Run script in a fresh interpreter that imports ecsmooth from SRC,
     with env added to (or, for a None value, removed from) the environment;
@@ -142,6 +157,12 @@ class TestProcessCost:
         out = _fresh_python(FREEZE_SCRIPT, str(tmp_path / "rho"), str(tmp_path / "cache"))
         assert out.splitlines()[-1] == f"{cli.EXIT_OK} 0 True"
         assert (tmp_path / "rho.csv").is_file()
+
+    def test_second_main_freezes_nothing_more(self, tmp_path):
+        # the second command's garbage stays collectable
+        out = _fresh_python(TWO_MAINS_SCRIPT, str(tmp_path / "rho"), str(tmp_path / "cache"))
+        first, second = map(int, out.splitlines()[-1].split())
+        assert first > 0 and second == first
 
 
 class TestEcmCommand:
@@ -398,9 +419,9 @@ class TestAlphaCommand:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            ([], "77315ae2003631f8f86c133eef946208186897cb61f65e8baa9b8ea4e6fb76f1"),
+            ([], "d9537dba5995baa8965eee318b5211a1f5bcf52e86f759bfcb6f4f74641c00f9"),
             (["--p-bound", "100000", "--per-ell", "50"],
-             "e7f7cdf9d5b436219b83c8b5a0a5071b82e28dcf72005faac71b2461a660e22c"),
+             "f3e274f4df0b2b1a7efe67637656aca83fd832280d7b429daf1d9dae9aae8f65"),
         ],
         ids=["default", "p-bound-1e5-per-ell-50"],
     )
@@ -469,11 +490,11 @@ class TestCensusCommand:
             ["census", "psi", "--y", "10", "--budget", "1000", "--out", "series"], capsys
         )
         assert code == cli.EXIT_OK
-        s = census.CensusSeries.from_json((tmp_path / "series.json").read_text())
-        assert s.rows[-1] == (1000, census.psi_exact(1000, 10))
+        rows = series_rows(tmp_path / "series.json")
+        assert rows[-1] == (1000, census.psi_exact(1000, 10))
         # CSV mirrors the JSON rows
         csv_rows = (tmp_path / "series.csv").read_text().strip().splitlines()[2:]
-        assert len(csv_rows) == len(s.rows)
+        assert len(csv_rows) == len(rows)
 
     def test_psi_budget_guard(self, capsys):
         code, out, err = run(
@@ -503,11 +524,11 @@ class TestCensusCommand:
                 "--cache-dir", str(cache), "--out", "s"]
         code, _, _ = run(args, capsys)
         assert code == cli.EXIT_OK
-        s = census.CensusSeries.from_json((tmp_path / "s.json").read_text())
+        rows = series_rows(tmp_path / "s.json")
         e11 = ecm.catalog_curve("e11")
         ps, _, pplus = census.OrderCache(cache).table(e11, 3000)
-        assert [x for x, _ in s.rows] == cli._checkpoints(3000)
-        assert s.rows == [(x, int(np.count_nonzero((ps <= x) & (pplus < 64)))) for x, _ in s.rows]
+        assert [x for x, _ in rows] == cli._checkpoints(3000)
+        assert rows == [(x, int(np.count_nonzero((ps <= x) & (pplus < 64)))) for x, _ in rows]
 
     def test_warm_race_only_loads(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -657,26 +678,25 @@ class TestCensusCommand:
                 "--cache-dir", str(order_cache.cache_dir), "--out", str(tmp_path / "g")]
         code, out, _ = run(args, capsys)
         assert code == cli.EXIT_OK
-        text = (tmp_path / "g.json").read_text()
-        s = census.CensusSeries.from_json(text)
-        assert s.to_json() == text
-        assert s.kind is census.SeriesKind.GAMMA_TILDE
+        rows = series_rows(tmp_path / "g.json")
         u = math.log(budget) / math.log(y)
         if mode[0] == "-d":
             K = arith.field_for(7)
             gamma = lambda x, y_x: census.gamma_tilde_field(K, x, y_x)
-            reference = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
-            assert s.params == {"d": 7, "u": u, "y": y, "reference": reference}
+            params = {"d": 7, "u": u, "y": y, "reference": 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)}
         else:
             ps, _, pplus = order_cache.table(ecm.catalog_curve("e7"), budget)
             gamma = lambda x, y_x: census.gamma_tilde_counts(
                 int(np.count_nonzero((ps <= x) & (pplus < y_x))), int(np.count_nonzero(ps <= x)), x, y_x)
-            assert s.params == {"curve": "e7", "u": u, "y": y}
+            params = {"curve": "e7", "u": u, "y": y}
         xs = cli._checkpoints(budget)
         ys = [max(2, round(x ** (1 / u))) for x in xs[:-1]] + [y]
-        assert s.rows == [(x, gamma(x, y_x)) for x, y_x in zip(xs, ys)]
-        assert out.splitlines()[0].endswith(f" = {s.rows[-1][1]:.6f}")
-        assert [round(dict(s.rows)[2**k], 4) for k in (10, 12, 14, 16, 18)] == printed
+        assert rows == [(x, gamma(x, y_x)) for x, y_x in zip(xs, ys)]
+        # the kind and the params too, byte for byte
+        want = census.CensusSeries(census.SeriesKind.GAMMA_TILDE, params, rows)
+        assert (tmp_path / "g.json").read_text() == want.to_json()
+        assert out.splitlines()[0].endswith(f" = {rows[-1][1]:.6f}")
+        assert [round(dict(rows)[2**k], 4) for k in (10, 12, 14, 16, 18)] == printed
 
     def test_gamma_tilde_y_below_two(self, tmp_path, capsys):
         args = ["census", "gamma_tilde", "-d", "7", "--y", "1",
@@ -723,9 +743,7 @@ class TestConfigFile:
             ["--config", str(cfg), "census", "psi", "--out", "cfgd"], capsys
         )
         assert code == cli.EXIT_OK
-        s = census.CensusSeries.from_json((tmp_path / "cfgd.json").read_text())
-        assert s.params["y"] == 10
-        assert s.rows[-1][0] == 500
+        assert series_rows(tmp_path / "cfgd.json")[-1] == (500, census.psi_exact(500, 10))
 
     def test_flag_beats_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -737,8 +755,7 @@ class TestConfigFile:
                  "--budget", "300", "--out", "flag"], capsys
             )
             assert code == cli.EXIT_OK
-            s = census.CensusSeries.from_json((tmp_path / "flag.json").read_text())
-            assert s.params["y"] == y
+            assert series_rows(tmp_path / "flag.json")[-1] == (300, census.psi_exact(300, y))
 
     def test_config_bool(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -767,7 +784,7 @@ class TestConfigFile:
         cfg.write_text("csv = yes\nbudget = 100\n")
         code, _, _ = run(["--config", str(cfg), "census", "psi", "--out", "other"], capsys)
         assert code == cli.EXIT_OK
-        assert census.CensusSeries.from_json((tmp_path / "other.json").read_text()).rows[-1][0] == 100
+        assert series_rows(tmp_path / "other.json")[-1][0] == 100
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ecsmooth import dickman
 from ecsmooth.errors import CapacityError, DomainError
 
+from conftest import rho_debruijn
+
 # High-precision reference values for rho (frozen literature constants).
 RHO_REFERENCE = {
     2.0: 0.30685281944005469,
@@ -105,7 +107,7 @@ class TestRho:
         dickman.rho,
         dickman.rho_clipped,
         dickman.xi,
-        dickman.rho_debruijn,
+        rho_debruijn,  # the reference of TestDeBruijn and criterion 6
         # infinity fails the same checks as NaN
         pytest.param(lambda nan: dickman.xi(math.inf), id="xi_inf"),
     ],
@@ -149,17 +151,17 @@ class TestDeBruijn:
     def test_ratio_band(self):
         for k in range(10, 41):
             u = float(k)
-            ratio = math.log(dickman.rho(u)) / math.log(dickman.rho_debruijn(u))
+            ratio = math.log(dickman.rho(u)) / math.log(rho_debruijn(u))
             assert 0.8 <= ratio <= 1.2, (u, ratio)
 
     def test_u1_formula(self):
-        assert dickman.rho_debruijn(1.0) == pytest.approx(
+        assert rho_debruijn(1.0) == pytest.approx(
             math.exp(-(math.log(math.log(3.0)) - 1.0))
         )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            dickman.rho_debruijn(0.5)
+            rho_debruijn(0.5)
 
 
 class TestXi:

@@ -50,14 +50,21 @@ def sigma_k_loop(K, ell_bound, all_primes):
     return math.fsum(terms)
 
 
-def alpha_empirical_loop(E, orders, ell_bound):
-    """The scalar reference for lfunc.alpha_empirical."""
+def alpha_empirical_loop(orders, ell_bound):
+    """The scalar reference for the alpha-tilde of lfunc.alpha_report: one
+    (4 avg - 3/(ell - 1)) log ell term per prime ell <= ell_bound."""
     terms = []
     for ell in arith.prime_sieve(ell_bound):
         avg = sum(val(n, ell) for n in orders) / len(orders)
-        t = 4.0 * avg - 3.0 / (ell - 1) if E.cm_field is not None else avg - 1.0 / (ell - 1)
-        terms.append(t * math.log(ell))
+        terms.append((4.0 * avg - 3.0 / (ell - 1)) * math.log(ell))
     return math.fsum(terms)
+
+
+def alpha_tilde(E, p_bound, ell_bound=10**5):
+    """alpha_report(E, p_bound).alpha_tilde, its TruncationWarnings ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", lfunc.TruncationWarning)
+        return lfunc.alpha_report(E, p_bound, ell_bound).alpha_tilde
 
 
 def l_one_series_loop(K, terms):
@@ -149,12 +156,12 @@ class TestBlockEdges:
             for all_primes in (False, True):
                 assert lfunc.sigma_k(K, L, all_primes) == sigma_k_loop(K, L, all_primes)
 
-    @pytest.mark.parametrize("E", CATALOG, ids=lambda c: c.name)
-    def test_alpha_empirical(self, E):
+    @pytest.mark.parametrize("E", [c for c in CATALOG if c.cm_field is not None], ids=lambda c: c.name)
+    def test_alpha_empirical(self, E, monkeypatch):
         # blocks of 7 terms, in segments of 25 integers
-        segments = [census.order_table(E, lo, lo + 25) for lo in range(0, 100, 25)]
-        orders = np.concatenate([orders for _, orders, _ in segments]).tolist()
-        assert lfunc.alpha_empirical(E, segments, 10**4) == alpha_empirical_loop(E, orders, 10**4)
+        monkeypatch.setattr(census, "CACHE_SEGMENT", 25)
+        orders = census.segment_orders(E, 0, 100)[1].tolist()
+        assert alpha_tilde(E, 99, 10**4) == alpha_empirical_loop(orders, lfunc.EMPIRICAL_ELL_BOUND)
 
 
 class TestMemory:
@@ -302,41 +309,31 @@ class TestExpectedValuation:
             lfunc.expected_valuation_cm(arith.field_for(7), 4)
 
 
-def orders_only(orders):
-    """One segment whose orders column is orders: alpha_empirical reads no
-    other column."""
-    return [(None, np.array(orders, np.int64), None)]
-
-
 class TestAlphaEmpirical:
-    def test_order_fn_injection(self):
-        cat = ecm.catalog_curve("e7")
-        orders = [
-            curve.naive_count(cat.curve, p)
-            for p in arith.prime_sieve(500)
-            if cat.curve.has_good_reduction(p)
-        ]
-        a = lfunc.alpha_empirical(cat, orders_only(orders), ell_bound=100)
-        b = lfunc.alpha_empirical(cat, [census.order_table(cat, 0, 501)], ell_bound=100)
-        assert a == pytest.approx(b, abs=1e-12)
+    """alpha_report's alpha-tilde over whatever orders cmcount.order gives."""
 
-    def test_bad_bounds(self):
-        with pytest.raises(DomainError):
-            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders_only([8]), ell_bound=1)
+    def test_order_fn_injection(self, monkeypatch):
+        # naive point counts in place of the CM closed form
+        cat = ecm.catalog_curve("e7")
+        want = alpha_tilde(cat, 500)
+        monkeypatch.setattr(cmcount, "order", lambda E, p: curve.naive_count(E.curve, p))
+        assert alpha_tilde(cat, 500) == want
 
     @pytest.mark.parametrize("orders", [[12, 0], [12, -8]], ids=["zero", "negative"])
-    def test_order_below_one_rejected(self, orders):
+    def test_order_below_one_rejected(self, monkeypatch, orders):
         # an order of 0 is divisible by every ell forever
+        monkeypatch.setattr(census, "segment_orders", lambda E, lo, hi: (None, np.array(orders, np.int64)))
         with pytest.raises(DomainError, match=f"got {orders[1]}"):
-            lfunc.alpha_empirical(ecm.catalog_curve("e7"), orders_only(orders), ell_bound=100)
+            alpha_tilde(ecm.catalog_curve("e7"), 100)
 
-    def test_empty_segments_add_nothing(self):
+    def test_empty_segments_add_nothing(self, monkeypatch):
+        # segments of 4 integers: [24, 28) and many more hold no prime
         e7 = ecm.catalog_curve("e7")
-        seg, empty = census.order_table(e7, 0, 1000), census.order_table(e7, 24, 29)
-        assert empty[1].size == 0
-        assert lfunc.alpha_empirical(e7, [empty, seg, empty]) == lfunc.alpha_empirical(e7, [seg])
+        whole = alpha_tilde(e7, 1000)
+        monkeypatch.setattr(census, "CACHE_SEGMENT", 4)
+        assert alpha_tilde(e7, 1000) == whole
         with pytest.raises(DomainError, match="at least one order"):
-            lfunc.alpha_empirical(e7, [empty, empty])
+            alpha_tilde(e7, 1)
 
 
 class TestMeanVals:
@@ -422,6 +419,17 @@ class TestAlphaReport:
             warnings.simplefilter("error")
             lfunc.alpha_report(e7, ell_bound=10**5, p_bound=2 * 10**4)
 
+    def test_alpha_tilde_grows_with_the_ell_bound(self, monkeypatch):
+        # the terms' expectation under expected_valuation_cm sums to
+        # -(gamma_K - Sigma_K^all), yet over p <= 10^5 the sum climbs by
+        # about 2 from ell <= 10^2 to ell <= 10^3: no estimate of that constant
+        for name, want in (("e7", [10.98, 13.03]), ("e11", [9.98, 11.63])):
+            got = []
+            for bound in (10**2, 10**3):
+                monkeypatch.setattr(lfunc, "EMPIRICAL_ELL_BOUND", bound)
+                got.append(round(alpha_tilde(ecm.catalog_curve(name), 10**5), 2))
+            assert got == want and got[1] - got[0] > 1.5
+
     def test_segments_equal_the_whole_table(self, monkeypatch):
         # p <= 5000 in one segment, then in five of 2^10 integers: the
         # valuation totals are exact integers, divided once, so every value is
@@ -435,7 +443,7 @@ class TestAlphaReport:
 
         whole = report()
         orders = table(e7, 0, 5001)[1].tolist()
-        assert whole.alpha_tilde == lfunc.alpha_empirical(e7, [table(e7, 0, 5001)])
+        assert whole.alpha_tilde == alpha_empirical_loop(orders, lfunc.EMPIRICAL_ELL_BOUND)
         assert [m for _, _, m in whole.per_ell] == [
             sum(val(n, ell) for n in orders) / len(orders) for ell in arith.prime_sieve(50)
         ]
@@ -446,8 +454,6 @@ class TestAlphaReport:
         assert spans == [(lo, min(lo + 2**10, 5001)) for lo in range(0, 5001, 2**10)]
         assert streamed.alpha_tilde == whole.alpha_tilde
         assert streamed.per_ell == whole.per_ell
-        segments = [table(e7, lo, hi) for lo, hi in list(spans)]  # order_table adds to spans too
-        assert lfunc.alpha_empirical(e7, iter(segments)) == lfunc.alpha_empirical(e7, segments) == whole.alpha_tilde
 
     def test_memory_does_not_grow_with_p_bound(self, monkeypatch):
         # one segment of orders at a time: the peak over 8 segments stays
