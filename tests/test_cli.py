@@ -124,6 +124,33 @@ for out in ("a", "b"):
 print(*counts)
 """
 
+# which of LAZY are loaded once every layer module is imported, as
+# perfbench's child.py does; then main(argv[1:])'s exit code, whether the
+# pool's process module is loaded, and which of LAZY are loaded after it
+LAZY_IMPORTS_SCRIPT = """
+import importlib, sys
+
+LAZY = ("concurrent.futures", "multiprocessing", "fractions", "decimal")
+
+
+def loaded():
+    return [name for name in LAZY if name in sys.modules]
+
+
+for layer in ("arith", "curve", "cmcount", "census", "ecm", "lfunc", "dickman", "cli"):
+    importlib.import_module("ecsmooth." + layer)
+print(*loaded())
+code = importlib.import_module("ecsmooth.cli").main(sys.argv[1:])
+print(code, "concurrent.futures.process" in sys.modules, *loaded())
+"""
+
+
+def _lazy_imports(*argv):
+    """(modules of LAZY loaded after the imports, the last line after
+    main(argv)) in a fresh interpreter."""
+    lines = _fresh_python(LAZY_IMPORTS_SCRIPT, *map(str, argv)).splitlines()
+    return lines[0], lines[-1]
+
 
 def _fresh_python(script, *args, **env):
     """Run script in a fresh interpreter that imports ecsmooth from SRC,
@@ -163,6 +190,35 @@ class TestProcessCost:
         out = _fresh_python(TWO_MAINS_SCRIPT, str(tmp_path / "rho"), str(tmp_path / "cache"))
         first, second = map(int, out.splitlines()[-1].split())
         assert first > 0 and second == first
+
+    def test_rho_loads_no_pool_and_no_fraction(self, tmp_path):
+        argv = ["census", "--rho", "--max-u", "1", "--out", tmp_path / "rho", "--cache-dir", tmp_path / "cache"]
+        assert _lazy_imports(*argv) == ("", f"{cli.EXIT_OK} False")
+
+    def test_pool_modules_load_only_when_a_pool_forks(self, tmp_path):
+        race = ["census", "--race", "e7-e11", "--budget", "300000"]
+        pooled, inline = tmp_path / "pooled", tmp_path / "inline"
+        # three segments due per curve: one pool of two workers per curve
+        _, last = _lazy_imports(*race, "--workers", "2", "--out", pooled / "race", "--cache-dir", pooled / "cache")
+        code, forked, *names = last.split()
+        assert (code, forked) == (str(cli.EXIT_OK), "True")
+        assert "concurrent.futures" in names and "multiprocessing" in names and "fractions" not in names
+        _, last = _lazy_imports(*race, "--workers", "1", "--out", inline / "race", "--cache-dir", inline / "cache")
+        assert last == f"{cli.EXIT_OK} False"
+        files = sorted(f.relative_to(pooled) for f in pooled.rglob("*") if f.is_file())
+        assert len(files) == 8  # race.csv, race.json and three segments of each curve
+        assert files == sorted(f.relative_to(inline) for f in inline.rglob("*") if f.is_file())
+        for f in files:
+            assert (pooled / f).read_bytes() == (inline / f).read_bytes(), f
+        # warm: no segment due, so no pool
+        argv = [*race, "--workers", "2", "--out", tmp_path / "warm", "--cache-dir", pooled / "cache"]
+        assert _lazy_imports(*argv) == ("", f"{cli.EXIT_OK} False")
+        assert (tmp_path / "warm.csv").read_bytes() == (pooled / "race.csv").read_bytes()
+
+    def test_torsion_check_loads_fractions(self):
+        _, last = _lazy_imports("ecm", "10403", "--curve", "e7")
+        code, forked, *names = last.split()
+        assert (code, forked) == (str(cli.EXIT_USAGE), "False") and "fractions" in names
 
 
 class TestEcmCommand:
