@@ -556,6 +556,7 @@ class OrderCache:
             hi = min(lo + CACHE_SEGMENT, x + 1)
             if path.exists():
                 stored.append(path)
+                # let go, not kept for the rows: a live mapping holds a descriptor (763 per curve at 10^8)
                 if _open_segment(path)[0, 1] >= hi:
                     continue
             todo.append((lo, hi, path))

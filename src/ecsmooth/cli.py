@@ -161,13 +161,20 @@ def cmd_alpha(args) -> int:
 
 
 def _write_series(series: census.CensusSeries, out_base: str) -> None:
-    Path(out_base + ".csv").write_text(series.to_csv())
-    Path(out_base + ".json").write_text(series.to_json())
+    try:
+        Path(out_base + ".csv").write_text(series.to_csv())
+        Path(out_base + ".json").write_text(series.to_json())
+    except OSError as exc:
+        raise UsageError(f"--out {out_base}: {exc.strerror}") from exc
     print(f"wrote {out_base}.csv and {out_base}.json ({len(series.rows)} rows)")
 
 
 def cmd_census(args) -> int:
-    cache = census.OrderCache(_cache_dir(args), workers=args.workers)
+    cache_dir = _cache_dir(args)
+    try:
+        cache = census.OrderCache(cache_dir, workers=args.workers)
+    except OSError as exc:
+        raise UsageError(f"cache directory {cache_dir}: {exc.strerror}") from exc
     budget = args.budget
     if args.rho:
         # rows are keyed by x = round(RHO_X_SCALE * u), so a finer step would repeat an x

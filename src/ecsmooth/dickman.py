@@ -8,15 +8,17 @@ to cancellation).  Each panel uses the derivative-corrected trapezoid rule,
 with rho'(t) = -rho(t-1)/t read off the grid one unit down; the sliding
 window sum is recomputed exactly at every integer so rounding noise from the
 incremental updates cannot pile up.  Step-halving is the self-convergence
-oracle.  The table is built unit by unit up to the largest u asked, so a
-caller that needs rho only on [0, 2] never pays for the grid to u = 50.
+oracle.  The table is built unit by unit up to the largest u asked and holds
+only what the recurrence reads: the nodes built, the last n panels and two
+floats, so a caller that needs rho only on [0, 2] never pays for u = 50.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +26,17 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_STEP = 1.0 / 1024
 DEFAULT_MAX_U = 50.0
-MAX_PER_UNIT = 1 << 16  # the finest step is 1/MAX_PER_UNIT: at most 50 * 2^16 nodes
+MAX_PER_UNIT = 1 << 16  # the finest step is 1/MAX_PER_UNIT; 8 bytes per node built, none preallocated
 
 
 @dataclass
 class RhoTable:
     """Grid of rho values with a cubic interpolation contract, built unit by
-    unit up to the largest u asked; `values` is the complete grid."""
+    unit up to the largest u asked into an array('d') that grows at its end;
+    `values` is a copy of the complete grid."""
 
     step: float = DEFAULT_STEP
     max_u: float = DEFAULT_MAX_U
-    _per_unit: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -48,61 +50,50 @@ class RhoTable:
             raise bad_step
         if not 1 <= self.max_u <= DEFAULT_MAX_U:
             raise DomainError(f"max_u must be in [1, {DEFAULT_MAX_U}], got {self.max_u}")
+        from array import array  # here, not at import: a process that asks no rho never loads it
         self._per_unit = n
-        h = 1.0 / n
-        total = int(round(self.max_u * n))
-        self._v = np.ones(total + 1)
-        # panel[k] = int_{(k-1)h}^{kh} rho; rho = 1 below u = 1
-        self._panel = np.empty(total + 1)
-        self._panel[: n + 1] = h
-        # derivative rho'(kh) = -rho(kh - 1)/(kh), zero below u = 1;
-        # at the kink u = 1 the panels to the right need the right-limit -1
-        self._dv = np.zeros(total + 1)
-        self._dv[n] = -1.0
+        self._last = round(self.max_u * n)
+        self._v = array("d", [1.0]) * (n + 1)  # nodes 0..n: rho = 1 below u = 1
+        # panel k = int_{(k-1)h}^{kh} rho, for the n nodes up to the last built
+        self._panels = deque([1.0 / n] * n, maxlen=n)
+        # rho'(kh) = -rho(kh - 1)/(kh) at the last built node; at the kink
+        # u = 1 the panels to the right need the right-limit -1
+        self._dv = -1.0
         self._window = 1.0  # sum of the n panels ending at the last built node
-        self._built = n  # nodes 0..n are rho = 1 and need no recurrence
 
     @property
     def values(self) -> np.ndarray:
-        if self._built < self._v.size - 1:
-            self._build(self._v.size - 1)
-        return self._v
+        if len(self._v) <= self._last:
+            self._build(self._last)
+        return np.array(self._v)
 
     def _build(self, last: int) -> None:
-        """Run the recurrence from the last built node up to node `last`.
-        Node k reads only nodes k - n .. k - 1, so the grid does not depend
-        on how the build is split.  The loop runs on Python floats, one unit
-        at a time: the unit's nodes and the n behind them are copied into
-        lists and written back, because indexing numpy scalars costs more
-        than the arithmetic."""
+        """Run the recurrence from the last built node up to node `last`,
+        appending each node and its panel.  Every call ends at the end of a
+        unit or at the table's last node, and node k reads only nodes k - n
+        .. k - 1, so the grid does not depend on how the build is split."""
         n = self._per_unit
         h = 1.0 / n
         half, c = 0.5 * h, h * h / 12.0
-        window = self._window
-        k = self._built + 1
-        while k <= last:
-            end = min(last, -(-k // n) * n)  # the unit's end: the next multiple of n
-            base = k - n
-            v, panel, dv = (a[base : end + 1].tolist() for a in (self._v, self._panel, self._dv))
-            v_prev, dv_prev = v[n - 1], dv[n - 1]
-            for i in range(n, end - base + 1):
-                u = (base + i) * h
-                dv_i = dv[i] = -v[i - n] / u
-                # corrected trapezoid, solved for the (linear) unknown v[k]:
-                # u v[k] = window - panel[k-n] + h/2 (v[k-1]+v[k]) + h^2/12 (dv[k-1]-dv[k])
-                slide = window - panel[i - n]
-                corr = c * (dv_prev - dv_i)
-                v_i = v[i] = (slide + half * v_prev + corr) / (u - half)
-                panel_i = panel[i] = half * (v_prev + v_i) + corr
-                window = slide + panel_i
-                v_prev, dv_prev = v_i, dv_i
-            if end % n == 0:
+        v, panels = self._v, self._panels
+        window, v_prev, dv_prev = self._window, v[-1], self._dv
+        for k in range(len(v), last + 1):
+            u = k * h
+            dv_k = -v[k - n] / u
+            # corrected trapezoid, solved for the (linear) unknown v[k]:
+            # u v[k] = window - panel[k-n] + h/2 (v[k-1]+v[k]) + h^2/12 (dv[k-1]-dv[k])
+            slide = window - panels[0]
+            corr = c * (dv_prev - dv_k)
+            v_k = (slide + half * v_prev + corr) / (u - half)
+            panel_k = half * (v_prev + v_k) + corr
+            v.append(v_k)
+            panels.append(panel_k)  # drops panel k - n
+            window = slide + panel_k
+            if k % n == 0:
                 # exact refresh kills accumulated rounding in the sliding sum
-                window = math.fsum(panel[-n:])
-            self._v[k : end + 1], self._panel[k : end + 1], self._dv[k : end + 1] = v[n:], panel[n:], dv[n:]
-            k = end + 1
-        self._window = window
-        self._built = max(self._built, last)
+                window = math.fsum(panels)
+            v_prev, dv_prev = v_k, dv_k
+        self._window, self._dv = window, dv_prev
 
     def _interp_at(self, u: float) -> float:
         """Cubic Lagrange interpolation with the 4-node stencil clamped inside
@@ -112,22 +103,19 @@ class RhoTable:
         k = int(pos)
         unit_lo = (k // n) * n
         unit_hi = unit_lo + n
-        last = self._v.size - 1
         # at u = max_u the stencil ends at the last node instead
-        i0 = min(max(k - 1, unit_lo), unit_hi - 3, last - 3)
+        i0 = min(max(k - 1, unit_lo), unit_hi - 3, self._last - 3)
         i0 = max(i0, 0)
-        end = min(unit_hi, last)  # the stencil's unit interval ends here
-        if self._built < end:
+        end = min(unit_hi, self._last)  # the stencil's unit interval ends here
+        if len(self._v) <= end:
             self._build(end)
-        xs = np.arange(i0, i0 + 4)
-        ys = self._v[i0 : i0 + 4]
         res = 0.0
         for j in range(4):
             w = 1.0
             for m in range(4):
                 if m != j:
-                    w *= (pos - xs[m]) / (xs[j] - xs[m])
-            res += w * ys[j]
+                    w *= (pos - (i0 + m)) / (j - m)
+            res += w * self._v[i0 + j]
         return res
 
     def rho(self, u: float) -> float:
@@ -137,7 +125,7 @@ class RhoTable:
             raise DomainError(f"u={u} beyond table max_u={self.max_u}")
         if u <= 1.0:
             return 1.0
-        return float(self._interp_at(u))
+        return self._interp_at(u)
 
 
 @functools.cache

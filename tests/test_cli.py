@@ -191,6 +191,10 @@ class TestProcessCost:
         first, second = map(int, out.splitlines()[-1].split())
         assert first > 0 and second == first
 
+    def test_import_loads_no_array(self):
+        # the rho table's node array is imported by the first table made
+        assert _fresh_python("import sys, ecsmooth.cli; print('array' in sys.modules)") == "False\n"
+
     def test_rho_loads_no_pool_and_no_fraction(self, tmp_path):
         argv = ["census", "--rho", "--max-u", "1", "--out", tmp_path / "rho", "--cache-dir", tmp_path / "cache"]
         assert _lazy_imports(*argv) == ("", f"{cli.EXIT_OK} False")
@@ -539,6 +543,18 @@ class TestCensusCommand:
         assert run(args, capsys)[0] == cli.EXIT_OK
         rows = json.loads((tmp_path / "r.json").read_text())["rows"]
         assert [x for x, _ in rows] == list(range(2001))
+
+    @pytest.mark.parametrize(
+        "cache, out, named",
+        [("file", "r", "cache directory"), ("file/cache", "r", "cache directory"), ("cache", "file/r", "--out")],
+    )
+    def test_unwritable_path_is_a_usage_error(self, tmp_path, capsys, cache, out, named):
+        (tmp_path / "file").write_text("")
+        args = ["census", "--rho", "--max-u", "1",
+                "--cache-dir", str(tmp_path / cache), "--out", str(tmp_path / out)]
+        code, _, err = run(args, capsys)
+        assert code == cli.EXIT_USAGE
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {named} {tmp_path}")
 
     def test_psi_series(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,9 @@ RHO_REFERENCE = {
 # sha256 of RhoTable().values.tobytes(), recorded before the table was built
 # on demand: the grid must not change with how it is built.
 RHO_GRID_SHA256 = "8adb2b20bf378071c17b3d01cad60f9171e0add5bc15569c1ad1cf44b786c05a"
+# sha256 of RhoTable(step=1/2048, max_u=20).values.tobytes(), recorded before
+# the table kept only the nodes, panels and derivative its recurrence reads
+RHO_FINE_GRID_SHA256 = "583476c505040a68a64c074b08010b74ff3e7e4d0a38c48dfa5058d2eba4d97a"
 
 
 def grid_sha256(table):
@@ -81,6 +85,26 @@ class TestRho:
 
     def test_grid_pin(self):
         assert grid_sha256(dickman.RhoTable()) == RHO_GRID_SHA256
+
+    def test_fine_grid_pin(self):
+        assert grid_sha256(dickman.RhoTable(step=1.0 / 2048, max_u=20.0)) == RHO_FINE_GRID_SHA256
+
+    def test_small_u_allocates_no_grid(self):
+        # rho(1.75) needs the nodes to u = 2, not a grid to max_u = 50 (1.2 MB)
+        tracemalloc.start()
+        try:
+            dickman.RhoTable().rho(1.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_values_is_a_copy(self):
+        table = dickman.RhoTable()
+        before, grid = table.rho(2.5), table.values
+        grid[:] = 0.0
+        assert table.rho(2.5) == before
+        assert grid_sha256(table) == RHO_GRID_SHA256
 
     def test_grid_after_scattered_queries(self):
         table = dickman.RhoTable()
