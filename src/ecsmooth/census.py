@@ -452,10 +452,19 @@ def _cache_path(cache_dir: Path, curve_name: str, seg_lo: int) -> Path:
     return cache_dir / f"{curve_name}.v{ORDER_VERSION}.{seg_lo:010d}.npy"
 
 
-def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int) -> np.ndarray:
-    """(p, |E(F_p)|, P+(|E(F_p)|)) rows, int64, for the good primes in
-    [seg_lo, seg_hi)."""
-    return np.column_stack(order_table(catalog_curve(curve_name), seg_lo, seg_hi))
+def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, tmps: list[Path], cache: OrderCache) -> None:
+    """Write the run [seg_lo, seg_hi), cut into segments of CACHE_SEGMENT
+    integers from seg_lo, one file per name of tmps through cache._write:
+    the header (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows,
+    int64, of the good primes in [lo, hi).  One order table serves the
+    whole run, so it sieves once and makes one P+ pass; in a pool worker
+    the rows never leave the worker."""
+    primes, orders, pplus = order_table(catalog_curve(curve_name), seg_lo, seg_hi)
+    rows = np.column_stack((primes, orders, pplus))
+    for lo, tmp in zip(range(seg_lo, seg_hi, CACHE_SEGMENT), tmps, strict=True):
+        hi = min(lo + CACHE_SEGMENT, seg_hi)
+        i, j = np.searchsorted(primes, [lo, hi])
+        cache._write(tmp, np.vstack(([lo, hi, 0], rows[i:j])))
 
 
 def _open_segment(path: Path) -> np.ndarray:
@@ -522,11 +531,13 @@ class OrderCache:
     whose x + 1 <= hi only loads the file, and a run that needs more
     computes the whole segment again from lo and replaces the file, so
     that every file's rows come from one computation.  A call computes its
-    segments through one map, in process or on a pool of up to `workers`
-    processes, and renames their files into place only once every one has
-    succeeded; a failure cancels the segments not yet started.  Files are
-    bit-exact reproducible, and the last of two concurrent writers of a
-    file wins with a whole one.
+    segments in runs of consecutive ones through one map, in process or on a
+    pool of up to `workers` processes.  Each run makes one order table and
+    writes its segments' files itself, so pool workers send back no rows,
+    and the files are renamed into place only once every run has succeeded;
+    a failure cancels the runs not yet started.  Files are bit-exact
+    reproducible, whatever the runs, and the last of two concurrent writers
+    of a file wins with a whole one.
 
     segments() streams the table one segment at a time, which is how every
     curve-order count reads it; table() joins the stream into whole
@@ -587,31 +598,41 @@ class OrderCache:
         return dict(zip(primes.tolist(), orders.tolist()))
 
     def _compute(self, curve_name: str, todo) -> None:
-        """Persist every (lo, hi, path) of todo: the header (lo, hi, 0), then
-        the rows _compute_segment makes for [lo, hi), taken in order from one
-        map: the builtin one for one worker or one segment, else a pool's.
+        """Persist every (lo, hi, path) of todo, ascending in lo.  Consecutive
+        segments are grouped into runs, and _compute_segment writes each
+        run's files, under private names next to their paths that this
+        process chose, through one map: the builtin one for one worker or one
+        run, else a pool's, whose tasks return no rows.  A pooled run holds
+        up to min(4, ceil(len(todo) / (2 workers))) segments, so that every
+        worker gets at least two runs; a run in process holds one, so that
+        this process never holds more than one segment's table, whatever x.
         Only the pooled branch imports the pool, through ProcessPoolExecutor,
         so a process that forks none never loads multiprocessing and its
-        modules (about 20 ms and 2 MB).  Each result is staged through _write
-        under a private name next to its path and let go.  Once all have
-        succeeded the staged files are renamed onto their paths; if one
-        fails they are removed, the segments not yet started are cancelled,
-        and every stored file is left as it was."""
-        spans = [(lo, hi) for lo, hi, _ in todo]
-        pooled = self.workers > 1 and len(spans) > 1
-        staged = []
+        modules (about 20 ms and 2 MB).  Once every run has succeeded the
+        staged files are renamed onto their paths; if one fails, the runs not
+        yet started are cancelled, the staged files are removed once the
+        running ones have ended, and every stored file is left as it was."""
+        if not todo:
+            return
+        size = min(4, -(-len(todo) // (2 * self.workers))) if self.workers > 1 else 1
+        runs, staged = [], []  # runs: [lo, hi, tmps] of consecutive segments
+        for lo, hi, path in todo:
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            staged.append((tmp, path))
+            if runs and runs[-1][1] == lo and len(runs[-1][2]) < size:
+                runs[-1][1] = hi
+                runs[-1][2].append(tmp)
+            else:
+                runs.append([lo, hi, [tmp]])
+        pooled = self.workers > 1 and len(runs) > 1
         try:
             # the fork start method forks all max_workers at the first submit
-            with ProcessPoolExecutor(min(self.workers, len(spans))) if pooled else nullcontext() as pool:
-                # todo first, so that an empty todo maps nothing; no name holds
-                # the map, so that a failure lets it go, which cancels every
-                # segment not yet started before the pool waits for the rest
-                for (lo, hi, path), rows in zip(todo, (pool.map if pooled else map)(
-                    _compute_segment, itertools.repeat(curve_name), *zip(*spans)
-                )):
-                    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-                    staged.append((tmp, path))
-                    self._write(tmp, np.vstack(([lo, hi, 0], rows)))
+            with ProcessPoolExecutor(min(self.workers, len(runs))) if pooled else nullcontext() as pool:
+                # a failed run raises out of the map, which cancels every run
+                # not yet started; leaving the pool waits for the others
+                list((pool.map if pooled else map)(
+                    _compute_segment, itertools.repeat(curve_name), *zip(*runs), itertools.repeat(self)
+                ))
         except BaseException:
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)

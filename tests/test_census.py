@@ -2,6 +2,7 @@ import collections
 import hashlib
 import io
 import math
+import os
 import warnings
 from concurrent.futures import Executor, Future
 
@@ -869,16 +870,48 @@ def fake_orders(monkeypatch, fail_at=None):
 
 
 def spy_segments(monkeypatch):
-    """Record the (lo, hi) of every segment the cache computes."""
+    """Record the (lo, hi) of every run of segments the cache computes in
+    this process."""
     calls = []
     compute = census._compute_segment
 
-    def spy(name, lo, hi):
+    def spy(name, lo, hi, *files):
         calls.append((lo, hi))
-        return compute(name, lo, hi)
+        return compute(name, lo, hi, *files)
 
     monkeypatch.setattr(census, "_compute_segment", spy)
     return calls
+
+
+def inline_pool(monkeypatch):
+    """Make the cache's pool run each task at once, in process; returns the
+    list of the pool sizes asked."""
+    sizes = []
+
+    class InlinePool(Executor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def computed_segment(tmp_path, name, lo, hi):
+    """The file _compute_segment writes for the one-segment run [lo, hi)."""
+    path = tmp_path / f"{name}.{lo}.{hi}.npy"
+    census._compute_segment(name, lo, hi, [path], census.OrderCache(tmp_path))
+    return np.load(path)
 
 
 class TestOrderCache:
@@ -909,7 +942,7 @@ class TestOrderCache:
         [("e7", 0, 5000), ("e7", census.CACHE_SEGMENT - 3000, census.CACHE_SEGMENT + 3000),
          ("e37", 2000, 2600), ("e37", 10**5 - 300, 10**5 + 300)],
     )
-    def test_segment_sieves_only_its_range(self, name, lo, hi):
+    def test_segment_sieves_only_its_range(self, tmp_path, name, lo, hi):
         # what the segment held when it was cut from the full prime table
         cat = ecm.catalog_curve(name)
         want = [
@@ -918,12 +951,12 @@ class TestOrderCache:
             if lo <= p < hi and cat.curve.has_good_reduction(p)
             for n in [cmcount.order(cat, p)]
         ]
-        seg = census._compute_segment(name, lo, hi)
-        assert seg.dtype == np.int64 and seg.tolist() == want
+        seg = computed_segment(tmp_path, name, lo, hi)
+        assert seg.dtype == np.int64 and seg[0].tolist() == [lo, hi, 0] and seg[1:].tolist() == want
 
-    def test_segment_is_half_open(self):
-        assert [p for p, _, _ in census._compute_segment("e7", 90, 101).tolist()] == [97]
-        assert census._compute_segment("e7", 0, 2).shape == (0, 3)
+    def test_segment_is_half_open(self, tmp_path):
+        assert [p for p, _, _ in computed_segment(tmp_path, "e7", 90, 101)[1:].tolist()] == [97]
+        assert computed_segment(tmp_path, "e7", 0, 2).shape == (1, 3)
 
     # SHA-256 of every file the cache wrote for these tables in the two-column
     # layout of ORDER_VERSION 1, which the (p, |E(F_p)|) columns of each file
@@ -992,26 +1025,7 @@ class TestOrderCache:
 
     def test_pool_size_is_segments_due(self, tmp_path, monkeypatch):
         fake_orders(monkeypatch)
-        sizes = []
-
-        class InlinePool(Executor):
-            """Records the pool size and runs each task at once, in process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        sizes = inline_pool(monkeypatch)
         cache = census.OrderCache(tmp_path, workers=64)
         seg = census.CACHE_SEGMENT
         ps = cache.table(E7, seg + 200)[0]
@@ -1023,9 +1037,12 @@ class TestOrderCache:
         ("segment", AmbiguityError),
         ("write", OSError),
         ("write", KeyboardInterrupt),
+        ("second write", OSError),
     ])
     def test_failure_cancels_segments_not_started(self, tmp_path, monkeypatch, failing, error):
         seg = census.CACHE_SEGMENT
+        # four segments due make four runs of one; six make three runs of two
+        due = 6 if failing == "second write" else 4
         fake_orders(monkeypatch)
         cache = census.OrderCache(tmp_path, workers=2)
         cache.table(E7, 3000)
@@ -1066,18 +1083,22 @@ class TestOrderCache:
         if failing == "segment":  # a prime of the second of four segments due
             p = arith.prime_sieve(seg + 200, seg)[0]
             fake_orders(monkeypatch, fail_at=p)
-        else:  # the first staged file is written whole, then the write fails
+        else:  # the first (or second) staged file is written whole, then the write fails
             write = census.OrderCache._write
+            writes = []
 
             def failing_write(self, path, seg):
                 write(self, path, seg)
-                raise error("staged write failed")
+                writes.append(path)
+                if len(writes) == (2 if failing == "second write" else 1):
+                    raise error("staged write failed")
 
             monkeypatch.setattr(census.OrderCache, "_write", failing_write)
         calls = spy_segments(monkeypatch)
         with pytest.raises(error):
-            cache.table(E7, 3 * seg + 200)
-        assert calls == [(0, seg), (seg, 2 * seg)][: 2 if failing == "segment" else 1]
+            cache.table(E7, (due - 1) * seg + 200)
+        assert calls == {"segment": [(0, seg), (seg, 2 * seg)], "write": [(0, seg)],
+                         "second write": [(0, 2 * seg)]}[failing]
         assert shutdowns == [[]]  # one pool, shut down with no future pending
         assert [f.name for f in tmp_path.iterdir()] == [head.name]
         assert head.read_bytes() == stored
@@ -1214,6 +1235,89 @@ class TestOrderCache:
         assert not list(tmp_path.iterdir())
 
 
+class TestRuns:
+    """A pooled call computes consecutive segments in runs, each one task
+    that makes one order table and writes its segments' files itself; the
+    files are those of one task per segment."""
+
+    @staticmethod
+    def one_segment_cache(cache, x):
+        """The e7 and e11 files to x as one order table per segment makes them."""
+        cache.mkdir()
+        for name in ("e7", "e11"):
+            for lo in range(0, x + 1, census.CACHE_SEGMENT):
+                hi = min(lo + census.CACHE_SEGMENT, x + 1)
+                rows = np.column_stack(census.order_table(ecm.catalog_curve(name), lo, hi))
+                np.save(census._cache_path(cache, name, lo), np.vstack(([lo, hi, 0], rows)))
+
+    @staticmethod
+    def race(cache, x, workers):
+        """The exit code and the CSV and JSON bytes of the race to x."""
+        out = cache.with_name(f"{cache.name}-race")
+        code = cli.main(["census", "--race", "e7-e11", "--y", "128", "--budget", str(x),
+                         "--workers", str(workers), "--cache-dir", str(cache), "--out", str(out)])
+        return code, out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
+
+    @staticmethod
+    def files(cache):
+        return {f.name: f.read_bytes() for f in cache.iterdir()}
+
+    def test_pooled_race_writes_every_file_in_a_worker(self, tmp_path, monkeypatch):
+        writers = tmp_path / "writers"
+        write = census.OrderCache._write
+
+        def logged(self, path, seg):
+            with writers.open("a") as fh:  # forked workers inherit this wrapper
+                fh.write(f"{os.getpid()}\n")
+            write(self, path, seg)
+
+        monkeypatch.setattr(census.OrderCache, "_write", logged)
+        cache = tmp_path / "cache"
+        assert self.race(cache, 300_000, 2)[0] in (cli.EXIT_OK, cli.EXIT_NEGATIVE)
+        pids = writers.read_text().split()
+        assert len(pids) == len(list(cache.iterdir())) == 6
+        assert str(os.getpid()) not in pids
+
+    @pytest.mark.parametrize("x", [3000, 2 * census.CACHE_SEGMENT - 1, 2 * census.CACHE_SEGMENT,
+                                   300_000, 3 * census.CACHE_SEGMENT + 1, 10**6])
+    def test_runs_match_one_segment_tasks(self, tmp_path, monkeypatch, x):
+        fake_orders(monkeypatch)
+        ref = tmp_path / "ref"
+        self.one_segment_cache(ref, x)
+        want = self.race(ref, x, 1)
+        for workers in (1, 2):
+            cache = tmp_path / f"workers{workers}"
+            assert self.race(cache, x, workers) == want, workers
+            assert self.files(cache) == self.files(ref), workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grown_x_matches_one_segment_tasks(self, tmp_path, monkeypatch, workers):
+        fake_orders(monkeypatch)
+        ref = tmp_path / "ref"
+        self.one_segment_cache(ref, 1_200_000)
+        cache = tmp_path / "cache"
+        for x in (300_000, 10**6, 10**6, 1_200_000):
+            assert self.race(cache, x, workers) == self.race(ref, x, 1), x
+        assert self.files(cache) == self.files(ref)  # no .tmp file left either
+
+    def test_one_task_per_run(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        sizes = inline_pool(monkeypatch)
+        calls = spy_segments(monkeypatch)
+        seg = census.CACHE_SEGMENT
+        cache = census.OrderCache(tmp_path, workers=2)
+        cache.table(E7, 8 * seg - 1)  # 8 due: runs of min(4, ceil(8 / 4)) = 2
+        assert calls == [(lo, lo + 2 * seg) for lo in range(0, 8 * seg, 2 * seg)] and sizes == [2]
+        for lo in (0, 1, 2, 4, 6, 7):  # 6 due: runs of 2, cut where a stored file sits
+            census._cache_path(tmp_path, "e7", lo * seg).unlink()
+        calls.clear()
+        cache.table(E7, 8 * seg - 1)
+        assert calls == [(0, 2 * seg), (2 * seg, 3 * seg), (4 * seg, 5 * seg), (6 * seg, 8 * seg)]
+        assert sizes == [2, 2]
+        census.OrderCache(tmp_path / "one", workers=1).table(E7, 8 * seg - 1)
+        assert calls[4:] == [(lo, lo + seg) for lo in range(0, 8 * seg, seg)]  # in process, runs of one
+
+
 class TestSegmentStream:
     """The CLI's curve-order counts read OrderCache.segments;
     OrderCache.table is that stream joined."""
@@ -1283,9 +1387,9 @@ class TestSegmentStream:
         census.OrderCache(fresh).table(E7, 5000)
         compute = census._compute_segment
 
-        def replaced(name, lo, hi):
+        def replaced(name, lo, hi, *files):
             census._cache_path(other, "e7", 0).replace(head)
-            return compute(name, lo, hi)
+            return compute(name, lo, hi, *files)
 
         monkeypatch.setattr(census, "_compute_segment", replaced)
         ps = cache.table(E7, 5000)[0]

@@ -608,8 +608,8 @@ class TestCensusCommand:
         race = ["census", "--race", "e7-e11", "--y", "128", "--budget", "5000", *cache]
         assert run([*race, "--out", "cold"], capsys)[0] == cli.EXIT_OK
 
-        def refuse(*args):
-            raise AssertionError(f"segment {args} recomputed on a warm cache")
+        def refuse(name, lo, hi, *files):
+            raise AssertionError(f"{name} segments [{lo}, {hi}) recomputed on a warm cache")
 
         monkeypatch.setattr(census, "_compute_segment", refuse)
         assert run([*race, "--out", "warm"], capsys)[0] == cli.EXIT_OK
@@ -667,8 +667,8 @@ class TestCensusCommand:
         ids=["race", "psi_e", "gamma_tilde"],
     )
     def test_budget_above_sieve_limit(self, tmp_path, capsys, monkeypatch, command):
-        def refuse(*args):
-            raise AssertionError(f"segment {args} computed past the sieve limit")
+        def refuse(name, lo, hi, *files):
+            raise AssertionError(f"{name} segments [{lo}, {hi}) computed past the sieve limit")
 
         monkeypatch.setattr(census, "_compute_segment", refuse)
         budget = str(arith.SIEVE_LIMIT + 1)
