@@ -100,7 +100,7 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=64)
 def _probable_prime(n: int) -> bool:
     # memoized: 40 rounds cost milliseconds at 127 bits, and one q is asked
-    # about again and again (cli.cmd_split, then split_step on every call)
+    # about again and again (split_step on every call)
     rng = random.Random(n)
     return _miller_rabin(n, [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_ABOVE)])
 
@@ -130,10 +130,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def prime_sieve(limit: int, start: int = 2) -> list[int]:
-    """All primes p with start <= p <= limit, ascending, as a list: the
-    list form of prime_array, under the same guards."""
-    return prime_array(limit, start).tolist()
+def prime_sieve(limit: int) -> list[int]:
+    """All primes p <= limit, ascending, as a list: the list form of
+    prime_array, under the same guards."""
+    return prime_array(limit).tolist()
 
 
 def prime_array(limit: int, start: int = 2) -> np.ndarray:

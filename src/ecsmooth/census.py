@@ -206,11 +206,6 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     return [counts[c] for c in checkpoints]
 
 
-def psi_exact(x: int, y: int) -> int:
-    """Exact Psi(x, y) = #{n <= x : P+(n) < y}."""
-    return psi_counts([x], y)[0]
-
-
 def valuation_totals(orders: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """sum_n val_ell(n), int64, over the orders n >= 1 for each ell of
     primes, the ascending int64 primes from 2 up to some bound: one
@@ -439,10 +434,9 @@ def gamma_tilde_counts(friable: int, total: int, x: int, y: int) -> float:
     if total == 0:
         raise DomainError("empty census, cannot form the ratio")
     u = math.log(x) / math.log(y)
-    r, underflow = dickman.rho_clipped(u)
-    if underflow or r == 0.0:
+    if u > dickman.DEFAULT_MAX_U:  # past the rho table; inside it rho >= rho(50) > 0
         raise DomainError(f"rho({u}) underflows; gamma_tilde undefined")
-    return (friable / total / r - 1.0) / (math.log(u + 1) / math.log(y))
+    return (friable / total / dickman.rho(u) - 1.0) / (math.log(u + 1) / math.log(y))
 
 
 # --- on-disk order cache ---
@@ -495,11 +489,11 @@ def _load_segment(path: Path) -> np.ndarray:
     (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
-    # |t| <= floor(2 sqrt p) iff t^2 <= 4p for the trace t = p + 1 - n; t^2
-    # fits in int64 once |t| <= p, since p < hi <= lo + CACHE_SEGMENT and
-    # OrderCache.segments opens files only for lo <= SIEVE_LIMIT
+    # |t| <= floor(2 sqrt p) iff t^2 <= 4p for the trace t = p + 1 - n; t^2 fits
+    # in int64 once -p <= t <= p (np.abs(-2^63) is -2^63), since p < hi <= lo +
+    # CACHE_SEGMENT and OrderCache.segments opens files only for lo <= SIEVE_LIMIT
     t = p + 1 - n
-    outside = np.flatnonzero((np.abs(t) > p) | (t * t > 4 * p))
+    outside = np.flatnonzero((t < -p) | (t > p) | (t * t > 4 * p))
     if outside.size:
         i = outside[0]
         r = math.isqrt(4 * int(p[i]))
@@ -562,20 +556,19 @@ class OrderCache:
             # every segment below it had been computed
             raise CapacityError(f"order table to x={x} exceeds the sieve limit {arith.SIEVE_LIMIT}")
         paths = {lo: _cache_path(self.cache_dir, cat.name, lo) for lo in range(0, x + 1, CACHE_SEGMENT)}
-        todo, stored = [], []
+        todo = []
         for lo, path in paths.items():
             hi = min(lo + CACHE_SEGMENT, x + 1)
-            if path.exists():
-                stored.append(path)
-                # let go, not kept for the rows: a live mapping holds a descriptor (763 per curve at 10^8)
-                if _open_segment(path)[0, 1] >= hi:
-                    continue
+            # let go, not kept for the rows: a live mapping holds a descriptor (763 per curve at 10^8)
+            if path.exists() and _open_segment(path)[0, 1] >= hi:
+                continue
             todo.append((lo, hi, path))
         if todo:
             # so that a corrupt file, a short one included, fails before any
             # segment is computed
-            for path in stored:
-                _load_segment(path)
+            for path in paths.values():
+                if path.exists():
+                    _load_segment(path)
         self._compute(cat.name, todo)
         for lo, path in paths.items():
             seg = _load_segment(path)

@@ -69,12 +69,6 @@ def _config_defaults(p: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
     p.set_defaults(**{a.dest: value(a) for a in p._actions if a.dest in cfg})
 
 
-def _cache_dir(args) -> str:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV, os.path.expanduser(DEFAULT_CACHE))
-
-
 def cmd_ecm(args) -> int:
     cat = ecm.catalog_curve(args.curve)
     t0 = time.perf_counter()
@@ -90,8 +84,6 @@ def cmd_ecm(args) -> int:
 
 
 def cmd_split(args) -> int:
-    if not arith.is_prime(args.q):
-        raise UsageError(f"q={args.q} is not prime")
     if args.max_iters < 1:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
     u = v = ecm.auto_uv(args.q) if args.auto else None
@@ -170,93 +162,95 @@ def _write_series(series: census.CensusSeries, out_base: str) -> None:
 
 
 def cmd_census(args) -> int:
-    cache_dir = _cache_dir(args)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV, os.path.expanduser(DEFAULT_CACHE))
+    # the OSErrors that reach here come from the order cache: making its
+    # directory, or writing or renaming a segment's file
     try:
         cache = census.OrderCache(cache_dir, workers=args.workers)
+        budget = args.budget
+        if args.rho:
+            # rows are keyed by x = round(RHO_X_SCALE * u), so a finer step would repeat an x
+            if not args.rho_step >= 1 / RHO_X_SCALE:
+                raise UsageError(f"--rho-step must be >= {1 / RHO_X_SCALE}, got {args.rho_step}")
+            if not 0 <= args.max_u <= dickman.DEFAULT_MAX_U:
+                raise UsageError(f"--max-u must be in [0, {dickman.DEFAULT_MAX_U}], got {args.max_u}")
+            rows = []
+            u = 0.0
+            while u <= args.max_u + 1e-12:
+                # the last u may pass max_u by rounding; the table ends at DEFAULT_MAX_U
+                rows.append((round(u * RHO_X_SCALE), dickman.rho(min(u, dickman.DEFAULT_MAX_U))))
+                u += args.rho_step
+            series = census.CensusSeries(
+                census.SeriesKind.RHO,
+                {"max_u": args.max_u, "step": args.rho_step, "x_scale": RHO_X_SCALE},
+                rows,
+            )
+            _write_series(series, args.out or "rho")
+            return EXIT_OK
+        if args.race:
+            try:
+                n1, n2 = args.race.split("-")
+                e1, e2 = ecm.catalog_curve(n1), ecm.catalog_curve(n2)
+            except ValueError as exc:
+                raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
+            census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
+            _check_curve_budget(budget)
+            series = census.race(e1, e2, args.y, _checkpoints(budget),
+                                 cache.segments(e1, budget), cache.segments(e2, budget))
+            _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
+            violations = sum(1 for _, v in series.rows if v < 0)
+            if violations:
+                print(f"race lead changes sign at {violations} checkpoint(s)")
+                return EXIT_NEGATIVE
+            return EXIT_OK
+        if args.kind == "psi":
+            cps = _checkpoints(budget)
+            rows = list(zip(cps, census.psi_counts(cps, args.y)))
+            series = census.CensusSeries(census.SeriesKind.PSI, {"y": args.y}, rows)
+            _write_series(series, args.out or f"psi_y{args.y}")
+            return EXIT_OK
+        if args.kind == "psi_e":
+            cat = ecm.catalog_curve(args.curve)
+            census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
+            _check_curve_budget(budget)
+            cps = _checkpoints(budget)
+            rows = list(zip(cps, census.psi_E(cache.segments(cat, budget), [(x, args.y) for x in cps])))
+            series = census.CensusSeries(
+                census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
+            )
+            _write_series(series, args.out or f"psie_{cat.name}_y{args.y}")
+            return EXIT_OK
+        if args.kind == "gamma_tilde":
+            if args.d is None:
+                _check_curve_budget(budget)
+            # before any count or cache file: every y of the --out series lies in [2, y]
+            census.check_gamma_tilde_bounds(budget, args.y)
+            u = math.log(budget) / math.log(args.y)
+            # convergence at fixed u: y_x = x^(1/u) at every checkpoint below the budget
+            points = [(x, max(2, round(x ** (1 / u)))) for x in _checkpoints(budget)[:-1]] if args.out else []
+            points.append((budget, args.y))
+            if args.d is not None:
+                K = arith.field_for(args.d)
+                vals = [census.gamma_tilde_field(K, x, y) for x, y in points]
+                label, params = f"d={args.d}", {"d": args.d}
+            else:
+                cat = ecm.catalog_curve(args.curve)
+                vals = census.gamma_tilde_curve(cache.segments(cat, budget), points)
+                label, params = f"curve={args.curve}", {"curve": cat.name}
+            print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {vals[-1]:.6f}")
+            if args.out:
+                if args.d is not None:
+                    # the conjectured limit in ideal-count mode, recorded and not checked
+                    params["reference"] = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
+                series = census.CensusSeries(
+                    census.SeriesKind.GAMMA_TILDE, {**params, "u": u, "y": args.y},
+                    [(x, v) for (x, _), v in zip(points, vals)],
+                )
+                _write_series(series, args.out)
+            return EXIT_OK
+        raise UsageError("nothing to do: pick a census kind, --race, or --rho")
     except OSError as exc:
         raise UsageError(f"cache directory {cache_dir}: {exc.strerror}") from exc
-    budget = args.budget
-    if args.rho:
-        # rows are keyed by x = round(RHO_X_SCALE * u), so a finer step would repeat an x
-        if not args.rho_step >= 1 / RHO_X_SCALE:
-            raise UsageError(f"--rho-step must be >= {1 / RHO_X_SCALE}, got {args.rho_step}")
-        if not 0 <= args.max_u <= dickman.DEFAULT_MAX_U:
-            raise UsageError(f"--max-u must be in [0, {dickman.DEFAULT_MAX_U}], got {args.max_u}")
-        rows = []
-        u = 0.0
-        while u <= args.max_u + 1e-12:
-            # the last u may pass max_u by rounding; the table ends at DEFAULT_MAX_U
-            rows.append((round(u * RHO_X_SCALE), dickman.rho(min(u, dickman.DEFAULT_MAX_U))))
-            u += args.rho_step
-        series = census.CensusSeries(
-            census.SeriesKind.RHO,
-            {"max_u": args.max_u, "step": args.rho_step, "x_scale": RHO_X_SCALE},
-            rows,
-        )
-        _write_series(series, args.out or "rho")
-        return EXIT_OK
-    if args.race:
-        try:
-            n1, n2 = args.race.split("-")
-            e1, e2 = ecm.catalog_curve(n1), ecm.catalog_curve(n2)
-        except ValueError as exc:
-            raise UsageError(f"--race wants CURVE-CURVE, got {args.race!r}") from exc
-        census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
-        _check_curve_budget(budget)
-        series = census.race(e1, e2, args.y, _checkpoints(budget),
-                             cache.segments(e1, budget), cache.segments(e2, budget))
-        _write_series(series, args.out or f"race_{n1}_{n2}_y{args.y}")
-        violations = sum(1 for _, v in series.rows if v < 0)
-        if violations:
-            print(f"race lead changes sign at {violations} checkpoint(s)")
-            return EXIT_NEGATIVE
-        return EXIT_OK
-    if args.kind == "psi":
-        cps = _checkpoints(budget)
-        rows = list(zip(cps, census.psi_counts(cps, args.y)))
-        series = census.CensusSeries(census.SeriesKind.PSI, {"y": args.y}, rows)
-        _write_series(series, args.out or f"psi_y{args.y}")
-        return EXIT_OK
-    if args.kind == "psi_e":
-        cat = ecm.catalog_curve(args.curve)
-        census.FriabilityTester(args.y)  # refuses a bad --y before any order is computed
-        _check_curve_budget(budget)
-        cps = _checkpoints(budget)
-        rows = list(zip(cps, census.psi_E(cache.segments(cat, budget), [(x, args.y) for x in cps])))
-        series = census.CensusSeries(
-            census.SeriesKind.PSI_E, {"curve": cat.name, "y": args.y}, rows
-        )
-        _write_series(series, args.out or f"psie_{cat.name}_y{args.y}")
-        return EXIT_OK
-    if args.kind == "gamma_tilde":
-        if args.d is None:
-            _check_curve_budget(budget)
-        # before any count or cache file: every y of the --out series lies in [2, y]
-        census.check_gamma_tilde_bounds(budget, args.y)
-        u = math.log(budget) / math.log(args.y)
-        # convergence at fixed u: y_x = x^(1/u) at every checkpoint below the budget
-        points = [(x, max(2, round(x ** (1 / u)))) for x in _checkpoints(budget)[:-1]] if args.out else []
-        points.append((budget, args.y))
-        if args.d is not None:
-            K = arith.field_for(args.d)
-            vals = [census.gamma_tilde_field(K, x, y) for x, y in points]
-            label, params = f"d={args.d}", {"d": args.d}
-        else:
-            cat = ecm.catalog_curve(args.curve)
-            vals = census.gamma_tilde_curve(cache.segments(cat, budget), points)
-            label, params = f"curve={args.curve}", {"curve": cat.name}
-        print(f"gamma_tilde({label}, x={budget}, y={args.y}, u={u:.3f}) = {vals[-1]:.6f}")
-        if args.out:
-            if args.d is not None:
-                # the conjectured limit in ideal-count mode, recorded and not checked
-                params["reference"] = 1.0 - lfunc.EULER_GAMMA - lfunc.gamma_k(K)
-            series = census.CensusSeries(
-                census.SeriesKind.GAMMA_TILDE, {**params, "u": u, "y": args.y},
-                [(x, v) for (x, _), v in zip(points, vals)],
-            )
-            _write_series(series, args.out)
-        return EXIT_OK
-    raise UsageError("nothing to do: pick a census kind, --race, or --rho")
 
 
 def _check_curve_budget(budget: int) -> None:

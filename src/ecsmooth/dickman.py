@@ -138,15 +138,6 @@ def rho(u: float) -> float:
     return default_table().rho(u)
 
 
-def rho_clipped(u: float) -> tuple[float, bool]:
-    """(rho(u), underflowed): beyond the table the value underflows to 0.0
-    with the flag set, never a negative value."""
-    t = default_table()
-    if u > t.max_u:
-        return 0.0, True
-    return t.rho(u), False
-
-
 def xi(u: float) -> float:
     """Positive solution of exp(xi) = 1 + u*xi (Newton iteration)."""
     if not 1 < u < math.inf:  # written so that NaN fails it

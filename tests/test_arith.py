@@ -64,9 +64,10 @@ class TestPrimes:
     @pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, 2**20, 2**20 + 1, 2**20 + 7, 2**21 + 3])
     def test_sieve_start_is_filtered_full_sieve(self, limit):
         full = arith.prime_sieve(limit)
+        assert full == arith.prime_array(limit).tolist()
         root = math.isqrt(limit)
         for start in (0, 1, 2, 3, root - 1, root + 1, 2**20 - 1, 2**20 + 1, limit + 1, limit + 5):
-            assert arith.prime_sieve(limit, start) == [p for p in full if p >= start], start
+            assert arith.prime_array(limit, start).tolist() == [p for p in full if p >= start], start
 
     def test_prime_factors_brute(self):
         top = 10**4

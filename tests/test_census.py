@@ -279,10 +279,10 @@ class TestDivisionPass:
 
 class TestPsiExact:
     def test_example(self):
-        assert census.psi_exact(10, 3) == 4  # {1, 2, 4, 8}
+        assert census.psi_counts([10], 3)[0] == 4  # {1, 2, 4, 8}
 
     def test_y_above_x(self):
-        assert census.psi_exact(100, 101) == 100
+        assert census.psi_counts([100], 101)[0] == 100
 
     def test_brute_force_cross_product(self):
         for x in (30, 100, 300):
@@ -290,11 +290,11 @@ class TestPsiExact:
                 brute = sum(
                     1 for n in range(1, x + 1) if n == 1 or largest_prime_factor(n) < y
                 )
-                assert census.psi_exact(x, y) == brute, (x, y)
+                assert census.psi_counts([x], y)[0] == brute, (x, y)
 
     def test_budget(self):
         with pytest.raises(CapacityError):
-            census.psi_exact(census.PSI_BUDGET + 1, 100)
+            census.psi_counts([census.PSI_BUDGET + 1], 100)
 
 
 def divided_out(n, primes):
@@ -356,7 +356,7 @@ class TestDivideOut:
     @pytest.mark.parametrize("y, psi", [(2, 1), (3, 24), (100, 269_882), (10**4, 4_699_661)])
     def test_psi_at_ten_million(self, y, psi):
         # values of the strided floor division that the exact division replaced
-        assert census.psi_exact(10**7, y) == psi
+        assert census.psi_counts([10**7], y)[0] == psi
 
 
 class TestPsiCounts:
@@ -377,15 +377,15 @@ class TestPsiCounts:
 
     def test_one_pass_equals_per_checkpoint(self):
         cps = [self.SEG + 2, 16, self.SEG, 16]  # any order, repeats allowed
-        assert census.psi_counts(cps, 50) == [census.psi_exact(c, 50) for c in cps]
+        assert census.psi_counts(cps, 50) == [census.psi_counts([c], 50)[0] for c in cps]
 
     @pytest.mark.parametrize("y", [2, 30])
     def test_many_checkpoints_per_window(self, monkeypatch, y):
         # 10^4 checkpoints in any order, most of them repeated, in windows
-        # of 64 integers: each equals its own psi_exact pass
+        # of 64 integers: each equals its own one-checkpoint pass
         monkeypatch.setattr(census, "PSI_SEGMENT", 64)
         cps = np.random.default_rng(32).integers(1, 1001, 10**4).tolist()
-        want = {c: census.psi_exact(c, y) for c in set(cps)}
+        want = {c: census.psi_counts([c], y)[0] for c in set(cps)}
         assert census.psi_counts(cps, y) == [want[c] for c in cps]
 
     def test_y_above_every_checkpoint(self):
@@ -400,7 +400,7 @@ class TestPsiCounts:
         with pytest.raises(CapacityError, match=r"psi_exact budget"):
             census.psi_counts([10, census.PSI_BUDGET + 1], 100)
         with pytest.raises(UsageError):
-            census.psi_exact(0, 5)
+            census.psi_counts([0], 5)
 
 
 class TestPsiE:
@@ -492,7 +492,7 @@ class TestPsiEZ:
         assert got == census.psi_E_z([table], 400, 401, 30) > 0
 
     def test_subset_of_psi(self):
-        assert census.psi_E_z([naive_table(E7, 500)], 500, 20, 10) <= census.psi_exact(500, 20)
+        assert census.psi_E_z([naive_table(E7, 500)], 500, 20, 10) <= census.psi_counts([500], 20)[0]
 
     def test_one_never_counts(self):
         assert census.psi_E_z([naive_table(E7, 2)], 1, 10, 10) == 0
@@ -836,8 +836,10 @@ class TestGammaTilde:
         assert val == census.gamma_tilde_counts(friable, len(good_primes(E7, 2000)), 2000, 100)
 
     def test_underflow(self):
-        with pytest.raises(DomainError):
-            census.gamma_tilde_counts(1, 100, 2**60, 2)
+        assert math.isfinite(census.gamma_tilde_counts(1, 100, 2**50, 2))  # u = 50, the end of the rho table
+        for x in (2**51, 2**60):
+            with pytest.raises(DomainError, match="underflows"):
+                census.gamma_tilde_counts(1, 100, x, 2)
 
     @pytest.mark.parametrize("x, y", [(10**4, 1), (10**4, 10**4 + 1), (1, 2)])
     def test_bad_y_before_counting(self, monkeypatch, x, y):
@@ -1081,7 +1083,7 @@ class TestOrderCache:
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", LazyPool)
         if failing == "segment":  # a prime of the second of four segments due
-            p = arith.prime_sieve(seg + 200, seg)[0]
+            p = int(arith.prime_array(seg + 200, seg)[0])
             fake_orders(monkeypatch, fail_at=p)
         else:  # the first (or second) staged file is written whole, then the write fails
             write = census.OrderCache._write
@@ -1176,6 +1178,8 @@ class TestOrderCache:
             (lambda s: s.__setitem__((9, 2), -s[9, 2]), r"P\+ = -"),
             (lambda s: s.__setitem__((9, 2), 2 * s[9, 1]), r"P\+ .* does not divide"),
             (lambda s: s.__setitem__((-1, 2), s[-1, 1] - 1), r"P\+ .* does not divide"),
+            # t = p + 1 - n wraps to -2^63 in int64, and P+ = 1 divides any n
+            (lambda s: s.__setitem__((9, slice(1, 3)), [int(s[9, 0]) + 1 - 2**63, 1]), "Hasse"),
         ],
     )
     def test_implausible_file_rejected(self, tmp_path, corrupt, what):
@@ -1226,7 +1230,7 @@ class TestOrderCache:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_prime_is_named(self, tmp_path, monkeypatch, workers):
         seg = census.CACHE_SEGMENT
-        p = arith.prime_sieve(seg + 200, seg)[0]
+        p = int(arith.prime_array(seg + 200, seg)[0])
         fake_orders(monkeypatch, fail_at=p)
         cache = census.OrderCache(tmp_path, workers=workers)
         with pytest.raises(AmbiguityError) as err:
@@ -1369,7 +1373,8 @@ class TestSegmentStream:
         head = census._cache_path(tmp_path, "e7", 0)
         stored = head.read_bytes()
         # a prime of the short segment, which is computed again from 0, or of the next one
-        p = arith.prime_sieve(5000, 4000)[0] if failing == "tail" else arith.prime_sieve(seg + 200, seg)[0]
+        lo, hi = (4000, 5000) if failing == "tail" else (seg, seg + 200)
+        p = int(arith.prime_array(hi, lo)[0])
         fake_orders(monkeypatch, fail_at=p)
         with pytest.raises(AmbiguityError, match=f"p = {p}:"):
             cache.table(E7, seg + 200)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -377,7 +378,7 @@ class TestFriabilityPrimesToSqrt:
 
     def test_psi(self, tmp_path, capsys, monkeypatch):
         x_max, y = 10**6, 900_000
-        primes = arith.prime_sieve(x_max, y)
+        primes = arith.prime_array(x_max, y).tolist()
         sieve_spy(monkeypatch, math.isqrt(x_max) + 1)
         monkeypatch.chdir(tmp_path)
         code, _, err = run(["census", "psi", "--y", str(y), "--budget", str(x_max), "--out", "psi"], capsys)
@@ -404,8 +405,9 @@ class TestSplitCommand:
         assert strip(out1) == strip(out2)
 
     def test_composite_q(self, capsys):
-        code, _, err = run(["split", "100", "2", "1", "--auto"], capsys)
-        assert code == cli.EXIT_USAGE
+        for uv in (["--auto"], ["-u", "1.5", "-v", "1.5"]):
+            code, out, err = run(["split", "100", "2", "1", *uv], capsys)
+            assert (code, out, err) == (cli.EXIT_USAGE, "", "usage error: q=100 must be prime\n"), uv
 
     def test_missing_uv(self, capsys):
         code, _, _ = run(["split", "101", "2", "1"], capsys)
@@ -556,6 +558,17 @@ class TestCensusCommand:
         assert code == cli.EXIT_USAGE
         assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {named} {tmp_path}")
 
+    def test_cache_write_error_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # chmod cannot deny root, so the write itself is made to fail
+        def refuse(self, path, seg):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(census.OrderCache, "_write", refuse)
+        args = ["census", "psi_e", "--curve", "e7", "--budget", "3000", "--cache-dir", str(tmp_path)]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"usage error: cache directory {tmp_path}: {os.strerror(errno.EACCES)}\n"
+
     def test_psi_series(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, _ = run(
@@ -563,7 +576,7 @@ class TestCensusCommand:
         )
         assert code == cli.EXIT_OK
         rows = series_rows(tmp_path / "series.json")
-        assert rows[-1] == (1000, census.psi_exact(1000, 10))
+        assert rows[-1] == (1000, census.psi_counts([1000], 10)[0])
         # CSV mirrors the JSON rows
         csv_rows = (tmp_path / "series.csv").read_text().strip().splitlines()[2:]
         assert len(csv_rows) == len(rows)
@@ -815,7 +828,7 @@ class TestConfigFile:
             ["--config", str(cfg), "census", "psi", "--out", "cfgd"], capsys
         )
         assert code == cli.EXIT_OK
-        assert series_rows(tmp_path / "cfgd.json")[-1] == (500, census.psi_exact(500, 10))
+        assert series_rows(tmp_path / "cfgd.json")[-1] == (500, census.psi_counts([500], 10)[0])
 
     def test_flag_beats_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -827,7 +840,7 @@ class TestConfigFile:
                  "--budget", "300", "--out", "flag"], capsys
             )
             assert code == cli.EXIT_OK
-            assert series_rows(tmp_path / "flag.json")[-1] == (300, census.psi_exact(300, y))
+            assert series_rows(tmp_path / "flag.json")[-1] == (300, census.psi_counts([300], y)[0])
 
     def test_config_bool(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -277,7 +277,7 @@ class TestOrderFn:
     def test_bsgs_path_against_naive(self):
         e37 = ecm.catalog_curve("e37")
         rng = random.Random(37)
-        primes = [p for p in arith.prime_sieve(2 * 10**4, 2001) if e37.curve.has_good_reduction(p)]
+        primes = [p for p in arith.prime_array(2 * 10**4, 2001).tolist() if e37.curve.has_good_reduction(p)]
         for p in rng.sample(primes, 60):
             assert cmcount.order(e37, p) == curve.naive_count(e37.curve, p), p
 

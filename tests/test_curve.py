@@ -352,7 +352,7 @@ class TestBsgsOrder:
         # exponents of E and its twist may not pin the order down: p <= 229
         # (Cremona & Sutherland, JTNB 22 (2010))
         E = cat.curve
-        for p in arith.prime_sieve(300, 5):
+        for p in arith.prime_array(300, 5).tolist():
             if not E.has_good_reduction(p):
                 continue
             want = curve.naive_count(E, p)

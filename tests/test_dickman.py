@@ -77,12 +77,6 @@ class TestRho:
         r = dickman.rho(u)
         assert 0.0 < r <= 1.0
 
-    def test_clipped_underflow(self):
-        v, flag = dickman.rho_clipped(60.0)
-        assert v == 0.0 and flag
-        v, flag = dickman.rho_clipped(2.0)
-        assert not flag and v == pytest.approx(1 - math.log(2), abs=1e-9)
-
     def test_grid_pin(self):
         assert grid_sha256(dickman.RhoTable()) == RHO_GRID_SHA256
 
@@ -122,14 +116,12 @@ class TestRho:
         # u = max_u interpolates on the last four nodes instead of running off the grid
         last = dickman.default_table().values[-1]
         assert dickman.rho(dickman.DEFAULT_MAX_U) == last
-        assert dickman.rho_clipped(50.0) == (last, False)
 
 
 @pytest.mark.parametrize(
     "fn",
     [
         dickman.rho,
-        dickman.rho_clipped,
         dickman.xi,
         rho_debruijn,  # the reference of TestDeBruijn and criterion 6
         # infinity fails the same checks as NaN

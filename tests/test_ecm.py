@@ -206,7 +206,7 @@ class TestStage1Model:
         """(cat, n) for seeded n = pq, 5 < p, q < 2^16 of 3 to 16 bits, prime
         to the curve's discriminant, cycling through ECM_CURVES."""
         by_bits = collections.defaultdict(list)
-        for p in arith.prime_sieve(1 << 16, 7):
+        for p in arith.prime_array(1 << 16, 7).tolist():
             by_bits[p.bit_length()].append(p)
         rng, cases = random.Random(24), []
         while len(cases) < count:
@@ -244,7 +244,7 @@ class TestStage1Model:
         # the seeded sample in plan order; every pair below 2^7 with M = C!,
         # where a scalar's chain can pass O mod N before its last addition
         seeded = self.seeded_cases(1000)
-        small = arith.prime_sieve(1 << 7, 7)
+        small = arith.prime_array(1 << 7, 7).tolist()
         grid = [(cat, p * q) for cat in ECM_CURVES for p, q in itertools.combinations(small, 2)
                 if math.gcd(p * q, cat.curve.disc) == 1]
         factors = found(seeded)
