@@ -225,19 +225,19 @@ def valuation_totals(orders: np.ndarray, primes: np.ndarray) -> np.ndarray:
 
 def segment_orders(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned int64 arrays of the good primes p in [lo, hi) and their orders
-    |E(F_p)|: one cmcount.order call per prime.  An order that fails names
-    the curve, the range and the prime."""
+    |E(F_p)|, one cmcount.order call per prime filling its slot of one int64
+    array.  An order that fails names the curve, the range and the prime."""
     primes = arith.prime_array(hi - 1, lo) if hi > 2 else np.empty(0, np.int64)
     # every catalog |disc| fits in int64, so the remainders are exact
     primes = primes[E.curve.disc % primes != 0]
-    orders = []
-    for p in primes.tolist():
+    orders = np.empty(primes.size, np.int64)
+    for i, p in enumerate(primes.tolist()):
         try:
-            orders.append(cmcount.order(E, p))
+            orders[i] = cmcount.order(E, p)
         except EcsmoothError as exc:
             exc.args = (f"{E.name} segment [{lo}, {hi}), p = {p}: {exc}",)
             raise
-    return primes, np.array(orders, dtype=np.int64)
+    return primes, orders
 
 
 def order_table(E: CatalogCurve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,9 +586,9 @@ class OrderCache:
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def orders(self, cat: CatalogCurve, x: int) -> dict[int, int]:
-        """All good-prime orders for p <= x as a p -> n mapping."""
-        primes, orders, _ = self.table(cat, x)
-        return dict(zip(primes.tolist(), orders.tolist()))
+        """All good-prime orders for p <= x as a p -> n mapping, built from
+        the segments() stream with no joined table."""
+        return {p: n for primes, orders, _ in self.segments(cat, x) for p, n in zip(primes.tolist(), orders.tolist())}
 
     def _compute(self, curve_name: str, todo) -> None:
         """Persist every (lo, hi, path) of todo, ascending in lo.  Consecutive

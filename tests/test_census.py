@@ -916,11 +916,31 @@ def computed_segment(tmp_path, name, lo, hi):
     return np.load(path)
 
 
+class TestSegmentOrders:
+    def test_orders_fill_one_int64_array(self):
+        # two int64 arrays and the primes' list take about 56 B per good
+        # prime; a Python int list of the orders would add about 33 B more
+        lo = 2**19
+        (primes, orders), peak = traced_peak(lambda: census.segment_orders(E7, lo, lo + 2**17))
+        assert primes.dtype == orders.dtype == np.int64 and orders.shape == primes.shape
+        assert primes.size > 9000 and peak <= 64 * primes.size, peak / primes.size
+        assert orders[::500].tolist() == [cmcount.order(E7, p) for p in primes[::500].tolist()]
+
+
 class TestOrderCache:
     def test_matches_direct(self, tmp_path):
         cache = census.OrderCache(tmp_path)
         table = cache.orders(E7, 3000)
         assert table == {p: cmcount.order(E7, p) for p in good_primes(E7, 3000)}
+
+    # x = 1 has no good prime; 2^17 - 1 ends the first segment, 2^17 (no
+    # prime) opens a second one with no rows
+    @pytest.mark.parametrize("x", [1, 2**17 - 1, 2**17, 3000])
+    def test_orders_is_the_joined_stream(self, tmp_path, x):
+        cache = census.OrderCache(tmp_path)
+        ps, ns, _ = cache.table(E7, x)
+        got = cache.orders(E7, x)
+        assert got == dict(zip(ps.tolist(), ns.tolist())) and bool(got) == (x > 1)
 
     def test_resume_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
