@@ -192,7 +192,7 @@ def psi_counts(checkpoints: list[int], y: int) -> list[int]:
     if y < 2:
         raise UsageError(f"y={y} must be >= 2")
     if x > PSI_BUDGET:
-        raise CapacityError(f"psi_exact budget: x={x} > {PSI_BUDGET}")
+        raise CapacityError(f"psi budget: x={x} > {PSI_BUDGET}")
     if y > x:
         return list(checkpoints)
     todo = sorted(set(checkpoints), reverse=True)  # the next checkpoint last
@@ -461,31 +461,45 @@ def _compute_segment(curve_name: str, seg_lo: int, seg_hi: int, tmps: list[Path]
         cache._write(tmp, np.vstack(([lo, hi, 0], rows[i:j])))
 
 
-def _open_segment(path: Path) -> np.ndarray:
-    """A cache file as a read-only mapping of its int64 rows, whose pages
-    leave the process's memory as soon as the array is let go.  Rejects a
-    file whose shape or dtype is wrong or whose header row (lo, hi, 0) does
-    not name a range [lo, hi) inside the segment of its file name; the other
-    rows are not read."""
+def _read_rows(path: Path, whole: bool) -> np.ndarray:
+    """A cache file's int64 rows, all of them if whole, else only the first,
+    (lo, hi, 0): its .npy header is read and checked, then the rows with one
+    plain read into an array of their size, through a descriptor closed on
+    return; no file is mapped.  Rejects a file that holds no C-order int64
+    array of shape (rows, 3), rows >= 1; whose size is not that of its
+    header and those rows, so that no header makes this allocate more than
+    the file holds; or whose first row does not name a range [lo, hi) inside
+    the segment of its file name."""
     try:
-        seg = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+        with path.open("rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):  # what np.save writes for a cache array
+                raise ValueError("not a version 1.0 .npy file")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.int64 or fortran_order or len(shape) != 2 or shape[0] < 1 or shape[1] != 3:
+                order = "Fortran-order " if fortran_order else ""
+                raise CacheError(f"cache file {path} holds a {order}{dtype} array of shape {shape}")
+            size = os.fstat(fh.fileno()).st_size
+            if size != fh.tell() + 24 * shape[0]:  # 24 bytes: one row of three int64
+                raise CacheError(f"cache file {path} holds {size} bytes, not its header and {shape[0]} rows")
+            seg = np.empty((shape[0] if whole else 1, 3), np.int64)
+            if fh.readinto(seg) != seg.nbytes:
+                raise CacheError(f"cache file {path} ends before its {shape[0]} rows")
+    except (OSError, ValueError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    if seg.dtype != np.int64 or seg.ndim != 2 or seg.shape[0] < 1 or seg.shape[1] != 3:
-        raise CacheError(f"cache file {path} holds a {seg.dtype} array of shape {seg.shape}")
-    lo, hi, _ = seg[0]
+    lo, hi, _ = seg[0].tolist()
     if lo != int(path.name.split(".")[-2]) or not lo < hi <= lo + CACHE_SEGMENT:
         raise CacheError(f"cache file {path} covers [{lo}, {hi})")
     return seg
 
 
 def _load_segment(path: Path) -> np.ndarray:
-    """A cache file's int64 rows, as from _open_segment: the covered range
-    (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows.  Rejects also a
-    file whose p do not ascend inside [lo, hi), with an order outside the
-    Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)], or
-    with a P+ entry m that is below 1, above its order n or no divisor of n."""
-    seg = _open_segment(path)
+    """A cache file's int64 rows, read whole by _read_rows and checked: the
+    covered range (lo, hi, 0), then the (p, |E(F_p)|, P+(|E(F_p)|)) rows.
+    Rejects also a file whose p do not ascend inside [lo, hi), with an order
+    outside the Hasse interval [p + 1 - floor(2 sqrt p), p + 1 + floor(2
+    sqrt p)], or with a P+ entry m that is below 1, above its order n or no
+    divisor of n."""
+    seg = _read_rows(path, whole=True)
     (lo, hi, _), p, n, m = seg[0], seg[1:, 0], seg[1:, 1], seg[1:, 2]
     if p.size and (p[0] < lo or p[-1] >= hi or np.any(p[1:] <= p[:-1])):
         raise CacheError(f"cache file {path}: primes not ascending inside [{lo}, {hi})")
@@ -534,8 +548,9 @@ class OrderCache:
     of a file wins with a whole one.
 
     segments() streams the table one segment at a time, which is how every
-    curve-order count reads it; table() joins the stream into whole
-    arrays."""
+    curve-order count reads it, each file read into memory with plain reads
+    through a descriptor closed before the segment is yielded, and no file
+    mapped; table() joins the stream into whole arrays."""
 
     def __init__(self, cache_dir: str | os.PathLike, workers: int = 1):
         if workers < 1:
@@ -547,9 +562,12 @@ class OrderCache:
     def segments(self, cat: CatalogCurve, x: int):
         """Aligned int64 (primes, orders, pplus) views of one cache file at a
         time, in ascending p, for the good primes p <= x: the orders and
-        their P+.  Every segment that no file covers up to x is computed
-        whole and persisted before the first is yielded, and every stored
-        file is checked whole before that work.  A file that another run has since replaced with
+        their P+.  A first pass reads each stored file's header and first
+        row only, to find the segments that no file covers up to x; those
+        are computed whole and persisted before the first is yielded, and
+        every stored file is checked whole before that work.  The stream
+        then reads each file once, whole, and checks every row
+        (_load_segment).  A file that another run has since replaced with
         one covering less than x is refused."""
         if x > arith.SIEVE_LIMIT:
             # up front: prime_sieve would refuse only the last segment, after
@@ -559,8 +577,7 @@ class OrderCache:
         todo = []
         for lo, path in paths.items():
             hi = min(lo + CACHE_SEGMENT, x + 1)
-            # let go, not kept for the rows: a live mapping holds a descriptor (763 per curve at 10^8)
-            if path.exists() and _open_segment(path)[0, 1] >= hi:
+            if path.exists() and _read_rows(path, whole=False)[0, 1] >= hi:
                 continue
             todo.append((lo, hi, path))
         if todo:

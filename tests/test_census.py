@@ -2,6 +2,7 @@ import collections
 import hashlib
 import io
 import math
+import mmap
 import os
 import warnings
 from concurrent.futures import Executor, Future
@@ -397,7 +398,7 @@ class TestPsiCounts:
             census.psi_counts([10, 0], 5)
         with pytest.raises(UsageError, match=r"y=1 must be >= 2"):
             census.psi_counts([10], 1)
-        with pytest.raises(CapacityError, match=r"psi_exact budget"):
+        with pytest.raises(CapacityError, match=r"psi budget: x=1000000001 > 1000000000"):
             census.psi_counts([10, census.PSI_BUDGET + 1], 100)
         with pytest.raises(UsageError):
             census.psi_counts([0], 5)
@@ -1246,6 +1247,59 @@ class TestOrderCache:
         with pytest.raises(CacheError) as err:
             cache.table(E7, 3000)
         assert str(path) in str(err.value)
+
+    # the stored rows under a header that names another array: 2^40 rows
+    # (24 TiB) must fail on the file, never on an allocation
+    @pytest.mark.parametrize(
+        "header, what",
+        [
+            (lambda shape: {"shape": (2**40, 3)}, None),
+            (lambda shape: {"shape": (shape[0] + 1, 3)}, "bytes"),
+            (lambda shape: {"shape": (shape[0] - 1, 3)}, "bytes"),
+            (lambda shape: {"fortran_order": True}, "Fortran-order"),
+        ],
+        ids=["2^40-rows", "one-row-more", "one-row-less", "fortran"],
+    )
+    def test_false_header_rejected(self, tmp_path, header, what):
+        cache = census.OrderCache(tmp_path)
+        cache.table(E7, 3000)
+        path = census._cache_path(tmp_path, "e7", 0)
+        seg = np.load(path)
+        with path.open("wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": seg.shape,
+                                                      **header(seg.shape)})
+            fh.write(seg.tobytes())
+        for read in (lambda: cache.table(E7, 3000), lambda: census._load_segment(path)):
+            with pytest.raises(CacheError, match=what) as err:
+                read()
+            assert str(path) in str(err.value)
+
+    def test_warm_stream_reads_each_file_once_unmapped(self, tmp_path, monkeypatch):
+        fake_orders(monkeypatch)
+        seg, x = census.CACHE_SEGMENT, 2 * census.CACHE_SEGMENT + 3000
+        cache = census.OrderCache(tmp_path)
+        cold = [[col.copy() for col in cols] for cols in cache.segments(E7, x)]
+        paths = [census._cache_path(tmp_path, "e7", lo) for lo in (0, seg, 2 * seg)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache file was mapped")
+
+        monkeypatch.setattr(np, "memmap", refuse)
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        read, reads = census._read_rows, []
+
+        def spy(path, whole):
+            reads.append((path, whole))
+            return read(path, whole)
+
+        monkeypatch.setattr(census, "_read_rows", spy)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        warm = list(cache.segments(E7, x))  # every segment held at once
+        if fds is not None:  # no descriptor outlives its read
+            assert len(os.listdir("/proc/self/fd")) == fds
+        # the first pass reads one row of each file, the stream each file whole, once
+        assert reads == [(path, False) for path in paths] + [(path, True) for path in paths]
+        assert [[col.tolist() for col in cols] for cols in warm] == [[col.tolist() for col in cols] for cols in cold]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_prime_is_named(self, tmp_path, monkeypatch, workers):
